@@ -3,10 +3,10 @@
 Four subcommands: analyze (one Hom module, JSON), grid (lattice
 classification, ASCII/JSON plus an optional SVG), stabilize (index and
 torsion generators), verify (one named statement).  All output is
-byte-deterministic for fixed inputs and seed, except the timing field
-in analyze reports.
+byte-deterministic for fixed inputs (and seed, for verify 2.5).
 
-Exit codes: 0 success, 2 bad input or failed hypothesis, 1 defect.
+Exit codes: 0 success, 2 bad input, failed hypothesis or exceeded
+resource cap, 1 defect.
 """
 
 from __future__ import annotations
@@ -14,12 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass
 
 from .decomp import decide
 from .hom import build_hom
-from .monomials import MonomialIdeal, format_monomial, grlex_key, parse_monomial
+from .monomials import (
+    LengthCapExceeded,
+    MonomialIdeal,
+    format_monomial,
+    grlex_key,
+    parse_monomial,
+)
 from .rings import (
     LocalRing,
     SearchCapExceeded,
@@ -75,7 +80,11 @@ class RingSpecError(ValueError):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Parsed ring-spec file: the ring plus optional sop, prime, and seed."""
+    """Parsed ring-spec file: the ring plus optional sop, prime, and seed.
+
+    prime is parsed and written back but no command reads it; seed feeds
+    verify's randomized 2.5 check.
+    """
 
     variables: tuple[str, ...]
     relations: tuple[str, ...] = ()
@@ -161,13 +170,19 @@ def serialize_ring_spec(spec: RingSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt_gens(ring: LocalRing, gens) -> list:
-    return [ring.fmt(u) for u in sorted(gens, key=grlex_key)]
+def _fmt_gens(ring: LocalRing, gens) -> tuple:
+    return tuple(ring.fmt(u) for u in sorted(gens, key=grlex_key))
 
 
 def analysis_report(spec: RingSpec, a_text: str | None, b_text: str | None,
-                    powers: list | None, prime: int | None, seed: int) -> dict:
-    """The full pipeline on one (a, b) pair, as a JSON-ready dict."""
+                    powers: list | None, prime: int | None = None,
+                    seed: int | None = None) -> dict:
+    """The full pipeline on one (a, b) pair, as a JSON-ready dict.
+
+    prime and seed are unused: the decision reads the monomial action
+    graph, which needs neither a field nor randomness.  They stay in the
+    signature for callers that pass all six arguments.
+    """
     ring = spec.ring()
     if a_text is not None:
         a_gens = list(ring.parse_ideal(a_text).gens)
@@ -183,13 +198,11 @@ def analysis_report(spec: RingSpec, a_text: str | None, b_text: str | None,
     else:
         raise ValueError("no b ideal: pass --b or --powers")
     Q = build_hom(ps, b_spec)
-    t0 = time.perf_counter()
-    verdict = decide(Q.presentation, seed=seed, prime=prime)
-    elapsed = time.perf_counter() - t0
+    verdict = decide(Q)
     witness = Q.non_free_annihilator_witness()
     return {
         "ring": {
-            "variables": list(ring.variables),
+            "variables": ring.variables,
             "relations": ring.fmt_ideal(ring.defining),
         },
         "a": ring.fmt_ideal(ps.params_ideal()),
@@ -208,7 +221,6 @@ def analysis_report(spec: RingSpec, a_text: str | None, b_text: str | None,
             "non_free_witness": ring.fmt(witness) if witness is not None else None,
             "decomposition": decomposition_dict(verdict),
         },
-        "timing_ms": round(elapsed * 1000.0, 3),
     }
 
 
@@ -329,22 +341,19 @@ def _parse_powers(text: str) -> list:
 def cmd_analyze(args) -> int:
     spec = _load_spec(args.spec)
     powers = _parse_powers(args.powers) if args.powers else None
-    prime = args.prime if args.prime is not None else spec.prime
-    seed = args.seed if args.seed is not None else (spec.seed or 0)
-    _emit(analysis_report(spec, args.a, args.b, powers, prime, seed))
+    _emit(analysis_report(spec, args.a, args.b, powers))
     return 0
 
 
 def cmd_grid(args) -> int:
     spec = _load_spec(args.spec)
-    seed = args.seed if args.seed is not None else (spec.seed or 0)
     if args.max == 0:
         if args.format == "json":
             _emit({"max": 0, "points": []})
         else:
             sys.stdout.write("empty grid\n")
         return 0
-    grid = classify_grid(spec.parameter_system(), args.max, seed)
+    grid = classify_grid(spec.parameter_system(), args.max)
     if args.format == "json":
         _emit(grid_report(grid))
     else:
@@ -401,9 +410,9 @@ def cmd_verify(args) -> int:
     elif name == "3.3":
         report = verify_thm_nonfree(ring)
     elif name == "4.1":
-        report = search_decomposable_powers(spec.parameter_system(), seed)
+        report = search_decomposable_powers(spec.parameter_system())
     elif name == "4.2":
-        report = search_nonfree_powers(spec.parameter_system(), seed)
+        report = search_nonfree_powers(spec.parameter_system())
     elif name == "2.5":
         report = verify_colon_identity(ring, count=100, seed=seed or 7)
     elif name == "2.6":
@@ -416,7 +425,7 @@ def cmd_verify(args) -> int:
         small = MonomialIdeal(ring.ambient,
                               [tuple(e * t for e in p) for p, t in zip(ps.params, vals)])
         report = check_radical_transfer(ring, small, ps.params_ideal(),
-                                        ring.parse_ideal(args.b), seed)
+                                        ring.parse_ideal(args.b))
     else:
         report = verify_non_cm_power(spec.parameter_system())
     _emit(report.as_dict())
@@ -434,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--a", help="ideal text, e.g. \"(y)\"; default: the spec's sop")
     pa.add_argument("--b", help="ideal text for b")
     pa.add_argument("--powers", help="b as parameter powers, e.g. \"2,3\"")
-    pa.add_argument("--prime", type=int, help="working prime override")
-    pa.add_argument("--seed", type=int, help="seed for randomized splitting")
     pa.set_defaults(run=cmd_analyze)
 
     pg = sub.add_parser("grid", help="classify the exponent lattice")
@@ -443,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--max", type=int, default=5, help="box size T (default 5)")
     pg.add_argument("--out", help="write an SVG figure here (two parameters only)")
     pg.add_argument("--format", choices=("ascii", "json"), default="ascii")
-    pg.add_argument("--seed", type=int)
     pg.set_defaults(run=cmd_grid)
 
     ps_ = sub.add_parser("stabilize", help="stabilization index and torsion generators")
@@ -456,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--a", help="principal ideal, used by 3.1")
     pv.add_argument("--b", help="ideal text, used by rees and 2.6")
     pv.add_argument("--powers", help="exponent list, used by rees and 2.6")
-    pv.add_argument("--seed", type=int)
+    pv.add_argument("--seed", type=int, help="seed for the random 2.5 instances")
     pv.set_defaults(run=cmd_verify)
     return p
 
@@ -465,7 +471,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (RingSpecError, SearchCapExceeded, ValueError, OSError) as exc:
+    except (RingSpecError, SearchCapExceeded, LengthCapExceeded, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except VerificationError as exc:

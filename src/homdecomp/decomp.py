@@ -1,18 +1,29 @@
-"""Decides whether a finite-length module splits as a direct sum.
+"""Decides whether a monomial Hom module splits as a direct sum.
 
-The decision runs over the endomorphism ring.  The commutant A of the
-action matrices is computed exactly, its radical is split off with the
-trace form of the regular representation, and the semisimple quotient is
-probed for idempotents through the Frobenius fixed space.  A decomposable
-verdict always carries a machine-checkable witness: either a partition of
-the monomial basis into action-closed blocks, or an explicit idempotent
-endomorphism e with e^2 = e commuting with every action.  Indecomposable
-verdicts certify that A modulo its radical is a field.
+The runtime route is decide(Q).  A monomial subquotient C/B is
+Z^d-graded with every graded piece at most one-dimensional, so a graded
+direct summand is spanned by basis monomials and is closed under the
+one-step action u -> u*x_i.  The graded summands are therefore unions of
+connected components of that action graph, and each component is
+graded-indecomposable.  By Gordon-Green ("Graded Artin algebras",
+J. Algebra 76, 1982) a graded module over a graded Artin algebra is
+indecomposable iff it is graded-indecomposable, so the indecomposable
+summands of C/B are exactly its components.
+
+Everything else in this module is the independent algebra oracle the
+tests compare decide() against; no runtime caller uses it.  The commutant
+A of the action matrices is computed exactly, its radical is split off
+with the trace form of the regular representation, and the semisimple
+quotient is probed for idempotents through the Frobenius fixed space.  A
+decomposable verdict carries a machine-checkable witness: either a
+partition of the basis into action-closed blocks, or an explicit
+idempotent endomorphism e with e^2 = e commuting with every action.
+Indecomposable verdicts certify that A modulo its radical is a field.
 
 The trace-form radical is provably the Jacobson radical once the working
 prime exceeds dim A (every matrix block M_n(F_q) then has p coprime to n,
-so its regular trace form is nondegenerate).  decide() enforces that bound
-and re-runs the verdict at a second prime as a cross-check.
+so its regular trace form is nondegenerate).  algebra_decide() enforces
+that bound and re-runs the verdict at a second prime as a cross-check.
 """
 
 from __future__ import annotations
@@ -21,34 +32,72 @@ import random
 from dataclasses import dataclass, replace
 
 from .gfp import Echelon, PrimeFieldMatrix, next_prime, poly_eval
-from .hom import FinitePresentation
+from .hom import FinitePresentation, HomSubquotient, UnionFind
 
 MAX_FITTING_ATTEMPTS = 64
 BRUTE_FORCE_CAP = 16
 
+CONNECTED_CERTIFICATE = (
+    "graded with one-dimensional graded pieces and a connected action graph: "
+    "graded-indecomposable, hence indecomposable (Gordon-Green)")
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+@dataclass(frozen=True)
+class DecompositionReport:
+    """Verdict on one module.
 
-    def find(self, a: int) -> int:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    A decomposable verdict carries its witness (a partition of the basis
+    into action-closed blocks), an indecomposable one a certificate.
+    """
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    verdict: str
+    method: str
+    module_dim: int
+    summand_count: int | None = None
+    partition: tuple[tuple[int, ...], ...] | None = None
+    certificate: str | None = None
+
+    @property
+    def decomposable(self) -> bool:
+        return self.verdict == "decomposable"
+
+
+@dataclass(frozen=True)
+class AlgebraReport(DecompositionReport):
+    """The algebra oracle's verdict, computed over F_prime."""
+
+    prime: int = 0
+    commutant_dim: int = 0
+    idempotent: PrimeFieldMatrix | None = None
+    note: str | None = None
+    primes_checked: tuple[int, ...] = ()
+
+
+def decide(Q: HomSubquotient) -> DecompositionReport:
+    """Decomposability and summand count of a monomial Hom module.
+
+    The indecomposable summands are the connected components of the
+    action graph (see the module docstring): two or more components are a
+    split, witnessed by the partition, and one component is an
+    indecomposable module.
+
+    >>> from .hom import build_hom
+    >>> from .rings import LocalRing, validate_sop
+    >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^3)")
+    >>> ps = validate_sop(R, [R.parse_monomial("y^2")])
+    >>> rep = decide(build_hom(ps, [3]))
+    >>> rep.verdict, rep.summand_count, rep.partition
+    ('decomposable', 2, ((0, 1), (2, 3)))
+    >>> decide(build_hom(ps, [2])).verdict
+    'indecomposable'
+    """
+    n = Q.length()
+    blocks = Q.components()
+    if len(blocks) >= 2:
+        return DecompositionReport("decomposable", "components", n, len(blocks),
+                                   partition=blocks)
+    return DecompositionReport("indecomposable", "components", n, 1,
+                               certificate=CONNECTED_CERTIFICATE)
 
 
 def connected_components(pres: FinitePresentation) -> tuple[tuple[int, ...], ...]:
@@ -58,17 +107,14 @@ def connected_components(pres: FinitePresentation) -> tuple[tuple[int, ...], ...
     witness a direct-sum decomposition outright.
     """
     n = pres.module_dim
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     for X in pres.actions:
         for i in range(n):
             row = X.rows[i]
             for j in range(n):
                 if row[j]:
                     uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(uf.find(v), []).append(v)
-    return tuple(sorted((tuple(sorted(g)) for g in groups.values())))
+    return uf.blocks()
 
 
 def _restrict(pres: FinitePresentation, block: tuple[int, ...]) -> FinitePresentation:
@@ -202,7 +248,7 @@ def commutant(pres: FinitePresentation) -> EndAlgebra:
     maps = _partial_injections(pres)
     if maps is not None:
         sink = n * n
-        uf = _UnionFind(n * n + 1)
+        uf = UnionFind(n * n + 1)
         for sigma, tau in maps:
             for i in range(n):
                 ti = tau[i]
@@ -550,25 +596,6 @@ def _projector_onto(image, kernel, p: int) -> PrimeFieldMatrix:
     return basis_change * diag * basis_change.inverse()
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    verdict: str
-    method: str
-    prime: int
-    module_dim: int
-    commutant_dim: int
-    summand_count: int | None = None
-    partition: tuple[tuple[int, ...], ...] | None = None
-    idempotent: PrimeFieldMatrix | None = None
-    certificate: str | None = None
-    note: str | None = None
-    primes_checked: tuple[int, ...] = ()
-
-    @property
-    def decomposable(self) -> bool:
-        return self.verdict == "decomposable"
-
-
 def _check_idempotent_witness(pres: FinitePresentation, e: PrimeFieldMatrix) -> None:
     assert e * e == e
     assert not e.is_zero()
@@ -619,7 +646,7 @@ def _quotient_coords_to_matrix(alg: EndAlgebra, reps, coords) -> PrimeFieldMatri
     return alg.element(full)
 
 
-def _algebra_report(pres: FinitePresentation, seed: int = 0) -> DecompositionReport:
+def _algebra_report(pres: FinitePresentation, seed: int = 0) -> AlgebraReport:
     """Verdict from the endomorphism algebra alone, ignoring components."""
     alg = commutant(pres)
     table, rad, reps, quotient, zalg, embed = _semisimple_profile(pres, alg)
@@ -635,7 +662,7 @@ def _algebra_report(pres: FinitePresentation, seed: int = 0) -> DecompositionRep
                 ed[r] = (ed[r] + c * z) % pres.prime
         e = _lift_idempotent(_quotient_coords_to_matrix(alg, reps, ed))
         _check_idempotent_witness(pres, e)
-        return DecompositionReport(
+        return AlgebraReport(
             verdict="decomposable", method="frobenius", summand_count=count,
             idempotent=e, **base)
     if not quotient.is_commutative():
@@ -648,21 +675,21 @@ def _algebra_report(pres: FinitePresentation, seed: int = 0) -> DecompositionRep
             ker, image = split
             e = _projector_onto(image, ker, pres.prime)
             _check_idempotent_witness(pres, e)
-            return DecompositionReport(
+            return AlgebraReport(
                 verdict="decomposable", method="fitting", summand_count=count,
                 idempotent=e, **base)
-        return DecompositionReport(
+        return AlgebraReport(
             verdict="decomposable", method="fitting", summand_count=count,
             note="matrix-block quotient; random Fitting search exhausted", **base)
     assert count == 1
     certificate = (
         f"endomorphism ring modulo its radical is a field of dimension {quotient.dim}")
-    return DecompositionReport(
+    return AlgebraReport(
         verdict="indecomposable", method="frobenius", summand_count=1,
         certificate=certificate, **base)
 
 
-def is_decomposable(pres: FinitePresentation, seed: int = 0) -> DecompositionReport:
+def is_decomposable(pres: FinitePresentation, seed: int = 0) -> AlgebraReport:
     """Full decision for one presentation at its own prime.
 
     Distinct connected components of the action graph settle the verdict
@@ -689,16 +716,16 @@ def is_decomposable(pres: FinitePresentation, seed: int = 0) -> DecompositionRep
                     count += _algebra_report(sub, seed).summand_count
         else:
             count = None
-        return DecompositionReport(
+        return AlgebraReport(
             verdict="decomposable", method="components", prime=pres.prime,
             module_dim=pres.module_dim, commutant_dim=alg.dim,
             summand_count=count, partition=comps, primes_checked=(pres.prime,))
     return _algebra_report(pres, seed)
 
 
-def decide(pres_factory, seed: int = 0, prime: int | None = None,
-           cross_check: bool = True) -> DecompositionReport:
-    """Decide decomposability with automatic prime selection.
+def algebra_decide(pres_factory, seed: int = 0, prime: int | None = None,
+                   cross_check: bool = True) -> AlgebraReport:
+    """The algebra oracle's verdict, with automatic prime selection.
 
     pres_factory(p) must return the same module presented over F_p.  The
     working prime is pushed above the commutant dimension, and by default

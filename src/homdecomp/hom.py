@@ -3,19 +3,52 @@
 For a ring R = k[x]/I, a parameter ideal 𝔞 = (a_1..a_d), and 𝔟 ⊆ 𝔞, the
 module Hom_R(R/𝔞, R/𝔟R) is the annihilator of 𝔞 inside R/(I+𝔟), that is
 C/B for B = I + 𝔟 and C = (B : 𝔞).  Everything downstream (length, number
-of generators, freeness, the action matrices fed to the decomposition
-engine) reads off this pair of monomial ideals.
+of generators, freeness, the action graph the decomposition verdict
+reads) reads off this pair of monomial ideals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gfp import PrimeFieldMatrix, is_prime
 from .monomials import Monomial, MonomialIdeal, mono_mul
 from .rings import LocalRing, ParameterSystem, validate_sop
 
 PRESENTATION_CAP = 512
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path halving and union by size."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The sets as sorted tuples, ordered by their first element."""
+        groups: dict[int, list[int]] = {}
+        for v in range(len(self.parent)):
+            groups.setdefault(self.find(v), []).append(v)
+        return tuple(sorted(tuple(g) for g in groups.values()))
 
 
 @dataclass(frozen=True)
@@ -42,7 +75,7 @@ class HomSubquotient:
     """Hom_R(R/𝔞, R/𝔟R) presented as C/B with its Artinian base ring.
 
     base is S = k[x]/(I + 𝔞), the ring the freeness questions quantify
-    over.
+    over.  The monomial basis is enumerated once, at construction.
     """
 
     ring: LocalRing
@@ -51,14 +84,43 @@ class HomSubquotient:
     numerator: MonomialIdeal
     denominator: MonomialIdeal
     base: LocalRing
+    _basis: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        C = self.numerator
+        basis = tuple(u for u in self.denominator.standard_monomials() if u in C)
+        object.__setattr__(self, "_basis", basis)
 
     def basis(self) -> tuple[Monomial, ...]:
         """Standard monomials of B lying in C, in graded-lex order."""
-        C = self.numerator
-        return tuple(u for u in self.denominator.standard_monomials() if u in C)
+        return self._basis
 
     def length(self) -> int:
-        return len(self.basis())
+        return len(self._basis)
+
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components of the one-step action graph on the basis.
+
+        Basis cells u and u*x_i are joined whenever u*x_i is not in B.
+        Blocks are sorted tuples of basis indices, ordered by their first
+        index.  C is an ideal, so u*x_i lies in C and is either a basis
+        cell or in B.
+
+        >>> from .rings import LocalRing, validate_sop
+        >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^3)")
+        >>> ps = validate_sop(R, [R.parse_monomial("y^2")])
+        >>> build_hom(ps, [3]).components()
+        ((0, 1), (2, 3))
+        """
+        basis = self._basis
+        index = {u: i for i, u in enumerate(basis)}
+        uf = UnionFind(len(basis))
+        for i, u in enumerate(basis):
+            for v in range(len(u)):
+                j = index.get(u[:v] + (u[v] + 1,) + u[v + 1:])
+                if j is not None:
+                    uf.union(i, j)
+        return uf.blocks()
 
     def minimal_generator_count(self) -> int:
         """dim_k of C/(𝔪C + B): monomial generators stay k-independent."""
@@ -83,7 +145,7 @@ class HomSubquotient:
     def presentation(self, prime: int, cap: int = PRESENTATION_CAP) -> FinitePresentation:
         if not is_prime(prime):
             raise ValueError(f"{prime} is not prime")
-        basis = self.basis()
+        basis = self._basis
         if len(basis) > cap:
             raise ValueError(f"presentation basis {len(basis)} exceeds cap {cap}")
         index = {u: i for i, u in enumerate(basis)}

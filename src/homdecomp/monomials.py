@@ -19,6 +19,7 @@ True
 
 from __future__ import annotations
 
+import sys
 from itertools import product as _cartesian
 from typing import Iterable, Iterator
 
@@ -345,6 +346,10 @@ def parse_ideal(text: str, names: tuple[str, ...]) -> MonomialIdeal:
 def format_monomial(u: Monomial, names: tuple[str, ...]) -> str:
     """Canonical text for a monomial; '^1' is omitted and 1 is the unit.
 
+    The text is interned, as is format_ideal's: reports repeat the same
+    monomials and ideals, and a caller that keeps many reports then
+    stores each text once.
+
     >>> format_monomial((1, 3), ("x", "y"))
     'xy^3'
     """
@@ -354,7 +359,7 @@ def format_monomial(u: Monomial, names: tuple[str, ...]) -> str:
             parts.append(name)
         elif e > 1:
             parts.append(f"{name}^{e}")
-    return "".join(parts) or "1"
+    return sys.intern("".join(parts) or "1")
 
 
 def format_ideal(I: MonomialIdeal, names: tuple[str, ...]) -> str:
@@ -365,4 +370,4 @@ def format_ideal(I: MonomialIdeal, names: tuple[str, ...]) -> str:
     """
     if I.is_zero():
         return "(0)"
-    return "(" + ", ".join(format_monomial(g, names) for g in I.gens) + ")"
+    return sys.intern("(" + ", ".join(format_monomial(g, names) for g in I.gens) + ")")

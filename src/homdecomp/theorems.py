@@ -67,27 +67,17 @@ class TheoremReport:
 
 
 def decomposition_dict(rep: DecompositionReport) -> dict:
-    """JSON-ready view of an engine report; matrices become row lists."""
+    """JSON-ready view of a decomposition report."""
     out = {
         "verdict": rep.verdict,
         "method": rep.method,
-        "prime": rep.prime,
         "module_dim": rep.module_dim,
-        "commutant_dim": rep.commutant_dim,
         "summand_count": rep.summand_count,
-        "primes_checked": list(rep.primes_checked),
     }
     if rep.partition is not None:
         out["partition"] = [list(block) for block in rep.partition]
-    if rep.idempotent is not None:
-        out["idempotent"] = {
-            "prime": rep.idempotent.p,
-            "rows": [list(row) for row in rep.idempotent.rows],
-        }
     if rep.certificate is not None:
         out["certificate"] = rep.certificate
-    if rep.note is not None:
-        out["note"] = rep.note
     return out
 
 
@@ -197,7 +187,7 @@ def verify_thm_dim1(ring: LocalRing, a: Monomial, c: Monomial | None = None) -> 
     rv = _layer_length(tors + B, B)
     _check(checks, instance, "both summands are nonzero", lv > 0 and rv > 0)
     _check(checks, instance, "summand lengths add up", lv + rv == Q.length())
-    report = decide(Q.presentation)
+    report = decide(Q)
     _check(checks, instance, "engine confirms a decomposition", report.decomposable)
     return TheoremReport(
         statement="3.1",
@@ -263,7 +253,7 @@ def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremRep
            not Q.is_free_over_base())
     _check(checks, instance, "annihilator witness found on the module",
            Q.non_free_annihilator_witness() is not None)
-    report = decide(Q.presentation)
+    report = decide(Q)
     _check(checks, instance, "engine confirms a decomposition", report.decomposable)
     return TheoremReport(
         statement="3.3",
@@ -310,7 +300,7 @@ def _decomposable_exponents(ps: ParameterSystem) -> list[int]:
     return _weave(len(ps.params), i, s, tail)
 
 
-def search_decomposable_powers(ps: ParameterSystem, seed: int = 0) -> TheoremReport:
+def search_decomposable_powers(ps: ParameterSystem) -> TheoremReport:
     """Exponents n with Hom(R/a, R/(a_1^{n_1}, ..., a_d^{n_d})) decomposable.
 
     Follows the induction: pick a parameter power that destroys the CM
@@ -336,7 +326,7 @@ def search_decomposable_powers(ps: ParameterSystem, seed: int = 0) -> TheoremRep
         exps = _weave(d, i, s, tail)
     parameters["n"] = list(exps)
     Q = build_hom(ps, exps)
-    report = decide(Q.presentation, seed)
+    report = decide(Q)
     _check(checks, instance, "engine confirms a decomposition", report.decomposable)
     if d >= 2:
         # the induction transfers the split from the smaller ideal
@@ -348,7 +338,6 @@ def search_decomposable_powers(ps: ParameterSystem, seed: int = 0) -> TheoremRep
             MonomialIdeal(ring.ambient, j_gens),
             ps.params_ideal(),
             MonomialIdeal(ring.ambient, n_gens),
-            seed=seed,
         )
         for name in transfer.checks:
             checks.append(f"transfer step: {name}")
@@ -374,7 +363,7 @@ def _nonfree_exponents(ps: ParameterSystem) -> tuple[list[int], list[int]]:
     return _weave(d, i, s, tail_n), _weave(d, i, s, tail_b)
 
 
-def search_nonfree_powers(ps: ParameterSystem, seed: int = 0) -> TheoremReport:
+def search_nonfree_powers(ps: ParameterSystem) -> TheoremReport:
     """Exponents n, N making Hom(R/(a_i^{n_i}), R/(a_i^{N_i})) split non-free.
 
     Same induction as the decomposability search, but the base case digs
@@ -389,7 +378,7 @@ def search_nonfree_powers(ps: ParameterSystem, seed: int = 0) -> TheoremReport:
     Q = build_hom(ps2, [_pow(p, k) for p, k in zip(ps.params, b_vec)])
     instance = f"{ring!r}, a = {ring.fmt_ideal(ps2.params_ideal())}"
     checks: list = []
-    report = decide(Q.presentation, seed)
+    report = decide(Q)
     _check(checks, instance, "engine confirms a decomposition", report.decomposable)
     _check(checks, instance, "module is not free over the base",
            not Q.is_free_over_base())
@@ -410,7 +399,7 @@ def search_nonfree_powers(ps: ParameterSystem, seed: int = 0) -> TheoremReport:
 
 
 def check_radical_transfer(ring: LocalRing, small: MonomialIdeal, large: MonomialIdeal,
-                           module_ideal: MonomialIdeal, seed: int = 0) -> TheoremReport:
+                           module_ideal: MonomialIdeal) -> TheoremReport:
     """Decomposability of Hom(R/J, N) transfers to Hom(R/I, N) when √J = √I.
 
     J = small must sit inside I = large with the same radical (relative
@@ -426,13 +415,13 @@ def check_radical_transfer(ring: LocalRing, small: MonomialIdeal, large: Monomia
     instance = (f"{ring!r}, J = {ring.fmt_ideal(small)}, I = {ring.fmt_ideal(large)}, "
                 f"N = R/{ring.fmt_ideal(module_ideal)}")
     checks: list = []
-    source = decide(hom_from_ideals(ring, small, module_ideal).presentation, seed)
+    source = decide(hom_from_ideals(ring, small, module_ideal))
     if not source.decomposable:
         checks.append("source Hom indecomposable; transfer holds vacuously")
         return TheoremReport("2.6", instance, {"vacuous": True},
                              tuple(checks), decomposition=source)
     checks.append("source Hom decomposable")
-    target = decide(hom_from_ideals(ring, large, module_ideal).presentation, seed)
+    target = decide(hom_from_ideals(ring, large, module_ideal))
     _check(checks, instance, "enlarged ideal keeps the decomposition", target.decomposable)
     return TheoremReport("2.6", instance, {"vacuous": False},
                          tuple(checks), decomposition=target)
@@ -506,7 +495,7 @@ class PointClass(str, Enum):
     DECOMPOSABLE = "DECOMPOSABLE"
 
 
-def classify_point(ps: ParameterSystem, powers, seed: int = 0) -> PointClass:
+def classify_point(ps: ParameterSystem, powers) -> PointClass:
     """Class of the Hom module at one lattice point.
 
     Cyclic modules over the Artinian local base are indecomposable, so
@@ -515,7 +504,7 @@ def classify_point(ps: ParameterSystem, powers, seed: int = 0) -> PointClass:
     Q = build_hom(ps, list(powers))
     if Q.is_cyclic():
         return PointClass.FREE_CYCLIC if Q.is_free_over_base() else PointClass.CYCLIC_NONFREE
-    if decide(Q.presentation, seed).decomposable:
+    if decide(Q).decomposable:
         return PointClass.DECOMPOSABLE
     return PointClass.INDECOMPOSABLE_NONCYCLIC
 
@@ -533,13 +522,13 @@ class GridClassification:
         return sorted(self.classes)
 
 
-def classify_grid(ps: ParameterSystem, tmax: int, seed: int = 0) -> GridClassification:
+def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
     if tmax < 1:
         raise ValueError("tmax must be at least 1")
     classes = {}
     free = {}
     for t in itertools.product(range(1, tmax + 1), repeat=len(ps.params)):
-        classes[t] = classify_point(ps, t, seed)
+        classes[t] = classify_point(ps, t)
         free[t] = build_hom(ps, list(t)).is_free_over_base()
     return GridClassification(ps, tmax, classes, free)
 

@@ -1,7 +1,6 @@
 """Ring-spec grammar, report schemas, grid renderings, exit codes."""
 
 import json
-import re
 
 import pytest
 
@@ -32,10 +31,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def mask_timing(text):
-    return re.sub(r'"timing_ms": [0-9.]+', '"timing_ms": 0', text)
 
 
 class TestRingSpecParsing:
@@ -136,9 +131,44 @@ class TestAnalyze:
 
     def test_deterministic_output(self, tmp_path, capsys):
         path = write(tmp_path, "e52.ring", E52_M3)
-        _, first, _ = run(capsys, "analyze", path, "--powers", "3", "--seed", "5")
-        _, second, _ = run(capsys, "analyze", path, "--powers", "3", "--seed", "5")
-        assert mask_timing(first) == mask_timing(second)
+        _, first, _ = run(capsys, "analyze", path, "--powers", "3")
+        _, second, _ = run(capsys, "analyze", path, "--powers", "3")
+        assert first == second
+
+    def test_decomposition_schema(self, tmp_path, capsys):
+        path = write(tmp_path, "e52.ring", E52_M3)
+        _, out, _ = run(capsys, "analyze", path, "--powers", "3")
+        dec = json.loads(out)["hom"]["decomposition"]
+        assert dec == {"verdict": "decomposable", "method": "components",
+                       "module_dim": 4, "summand_count": 2,
+                       "partition": [[0, 1], [2, 3]]}
+        _, out, _ = run(capsys, "analyze", path, "--b", "(y^4)")
+        dec = json.loads(out)["hom"]["decomposition"]
+        assert sorted(dec) == ["certificate", "method", "module_dim",
+                               "summand_count", "verdict"]
+        assert "Gordon-Green" in dec["certificate"]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("analyze", "--prime"), ("analyze", "--seed"), ("grid", "--seed")])
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, command, flag):
+        path = write(tmp_path, "e52.ring", E52_M3)
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, flag, "5"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_spec_prime_and_seed_are_accepted(self, tmp_path, capsys):
+        path = write(tmp_path, "e52.ring", E52_M3 + "prime 7\nseed 3\n")
+        code, out, _ = run(capsys, "analyze", path, "--powers", "3")
+        assert code == 0
+        assert json.loads(out)["hom"]["decomposition"]["summand_count"] == 2
+
+    def test_length_cap_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "wide.ring", "ring x y\nrelations x^2000 xy\nsop y\n")
+        code, _, err = run(capsys, "analyze", path, "--powers", "2000")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "exceeds cap 1000000" in err
 
     def test_b_outside_a_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "e51.ring", E51)

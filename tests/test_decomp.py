@@ -1,20 +1,22 @@
-"""Decomposition engine: frozen verdicts, witnesses, and oracle agreement.
+"""Decomposition: the components route against the algebra oracle.
 
-The independent checks here come from three directions: an exhaustive F_2
-idempotent search, a generic kernel solve for the commutant dimension
-(the engine uses a combinatorial route on monomial presentations), and
+decide(Q) reads the verdict off the monomial action graph.  The algebra
+oracle (commutant, trace-form radical, Frobenius and Fitting splitting)
+is tested here in its own right and then used, with an exhaustive F_2
+idempotent search, as the independent check of decide().  The oracle's
+own checks come from a generic kernel solve for the commutant dimension
+(the engine uses a combinatorial route on monomial presentations) and
 hand-derived endomorphism rings for the small frozen cases.
 """
 
-import random
-
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from homdecomp.decomp import (
-    DecompositionReport,
-    EndAlgebra,
     QuotientAlgebra,
     _algebra_report,
+    algebra_decide,
     algebra_radical,
     brute_force_idempotent_oracle,
     commutant,
@@ -25,15 +27,19 @@ from homdecomp.decomp import (
     is_decomposable,
 )
 from homdecomp.gfp import PrimeFieldMatrix, next_prime
-from homdecomp.hom import FinitePresentation, build_hom
+from homdecomp.hom import FinitePresentation, build_hom, hom_from_ideals
+from homdecomp.monomials import MonomialIdeal
 from homdecomp.rings import LocalRing, validate_sop
 
 
-def hom_factory(variables, relations, sop, powers):
+def hom_module(variables, relations, sop, powers):
     ring = LocalRing.from_text(tuple(variables), relations)
     params = [ring.parse_monomial(s) for s in sop.split()]
-    Q = build_hom(validate_sop(ring, params), powers)
-    return Q.presentation
+    return build_hom(validate_sop(ring, params), powers)
+
+
+def hom_factory(variables, relations, sop, powers):
+    return hom_module(variables, relations, sop, powers).presentation
 
 
 def synth_factory(nvars, dim, edge_maps):
@@ -226,13 +232,13 @@ def check_witness(pres, report):
 
 class TestVerdicts:
     def test_free_cyclic_is_indecomposable(self):
-        report = decide(FACTORIES["free cyclic"])
+        report = algebra_decide(FACTORIES["free cyclic"])
         assert report.verdict == "indecomposable"
         assert report.summand_count == 1
         assert "field of dimension 1" in report.certificate
 
     def test_boundary_point_is_indecomposable(self):
-        report = decide(FACTORIES["boundary"])
+        report = algebra_decide(FACTORIES["boundary"])
         assert report.verdict == "indecomposable"
         assert report.commutant_dim == 6
         assert report.summand_count == 1
@@ -240,7 +246,7 @@ class TestVerdicts:
 
     def test_split_point_decomposes_with_partition(self):
         factory = FACTORIES["split"]
-        report = decide(factory)
+        report = algebra_decide(factory)
         assert report.decomposable
         assert report.method == "components"
         assert report.partition == ((0, 1), (2, 3))
@@ -248,19 +254,19 @@ class TestVerdicts:
         check_witness(factory(report.prime), report)
 
     def test_interior_point_has_three_summands(self):
-        report = decide(FACTORIES["interior"])
+        report = algebra_decide(FACTORIES["interior"])
         assert report.decomposable
         assert report.summand_count == 3
         assert report.partition == ((0,), (1,), (2,))
 
     def test_border_point_is_indecomposable(self):
-        report = decide(FACTORIES["border"])
+        report = algebra_decide(FACTORIES["border"])
         assert report.verdict == "indecomposable"
 
     def test_crossed_pair_splits_by_frobenius(self):
         # connected module, so the verdict must come from the algebra
         factory = FACTORIES["crossed pair"]
-        report = decide(factory)
+        report = algebra_decide(factory)
         assert report.decomposable
         assert report.method == "frobenius"
         assert report.summand_count == 2
@@ -269,14 +275,14 @@ class TestVerdicts:
 
     def test_merge_map_runs_generic_route(self):
         factory = FACTORIES["merge map"]
-        report = decide(factory)
+        report = algebra_decide(factory)
         assert report.verdict in ("decomposable", "indecomposable")
         if report.decomposable:
             check_witness(factory(report.prime), report)
 
     def test_all_corpus_witnesses_sound(self):
         for name, factory in FACTORIES.items():
-            report = decide(factory, seed=11)
+            report = algebra_decide(factory, seed=11)
             if report.decomposable:
                 check_witness(factory(report.prime), report)
             else:
@@ -294,7 +300,7 @@ class TestVerdicts:
 
     def test_decide_rejects_explicit_small_prime(self):
         with pytest.raises(ValueError, match="prime"):
-            decide(FACTORIES["boundary"], prime=5)
+            algebra_decide(FACTORIES["boundary"], prime=5)
 
 
 class TestFittingRoute:
@@ -347,13 +353,13 @@ class TestOracleAgreement:
         if commutant(oracle_pres).dim > 16:
             pytest.skip("beyond oracle cap")
         truth = brute_force_idempotent_oracle(oracle_pres)
-        report = decide(factory, seed=7)
+        report = algebra_decide(factory, seed=7)
         assert report.decomposable == truth
 
     def test_characteristic_two_exception_is_synthetic_only(self):
         factory = FACTORIES["crossed pair"]
         assert brute_force_idempotent_oracle(factory(2)) is False
-        assert decide(factory).decomposable
+        assert algebra_decide(factory).decomposable
 
     def test_oracle_requires_prime_two(self):
         with pytest.raises(ValueError, match="F_2"):
@@ -368,7 +374,7 @@ class TestOracleAgreement:
 class TestTwoPrimes:
     @pytest.mark.parametrize("name", IDS)
     def test_cross_check_passes_and_records_primes(self, name):
-        report = decide(FACTORIES[name], seed=1)
+        report = algebra_decide(FACTORIES[name], seed=1)
         assert len(report.primes_checked) == 2
         p1, p2 = report.primes_checked
         assert p1 < p2
@@ -383,3 +389,67 @@ class TestTwoPrimes:
             r1 = is_decomposable(factory(p1), seed=0)
             r2 = is_decomposable(factory(p2), seed=0)
             assert r1.verdict == r2.verdict
+
+
+class TestComponentsRoute:
+    def test_split_point_reports_partition(self):
+        Q = hom_module(("x", "y"), "(x^2, xy^3)", "y^2", [3])
+        report = decide(Q)
+        assert report.decomposable
+        assert report.method == "components"
+        assert report.summand_count == 2
+        assert report.partition == ((0, 1), (2, 3))
+        assert report.module_dim == 4
+
+    def test_interior_point_has_three_summands(self):
+        report = decide(hom_module(("x", "y", "z"), "(x^2, xyz)", "y z", [2, 2]))
+        assert report.summand_count == 3
+        assert report.partition == ((0,), (1,), (2,))
+
+    def test_connected_module_is_certified_indecomposable(self):
+        report = decide(hom_module(("x", "y"), "(x^2, xy^3)", "y^2", [2]))
+        assert report.verdict == "indecomposable"
+        assert report.method == "components"
+        assert report.summand_count == 1
+        assert report.partition is None
+        assert "Gordon-Green" in report.certificate
+
+
+@st.composite
+def monomial_homs(draw):
+    """Hom(R/a, R/b) on 2-3 variables, length at most 20.
+
+    x^e kills the ring's dimension in the x direction, one or two further
+    relations are free to mix the variables (which is where splittings
+    come from), a is a power of each remaining variable and b a power of
+    each generator of a; a and b may each gain one arbitrary monomial.
+    """
+    d = draw(st.integers(2, 3))
+    top = 6 if d == 2 else 3
+    exp = st.integers(0, top)
+    pure = lambda i, e: tuple(e if k == i else 0 for k in range(d))  # noqa: E731
+    relations = [pure(0, draw(st.integers(1, top)))]
+    relations += draw(st.lists(st.tuples(st.integers(1, top), *[exp] * (d - 1)),
+                               min_size=1, max_size=2))
+    s = draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1))
+    t = draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1))
+    extra = st.lists(st.tuples(*[exp] * d).filter(any), max_size=1)
+    a = [pure(i + 1, si) for i, si in enumerate(s)] + draw(extra)
+    b = [pure(i + 1, si * ti) for i, (si, ti) in enumerate(zip(s, t))] + draw(extra)
+    ring = LocalRing(tuple("xyz"[:d]), MonomialIdeal(d, relations))
+    Q = hom_from_ideals(ring, MonomialIdeal(d, a), MonomialIdeal(d, b))
+    assume(Q.length() <= 20)
+    return Q
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(monomial_homs())
+def test_components_route_matches_algebra_oracle(Q):
+    report = decide(Q)
+    pres = Q.presentation(2)
+    dim = commutant(pres).dim
+    # the whole-module algebra ignores the action graph entirely
+    oracle = _algebra_report(Q.presentation(next_prime(dim)))
+    assert (report.verdict, report.summand_count) == (oracle.verdict, oracle.summand_count)
+    if dim <= 12:
+        assert report.decomposable is brute_force_idempotent_oracle(pres)

@@ -9,6 +9,7 @@ implementation under test.
 
 import pytest
 
+from homdecomp.decomp import connected_components
 from homdecomp.gfp import PrimeFieldMatrix
 from homdecomp.hom import build_hom, hom_from_ideals
 from homdecomp.monomials import MonomialIdeal, mono_mul
@@ -243,6 +244,18 @@ class TestPresentation:
         Q = make_hom(R, "y", [2])
         with pytest.raises(ValueError):
             Q.presentation(5, cap=1)
+
+
+class TestComponents:
+    @pytest.mark.parametrize("name,Q", corpus_homs(), ids=CORPUS_IDS)
+    def test_blocks_match_presentation_graph(self, name, Q):
+        assert Q.components() == connected_components(Q.presentation(3))
+
+    def test_basis_is_enumerated_once(self):
+        R = make_ring(("x", "y"), "(x^2, xy^3)")
+        Q = make_hom(R, "y^2", [3])
+        assert Q.basis() is Q.basis()
+        assert Q.presentation(5).basis is Q.basis()
 
 
 class TestAgainstLinearOracle:
