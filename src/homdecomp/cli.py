@@ -394,7 +394,7 @@ def _single_parameter(spec: RingSpec, ring: LocalRing, a_text: str | None):
 def cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     ring = spec.ring()
-    seed = args.seed if args.seed is not None else (spec.seed or 0)
+    seed = args.seed if args.seed is not None else spec.seed
     name = args.theorem
     if name == "rees":
         ps = spec.parameter_system()
@@ -414,7 +414,7 @@ def cmd_verify(args) -> int:
     elif name == "4.2":
         report = search_nonfree_powers(spec.parameter_system())
     elif name == "2.5":
-        report = verify_colon_identity(ring, count=100, seed=seed or 7)
+        report = verify_colon_identity(ring, count=100, seed=7 if seed is None else seed)
     elif name == "2.6":
         if not args.powers or args.b is None:
             raise ValueError("--theorem 2.6 needs --powers (for J) and --b (for N)")

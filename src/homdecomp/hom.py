@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gfp import PrimeFieldMatrix, is_prime
-from .monomials import Monomial, MonomialIdeal, mono_mul
+from .monomials import Monomial, MonomialIdeal, mono_mul, monomials_between
 from .rings import LocalRing, ParameterSystem, validate_sop
 
 PRESENTATION_CAP = 512
@@ -75,7 +75,10 @@ class HomSubquotient:
     """Hom_R(R/𝔞, R/𝔟R) presented as C/B with its Artinian base ring.
 
     base is S = k[x]/(I + 𝔞), the ring the freeness questions quantify
-    over.  The monomial basis is enumerated once, at construction.
+    over.  The monomial basis is enumerated once, at construction, by
+    walking up from C's generators outside B (monomials_between).  B's
+    pure-power box is not scanned, but a B whose box has more than
+    DEFAULT_LENGTH_CAP cells is refused with LengthCapExceeded.
     """
 
     ring: LocalRing
@@ -87,8 +90,8 @@ class HomSubquotient:
     _basis: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        C = self.numerator
-        basis = tuple(u for u in self.denominator.standard_monomials() if u in C)
+        self.denominator.box_bounds()
+        basis = tuple(monomials_between(self.numerator, self.denominator))
         object.__setattr__(self, "_basis", basis)
 
     def basis(self) -> tuple[Monomial, ...]:
@@ -123,9 +126,17 @@ class HomSubquotient:
         return uf.blocks()
 
     def minimal_generator_count(self) -> int:
-        """dim_k of C/(𝔪C + B): monomial generators stay k-independent."""
-        V = self.ring.maximal_ideal * self.numerator + self.denominator
-        return sum(1 for g in self.numerator.gens if not V.contains(g))
+        """dim_k of C/(𝔪C + B), which is the number of C's generators outside B.
+
+        A monomial lies in 𝔪C + B exactly when it lies in 𝔪C or in B.  A
+        minimal generator g of C is never in 𝔪C, since g = x_i * c with c
+        in C would put g/x_i in C.  Every other monomial of C is a
+        variable times a monomial of C, so it is in 𝔪C.  So the monomials
+        of C outside 𝔪C + B, a k-basis of the quotient, are exactly the
+        generators of C outside B.
+        """
+        B = self.denominator
+        return sum(1 for g in self.numerator.gens if not B.contains(g))
 
     def is_cyclic(self) -> bool:
         return self.minimal_generator_count() == 1
@@ -191,7 +202,7 @@ def _subquotient(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal
     base = LocalRing(ring.variables, base_ideal)
     Q = HomSubquotient(ring, a_ideal, b_ideal, C, B, base)
     assert C.contains_ideal(B)
-    assert B.contains_ideal(C * a_ideal)
+    assert all(B.contains(mono_mul(g, h)) for g in C.gens for h in a_ideal.gens)
     return Q
 
 
@@ -203,6 +214,8 @@ def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialId
     """
     if a_ideal.is_zero():
         raise ValueError("a must be nonzero")
+    if a_ideal.is_unit():
+        raise ValueError("a is the unit ideal; the base ring R/(I + a) is zero")
     return _subquotient(ring, a_ideal, b_ideal)
 
 

@@ -242,12 +242,28 @@ class MonomialIdeal:
                 return False
         return True
 
-    def _box_bounds(self) -> list[int]:
+    def box_bounds(self, cap: int = DEFAULT_LENGTH_CAP) -> list[int]:
+        """Least pure-power exponent of each variable; requires finite colength.
+
+        The box they span holds every standard monomial; the unit ideal
+        has the empty box, all bounds 0.  Raises LengthCapExceeded when
+        the box has more than cap cells.
+
+        >>> MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)]).box_bounds()
+        [2, 3]
+        """
+        if not self.is_finite_colength():
+            raise ValueError("ideal does not have finite colength")
         bounds = []
         for i in range(self.ambient):
-            pure = [g[i] for g in self.gens if g[i] > 0
-                    and all(e == 0 for j, e in enumerate(g) if j != i)]
+            pure = [g[i] for g in self.gens
+                    if all(e == 0 for j, e in enumerate(g) if j != i)]
             bounds.append(min(pure))
+        volume = 1
+        for b in bounds:
+            volume *= b
+        if volume > cap:
+            raise LengthCapExceeded(f"box volume {volume} exceeds cap {cap}")
         return bounds
 
     def standard_monomials(self, cap: int = DEFAULT_LENGTH_CAP) -> list[Monomial]:
@@ -256,16 +272,7 @@ class MonomialIdeal:
         >>> MonomialIdeal(2, [(2, 0), (0, 2)]).standard_monomials()
         [(0, 0), (1, 0), (0, 1), (1, 1)]
         """
-        if self.is_unit():
-            return []
-        if not self.is_finite_colength():
-            raise ValueError("ideal does not have finite colength")
-        bounds = self._box_bounds()
-        volume = 1
-        for b in bounds:
-            volume *= b
-        if volume > cap:
-            raise LengthCapExceeded(f"box volume {volume} exceeds cap {cap}")
+        bounds = self.box_bounds(cap)
         out = [u for u in _cartesian(*(range(b) for b in bounds)) if not self.contains(u)]
         out.sort(key=grlex_key)
         return out
@@ -273,6 +280,41 @@ class MonomialIdeal:
     def length(self, cap: int = DEFAULT_LENGTH_CAP) -> int:
         """dim_k of k[x]/I; requires finite colength."""
         return len(self.standard_monomials(cap))
+
+
+def monomials_between(upper: MonomialIdeal, lower: MonomialIdeal,
+                      cap: int = DEFAULT_LENGTH_CAP) -> list[Monomial]:
+    """The monomials of upper that are not in lower, in graded-lex order.
+
+    The walk starts at upper's generators outside lower and steps up one
+    variable at a time.  It reaches every such monomial u: u is g * w for
+    a generator g of upper, and each monomial between g and u on the way
+    divides u, so it lies in upper and, as lower is an ideal, outside
+    lower.  lower need not have finite colength; the walk ends whenever
+    the set is finite and raises LengthCapExceeded past cap monomials.
+
+    >>> upper = MonomialIdeal(2, [(0, 1), (2, 0)])      # (y, x^2)
+    >>> monomials_between(upper, MonomialIdeal(2, [(2, 0), (0, 2)]))
+    [(0, 1), (1, 1)]
+    >>> monomials_between(MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(2, 0), (1, 2)]))
+    [(1, 0), (1, 1)]
+    """
+    upper._check_compatible(lower)
+    in_lower = lower.contains
+    frontier = [g for g in upper.gens if not in_lower(g)]
+    found = set(frontier)
+    while frontier:
+        step = []
+        for u in frontier:
+            for i in range(len(u)):
+                v = u[:i] + (u[i] + 1,) + u[i + 1:]
+                if v not in found and not in_lower(v):
+                    found.add(v)
+                    step.append(v)
+        if len(found) > cap:
+            raise LengthCapExceeded(f"count of monomials between the ideals exceeds cap {cap}")
+        frontier = step
+    return sorted(found, key=grlex_key)
 
 
 def _subsets(n: int, size: int) -> Iterator[frozenset]:

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .monomials import (
+    DEFAULT_LENGTH_CAP,
     Monomial,
     MonomialIdeal,
     degree,
     format_ideal,
     format_monomial,
-    grlex_key,
     mono_mul,
+    monomials_between,
     parse_ideal,
     parse_monomial,
 )
@@ -128,9 +129,12 @@ def validate_sop(ring: LocalRing, params: list[Monomial]) -> ParameterSystem:
     d = ring.dimension()
     if len(params) != d:
         raise ValueError(f"need exactly {d} parameters, got {len(params)}")
-    for u in params:
+    for k, u in enumerate(params, start=1):
         if len(u) != ring.ambient:
             raise ValueError(f"parameter {u} does not live in the ambient ring")
+        if not any(u):
+            raise ValueError(f"parameter {k} is the unit 1; parameters must lie in "
+                             "the maximal ideal")
     total = ring.defining + MonomialIdeal(ring.ambient, params)
     if not total.is_finite_colength():
         raise ValueError("parameters do not cut the ring down to finite length")
@@ -191,30 +195,14 @@ def gamma_module_generators(ring: LocalRing) -> list[Monomial]:
     return [g for g in gamma_m(ring).gens if not I.contains(g)]
 
 
-def gamma_monomial_basis(ring: LocalRing, cap: int = 10**6) -> list[Monomial]:
+def gamma_monomial_basis(ring: LocalRing, cap: int = DEFAULT_LENGTH_CAP) -> list[Monomial]:
     """All monomials in the saturation but not in I; a k-basis of the torsion.
 
-    The torsion module has finite length, so a breadth-first walk from the
-    saturation generators terminates.
+    The torsion module has finite length, so the walk up from the
+    saturation generators terminates; past cap monomials it raises
+    LengthCapExceeded.
     """
-    I = ring.defining
-    sat = gamma_m(ring)
-    seen: set[Monomial] = set()
-    frontier = [g for g in sat.gens if not I.contains(g)]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            if u in seen or I.contains(u):
-                continue
-            seen.add(u)
-            if len(seen) > cap:
-                raise RuntimeError("torsion module enumeration exceeded the cap")
-            for i in range(ring.ambient):
-                step = tuple(e + 1 if j == i else e for j, e in enumerate(u))
-                if step not in seen and not I.contains(step):
-                    nxt.append(step)
-        frontier = nxt
-    return sorted(seen, key=grlex_key)
+    return monomials_between(gamma_m(ring), ring.defining, cap)
 
 
 def stabilization_index(ring: LocalRing, cap: int = 64) -> int:

@@ -18,7 +18,7 @@ from enum import Enum
 
 from .decomp import DecompositionReport, decide
 from .hom import HomSubquotient, build_hom, hom_from_ideals
-from .monomials import Monomial, MonomialIdeal, grlex_key, mono_mul
+from .monomials import Monomial, MonomialIdeal, grlex_key, mono_mul, monomials_between
 from .rings import (
     LocalRing,
     ParameterSystem,
@@ -96,8 +96,8 @@ def _one(ring: LocalRing) -> Monomial:
 
 
 def _layer_length(upper: MonomialIdeal, lower: MonomialIdeal) -> int:
-    """Length of upper/lower for nested monomial ideals, lower Artinian."""
-    return sum(1 for u in lower.standard_monomials() if upper.contains(u))
+    """Length of upper/lower for nested monomial ideals; it must be finite."""
+    return len(monomials_between(upper, lower))
 
 
 def _monomials_of_degree(nvars: int, deg: int):

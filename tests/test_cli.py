@@ -182,6 +182,17 @@ class TestAnalyze:
         assert code == 2
         assert "--b or --powers" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--powers", "2"),
+        ("grid", "--max", "2"),
+        ("verify", "--theorem", "3.1"),
+    ])
+    def test_unit_parameter_exits_2(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "unit.ring", "ring x y\nrelations x^2 xy^2\nsop 1\n")
+        code, _, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2
+        assert "parameter 1 is the unit 1" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent.ring", "--powers", "2")
         assert code == 2
@@ -367,6 +378,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", path, "--theorem", "2.7")
         assert code == 0
         assert json.loads(out)["parameters"]["power"] == 2
+
+    @pytest.mark.parametrize("flag,spec_seed,expected", [
+        ("0", None, 0), ("5", 3, 5), (None, 0, 0), (None, 3, 3), (None, None, 7)])
+    def test_colon_identity_seed(self, tmp_path, capsys, flag, spec_seed, expected):
+        text = E52_M3 + (f"seed {spec_seed}\n" if spec_seed is not None else "")
+        path = write(tmp_path, "e52.ring", text)
+        argv = ["verify", path, "--theorem", "2.5"] + (["--seed", flag] if flag else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["parameters"]["seed"] == expected
+        assert report["instance"].endswith(f"seed {expected}")
 
     def test_unknown_theorem_is_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "e52.ring", E52_M3)

@@ -10,9 +10,9 @@ hand-derived endomorphism rings for the small frozen cases.
 """
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import HealthCheck, given, settings
 
+from conftest import monomial_homs
 from homdecomp.decomp import (
     QuotientAlgebra,
     _algebra_report,
@@ -27,8 +27,7 @@ from homdecomp.decomp import (
     is_decomposable,
 )
 from homdecomp.gfp import PrimeFieldMatrix, next_prime
-from homdecomp.hom import FinitePresentation, build_hom, hom_from_ideals
-from homdecomp.monomials import MonomialIdeal
+from homdecomp.hom import FinitePresentation, build_hom
 from homdecomp.rings import LocalRing, validate_sop
 
 
@@ -413,33 +412,6 @@ class TestComponentsRoute:
         assert report.summand_count == 1
         assert report.partition is None
         assert "Gordon-Green" in report.certificate
-
-
-@st.composite
-def monomial_homs(draw):
-    """Hom(R/a, R/b) on 2-3 variables, length at most 20.
-
-    x^e kills the ring's dimension in the x direction, one or two further
-    relations are free to mix the variables (which is where splittings
-    come from), a is a power of each remaining variable and b a power of
-    each generator of a; a and b may each gain one arbitrary monomial.
-    """
-    d = draw(st.integers(2, 3))
-    top = 6 if d == 2 else 3
-    exp = st.integers(0, top)
-    pure = lambda i, e: tuple(e if k == i else 0 for k in range(d))  # noqa: E731
-    relations = [pure(0, draw(st.integers(1, top)))]
-    relations += draw(st.lists(st.tuples(st.integers(1, top), *[exp] * (d - 1)),
-                               min_size=1, max_size=2))
-    s = draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1))
-    t = draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1))
-    extra = st.lists(st.tuples(*[exp] * d).filter(any), max_size=1)
-    a = [pure(i + 1, si) for i, si in enumerate(s)] + draw(extra)
-    b = [pure(i + 1, si * ti) for i, (si, ti) in enumerate(zip(s, t))] + draw(extra)
-    ring = LocalRing(tuple("xyz"[:d]), MonomialIdeal(d, relations))
-    Q = hom_from_ideals(ring, MonomialIdeal(d, a), MonomialIdeal(d, b))
-    assume(Q.length() <= 20)
-    return Q
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

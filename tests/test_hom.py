@@ -8,7 +8,10 @@ implementation under test.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from conftest import monomial_homs
+from homdecomp import theorems
 from homdecomp.decomp import connected_components
 from homdecomp.gfp import PrimeFieldMatrix
 from homdecomp.hom import build_hom, hom_from_ideals
@@ -276,6 +279,31 @@ class TestAgainstLinearOracle:
         assert Q.minimal_generator_count() == alt
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(monomial_homs())
+def test_basis_and_generator_count_match_box_forms(Q):
+    B, C = Q.denominator, Q.numerator
+    assert Q.basis() == tuple(u for u in B.standard_monomials() if u in C)
+    V = Q.ring.maximal_ideal * C + B
+    assert Q.minimal_generator_count() == sum(1 for g in C.gens if not V.contains(g))
+
+
+def test_hom_and_layer_length_scan_no_box(monkeypatch):
+    calls = []
+    original = MonomialIdeal.standard_monomials
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MonomialIdeal, "standard_monomials", counting)
+    R = make_ring(("x", "y", "z"), "(x^2, xyz)")
+    Q = make_hom(R, "y z", [3, 2])
+    assert Q.length() == 3 and Q.minimal_generator_count() == 3
+    assert theorems._layer_length(Q.numerator, Q.denominator) == Q.length()
+    assert calls == []
+
+
 class TestWitnessSoundness:
     @pytest.mark.parametrize("name,Q", corpus_homs(), ids=CORPUS_IDS)
     def test_witness_annihilates_and_is_nonzero(self, name, Q):
@@ -341,6 +369,11 @@ class TestFromIdeals:
         R = make_ring(("x", "y"), "(x^2)")
         with pytest.raises(ValueError):
             hom_from_ideals(R, MonomialIdeal(2, []), ideal_of(R, "(y^2)"))
+
+    def test_unit_a_rejected(self):
+        R = make_ring(("x", "y"), "(x^2)")
+        with pytest.raises(ValueError, match="a is the unit ideal"):
+            hom_from_ideals(R, MonomialIdeal.unit(2), ideal_of(R, "(y^2)"))
 
     def test_non_artinian_quotient_rejected(self):
         R = make_ring(("x", "y"), "(x^2)")

@@ -1,20 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     enumerate_monomials,
+    monomial_ideals,
     oracle_colon_member,
+    oracle_monomials_between,
     oracle_saturation_member,
     brute_force_box_count,
     random_ideal,
     random_proper_ideal,
+    torsion_ideals,
 )
 from homdecomp.monomials import (
     LengthCapExceeded,
     MonomialIdeal,
     format_ideal,
     format_monomial,
+    monomials_between,
     parse_ideal,
     parse_monomial,
 )
@@ -241,6 +247,55 @@ def test_length_cap():
         I.length(cap=10**5)
     with pytest.raises(ValueError):
         ideal("(x^2)").length()
+
+
+def test_monomials_between_example():
+    # (x, y^2) minus (x^2, xy, y^3): the walk from x and y^2 stops at once
+    upper, lower = ideal("(x, y^2)"), ideal("(x^2, xy, y^3)")
+    assert monomials_between(upper, lower) == [(1, 0), (0, 2)]
+    assert monomials_between(MonomialIdeal.unit(2), lower) == lower.standard_monomials()
+    assert monomials_between(lower, upper) == []
+    assert monomials_between(MonomialIdeal.zero(2), lower) == []
+
+
+def test_monomials_between_cap():
+    with pytest.raises(LengthCapExceeded, match="exceeds cap 5"):
+        monomials_between(MonomialIdeal.unit(2), ideal("(x^3, y^3)"), cap=5)
+    # (x) minus (x^2): the walk along y never ends, and the cap stops it
+    with pytest.raises(LengthCapExceeded, match="exceeds cap 100"):
+        monomials_between(ideal("(x)"), ideal("(x^2)"), cap=100)
+
+
+@st.composite
+def ideal_pairs(draw):
+    """(upper, lower) on 2-3 variables.
+
+    Either lower gets a pure power of each variable with some chance, so
+    it often has finite colength and often not, and upper is random; or,
+    for the torsion case, lower is a torsion ideal, mostly of infinite
+    colength, and upper is its saturation by the maximal ideal.
+    """
+    n = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        pures = [tuple(draw(st.integers(1, 4)) if k == i else 0 for k in range(n))
+                 for i in range(n) if draw(st.integers(0, 4))]
+        lower = draw(monomial_ideals(n)) + MonomialIdeal(n, pures)
+        return draw(monomial_ideals(n, max_exp=2, min_gens=1)), lower
+    lower = draw(torsion_ideals(n))
+    maximal = MonomialIdeal(n, [tuple(int(k == i) for k in range(n)) for i in range(n)])
+    return lower.saturation(maximal), lower
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal_pairs())
+def test_monomials_between_matches_box_filter(pair):
+    upper, lower = pair
+    expected = oracle_monomials_between(upper, lower)
+    if expected is None:
+        with pytest.raises(LengthCapExceeded):
+            monomials_between(upper, lower, cap=500)
+    else:
+        assert monomials_between(upper, lower) == expected
 
 
 # ---------------------------------------------------------------------------

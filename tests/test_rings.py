@@ -1,9 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_proper_ideal
-from homdecomp.monomials import MonomialIdeal, degree, parse_ideal
+from conftest import (
+    enumerate_monomials,
+    monomial_ideals,
+    oracle_saturation_member,
+    random_proper_ideal,
+    torsion_ideals,
+)
+from homdecomp.monomials import LengthCapExceeded, MonomialIdeal, degree, grlex_key, parse_ideal
 from homdecomp.rings import (
     LocalRing,
     SearchCapExceeded,
@@ -63,6 +71,15 @@ def test_validate_sop():
         (0, 1, 0),
         (0, 0, 1),
     )
+
+
+def test_validate_sop_rejects_unit_parameter():
+    R = ring("(x^2, xy^2)")
+    with pytest.raises(ValueError, match="parameter 1 is the unit 1"):
+        validate_sop(R, [R.parse_monomial("1")])
+    F = ring("(x^2, xyz)", XYZ)
+    with pytest.raises(ValueError, match="parameter 2 is the unit 1"):
+        validate_sop(F, [F.parse_monomial("y"), F.parse_monomial("1")])
 
 
 def test_regular_element():
@@ -152,6 +169,32 @@ def test_gamma_basis():
         E.parse_monomial("xy^2"),
     ]
     assert gamma_monomial_basis(ring("(x^2)")) == []
+
+
+def test_gamma_basis_cap_is_an_input_error():
+    R = ring("(x^2, xy^5)")  # torsion x, xy, ..., xy^4
+    assert len(gamma_monomial_basis(R, cap=5)) == 5
+    with pytest.raises(LengthCapExceeded, match="exceeds cap 3"):
+        gamma_monomial_basis(R, cap=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.one_of(monomial_ideals(n, min_gens=1), torsion_ideals(n))))
+def test_gamma_basis_matches_saturation_oracle(I):
+    if I.is_unit():
+        return
+    R = LocalRing(XYZ[: I.ambient], I)
+    # the torsion lies in the box [0, M]^n for M the top exponent of I, so
+    # its degrees stay at most n * M and m^(n M + 1) kills each element
+    top = max(max(g) for g in I.gens)
+    steps = I.ambient * top + 1
+    expected = sorted(
+        (u for u in enumerate_monomials(I.ambient, top)
+         if not I.contains(u)
+         and oracle_saturation_member(I, R.maximal_ideal, u, max_steps=steps)),
+        key=grlex_key)
+    assert gamma_monomial_basis(R) == expected
 
 
 def test_depth_zero_iff_gamma_nonzero():
