@@ -74,6 +74,10 @@ LEGEND = (
 )
 
 
+ASCII_GRID_ERROR = "ascii grids need one or two parameters; use --format json"
+FIGURE_ERROR = "figure rendering needs exactly two parameters"
+
+
 class RingSpecError(ValueError):
     """Malformed ring-spec text; the message carries the line number."""
 
@@ -205,7 +209,7 @@ def analysis_report(spec: RingSpec, a_text: str | None, b_text: str | None,
             "variables": ring.variables,
             "relations": ring.fmt_ideal(ring.defining),
         },
-        "a": ring.fmt_ideal(ps.params_ideal()),
+        "a": ring.fmt_ideal(ps.a_ideal),
         "b": ring.fmt_ideal(Q.b_ideal),
         "dimension": ring.dimension(),
         "depth_zero": depth_is_zero(ring),
@@ -263,7 +267,7 @@ def render_grid_ascii(grid: GridClassification) -> str:
         axis = " ".join(str(t).rjust(w) for t in range(1, T + 1))
         lines.append("   " + " " * w + "   " + axis + "  t1")
     else:
-        raise ValueError("ascii grids need one or two parameters; use --format json")
+        raise ValueError(ASCII_GRID_ERROR)
     lines.append("")
     lines.append("  ".join(f"{GLYPHS[cls]} {label}" for cls, label in LEGEND))
     return "\n".join(lines) + "\n"
@@ -279,7 +283,7 @@ LEGEND_WIDTH = 210
 def render_grid_figure(grid: GridClassification) -> str:
     """Deterministic SVG for a two-parameter grid; one square per point."""
     if len(grid.ps.params) != 2:
-        raise ValueError("figure rendering needs exactly two parameters")
+        raise ValueError(FIGURE_ERROR)
     T = grid.tmax
     width = MARGIN_LEFT + CELL * T + 24 + LEGEND_WIDTH
     height = MARGIN_TOP + CELL * T + MARGIN_BOTTOM
@@ -353,7 +357,12 @@ def cmd_grid(args) -> int:
         else:
             sys.stdout.write("empty grid\n")
         return 0
-    grid = classify_grid(spec.parameter_system(), args.max)
+    ps = spec.parameter_system()
+    if args.format == "ascii" and len(ps.params) > 2:
+        raise ValueError(ASCII_GRID_ERROR)
+    if args.out and len(ps.params) != 2:
+        raise ValueError(FIGURE_ERROR)
+    grid = classify_grid(ps, args.max)
     if args.format == "json":
         _emit(grid_report(grid))
     else:
@@ -424,7 +433,7 @@ def cmd_verify(args) -> int:
             raise ValueError("need one exponent per parameter")
         small = MonomialIdeal(ring.ambient,
                               [tuple(e * t for e in p) for p, t in zip(ps.params, vals)])
-        report = check_radical_transfer(ring, small, ps.params_ideal(),
+        report = check_radical_transfer(ring, small, ps.a_ideal,
                                         ring.parse_ideal(args.b))
     else:
         report = verify_non_cm_power(spec.parameter_system())

@@ -75,10 +75,11 @@ class HomSubquotient:
     """Hom_R(R/𝔞, R/𝔟R) presented as C/B with its Artinian base ring.
 
     base is S = k[x]/(I + 𝔞), the ring the freeness questions quantify
-    over.  The monomial basis is enumerated once, at construction, by
-    walking up from C's generators outside B (monomials_between).  B's
-    pure-power box is not scanned, but a B whose box has more than
-    DEFAULT_LENGTH_CAP cells is refused with LengthCapExceeded.
+    over; ps is the parameter system the module was built from, if any,
+    and then S's length is read from it.  The monomial basis and the
+    generator count are computed once, at construction: the basis by
+    walking up from C's generators outside B (monomials_between), so
+    B's pure-power box is never scanned.
     """
 
     ring: LocalRing
@@ -87,12 +88,16 @@ class HomSubquotient:
     numerator: MonomialIdeal
     denominator: MonomialIdeal
     base: LocalRing
+    ps: ParameterSystem | None = field(default=None, repr=False, compare=False)
     _basis: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
+    _generator_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.denominator.box_bounds()
-        basis = tuple(monomials_between(self.numerator, self.denominator))
+        B = self.denominator
+        basis = tuple(monomials_between(self.numerator, B))
         object.__setattr__(self, "_basis", basis)
+        count = sum(1 for g in self.numerator.gens if not B.contains(g))
+        object.__setattr__(self, "_generator_count", count)
 
     def basis(self) -> tuple[Monomial, ...]:
         """Standard monomials of B lying in C, in graded-lex order."""
@@ -135,13 +140,14 @@ class HomSubquotient:
         of C outside 𝔪C + B, a k-basis of the quotient, are exactly the
         generators of C outside B.
         """
-        B = self.denominator
-        return sum(1 for g in self.numerator.gens if not B.contains(g))
+        return self._generator_count
 
     def is_cyclic(self) -> bool:
-        return self.minimal_generator_count() == 1
+        return self._generator_count == 1
 
     def base_length(self) -> int:
+        if self.ps is not None:
+            return self.ps.base_length()
         return self.base.length()
 
     def is_free_over_base(self) -> bool:
@@ -151,7 +157,7 @@ class HomSubquotient:
         Artinian local base, equality of finite lengths forces the cover
         to be an isomorphism, so this test is exact in both directions.
         """
-        return self.length() == self.minimal_generator_count() * self.base_length()
+        return self.length() == self._generator_count * self.base_length()
 
     def presentation(self, prime: int, cap: int = PRESENTATION_CAP) -> FinitePresentation:
         if not is_prime(prime):
@@ -191,19 +197,22 @@ class HomSubquotient:
         return None
 
 
-def _subquotient(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal) -> HomSubquotient:
+def _subquotient(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal,
+                 base: LocalRing, ps: ParameterSystem | None = None) -> HomSubquotient:
+    """C/B for B = I + 𝔟 and C = (B : 𝔞), over the given base ring R/(I + 𝔞).
+
+    B must have finite colength, and a B whose pure-power box has more
+    than DEFAULT_LENGTH_CAP cells is refused with LengthCapExceeded.
+    """
     B = ring.defining + b_ideal
-    if not B.is_finite_colength():
-        raise ValueError("quotient by b is not Artinian")
+    try:
+        B.box_bounds()
+    except ValueError:
+        raise ValueError("quotient by b is not Artinian") from None
     C = B.colon(a_ideal)
-    base_ideal = ring.defining + a_ideal
-    if not base_ideal.is_finite_colength():
-        raise ValueError("base ring R/(a + I) is not Artinian")
-    base = LocalRing(ring.variables, base_ideal)
-    Q = HomSubquotient(ring, a_ideal, b_ideal, C, B, base)
     assert C.contains_ideal(B)
     assert all(B.contains(mono_mul(g, h)) for g in C.gens for h in a_ideal.gens)
-    return Q
+    return HomSubquotient(ring, a_ideal, b_ideal, C, B, base, ps)
 
 
 def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal) -> HomSubquotient:
@@ -216,7 +225,10 @@ def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialId
         raise ValueError("a must be nonzero")
     if a_ideal.is_unit():
         raise ValueError("a is the unit ideal; the base ring R/(I + a) is zero")
-    return _subquotient(ring, a_ideal, b_ideal)
+    base_ideal = ring.defining + a_ideal
+    if not base_ideal.is_finite_colength():
+        raise ValueError("base ring R/(a + I) is not Artinian")
+    return _subquotient(ring, a_ideal, b_ideal, LocalRing(ring.variables, base_ideal))
 
 
 def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
@@ -224,7 +236,12 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
 
     b_spec is either a list of integers t_i >= 1, meaning
     𝔟 = (a_1^{t_1}, ..., a_d^{t_d}), or a list of d explicit monomials
-    forming a parameter ideal contained in 𝔞.
+    forming a parameter ideal contained in 𝔞.  Explicit monomials are
+    validated in full.  Powers need no validation: 𝔟 lies in 𝔞, its d
+    generators are non-units, and a_i lies in the radical of 𝔟, so
+    I + 𝔟 and I + 𝔞 have the same radical and 𝔟 is a system of
+    parameters because 𝔞 is.  The ideal 𝔞, the base ring S and S's
+    length come from ps, so they are not rebuilt for each module.
 
     >>> from .rings import LocalRing, validate_sop
     >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^2)")
@@ -247,11 +264,10 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
         b_gens = [tuple(e * t for e in a) for a, t in zip(ps.params, spec)]
     elif all(isinstance(t, tuple) for t in spec):
         b_gens = spec
+        for g in b_gens:
+            if not ps.ideal.contains(g):
+                raise ValueError(f"b generator {ring.fmt(g)} is not inside a")
+        validate_sop(ring, b_gens)
     else:
         raise ValueError("b must be all exponents or all monomials")
-    a_ideal = MonomialIdeal(ring.ambient, ps.params)
-    for g in b_gens:
-        if not ps.ideal.contains(g):
-            raise ValueError(f"b generator {ring.fmt(g)} is not inside a")
-    validate_sop(ring, b_gens)
-    return _subquotient(ring, a_ideal, MonomialIdeal(ring.ambient, b_gens))
+    return _subquotient(ring, ps.a_ideal, MonomialIdeal(ring.ambient, b_gens), ps.base, ps)

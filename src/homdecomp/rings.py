@@ -76,7 +76,7 @@ class LocalRing:
     def is_zero_element(self, u: Monomial) -> bool:
         return self.defining.contains(u)
 
-    def length(self, cap: int = 10**6) -> int:
+    def length(self, cap: int = DEFAULT_LENGTH_CAP) -> int:
         return self.defining.length(cap)
 
     def parse_monomial(self, text: str) -> Monomial:
@@ -99,24 +99,32 @@ class LocalRing:
 class ParameterSystem:
     """A validated system of parameters for a LocalRing.
 
-    ``ideal`` is the full ideal (a1..ad) + I, so the quotient by it is the
-    Artinian base ring the Hom modules live over.
+    Everything that depends on the parameters alone is built once and
+    shared by every Hom module built over them: ``a_ideal`` is the
+    parameter ideal (a1..ad), ``ideal`` is (a1..ad) + I, and ``base`` is
+    the Artinian base ring S = R/(I + a) the Hom modules live over.
+    S's length is counted on the first call to base_length().
     """
 
     ring: LocalRing
     params: tuple[Monomial, ...]
+    a_ideal: MonomialIdeal = field(init=False, repr=False, compare=False)
     ideal: MonomialIdeal = field(init=False)
+    base: LocalRing = field(init=False, repr=False, compare=False)
+    _base_length: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        params_ideal = MonomialIdeal(self.ring.ambient, self.params)
-        object.__setattr__(self, "ideal", self.ring.defining + params_ideal)
+        a_ideal = MonomialIdeal(self.ring.ambient, self.params)
+        ideal = self.ring.defining + a_ideal
+        object.__setattr__(self, "a_ideal", a_ideal)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "base", LocalRing(self.ring.variables, ideal))
 
-    def params_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(self.ring.ambient, self.params)
-
-    def base_ring(self) -> LocalRing:
-        """The Artinian quotient R/(params)."""
-        return LocalRing(self.ring.variables, self.ideal)
+    def base_length(self) -> int:
+        """Length of S, enumerated on the first call and stored."""
+        if self._base_length is None:
+            object.__setattr__(self, "_base_length", self.base.length())
+        return self._base_length
 
 
 def validate_sop(ring: LocalRing, params: list[Monomial]) -> ParameterSystem:
@@ -135,10 +143,10 @@ def validate_sop(ring: LocalRing, params: list[Monomial]) -> ParameterSystem:
         if not any(u):
             raise ValueError(f"parameter {k} is the unit 1; parameters must lie in "
                              "the maximal ideal")
-    total = ring.defining + MonomialIdeal(ring.ambient, params)
-    if not total.is_finite_colength():
+    ps = ParameterSystem(ring, tuple(params))
+    if not ps.ideal.is_finite_colength():
         raise ValueError("parameters do not cut the ring down to finite length")
-    return ParameterSystem(ring, tuple(params))
+    return ps
 
 
 def is_regular_element(ring: LocalRing, u: Monomial) -> bool:

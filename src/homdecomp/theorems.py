@@ -135,7 +135,7 @@ def verify_rees(ps: ParameterSystem, b_spec) -> TheoremReport:
         raise ValueError("the parameter system is not a regular sequence; ring is not CM here")
     Q = build_hom(ps, b_spec)
     ring = ps.ring
-    instance = f"{ring!r}, a = {ring.fmt_ideal(ps.params_ideal())}, b = {ring.fmt_ideal(Q.b_ideal)}"
+    instance = f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}, b = {ring.fmt_ideal(Q.b_ideal)}"
     checks: list = []
     _check(checks, instance, "cyclic: one minimal generator", Q.minimal_generator_count() == 1)
     _check(checks, instance, "free of rank one over the base", Q.is_free_over_base())
@@ -314,7 +314,7 @@ def search_decomposable_powers(ps: ParameterSystem) -> TheoremReport:
     ring = ps.ring
     d = len(ps.params)
     checks: list = []
-    instance = f"{ring!r}, a = {ring.fmt_ideal(ps.params_ideal())}"
+    instance = f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}"
     parameters: dict = {}
     if d == 1:
         exps = _decomposable_exponents(ps)
@@ -336,7 +336,7 @@ def search_decomposable_powers(ps: ParameterSystem) -> TheoremReport:
         transfer = check_radical_transfer(
             ring,
             MonomialIdeal(ring.ambient, j_gens),
-            ps.params_ideal(),
+            ps.a_ideal,
             MonomialIdeal(ring.ambient, n_gens),
         )
         for name in transfer.checks:
@@ -376,7 +376,7 @@ def search_nonfree_powers(ps: ParameterSystem) -> TheoremReport:
     n_vec, b_vec = _nonfree_exponents(ps)
     ps2 = validate_sop(ring, [_pow(p, k) for p, k in zip(ps.params, n_vec)])
     Q = build_hom(ps2, [_pow(p, k) for p, k in zip(ps.params, b_vec)])
-    instance = f"{ring!r}, a = {ring.fmt_ideal(ps2.params_ideal())}"
+    instance = f"{ring!r}, a = {ring.fmt_ideal(ps2.a_ideal)}"
     checks: list = []
     report = decide(Q)
     _check(checks, instance, "engine confirms a decomposition", report.decomposable)
@@ -467,7 +467,7 @@ def verify_non_cm_power(ps: ParameterSystem) -> TheoremReport:
         raise ValueError("needs at least two parameters")
     ring = ps.ring
     i, s = find_non_cm_power(ps)
-    instance = f"{ring!r}, a = {ring.fmt_ideal(ps.params_ideal())}"
+    instance = f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}"
     checks: list = []
     reduced = _reduced_system(ps, i, s)
     _check(checks, instance, "quotient by the chosen power is not CM",

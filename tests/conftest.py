@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from homdecomp.hom import hom_from_ideals
 from homdecomp.monomials import MonomialIdeal, grlex_key, mono_mul
-from homdecomp.rings import LocalRing
+from homdecomp.rings import LocalRing, validate_sop
 
 
 def enumerate_monomials(ambient: int, max_exp: int):
@@ -134,3 +134,29 @@ def monomial_homs(draw):
     Q = hom_from_ideals(ring, MonomialIdeal(d, a), MonomialIdeal(d, b))
     assume(Q.length() <= 20)
     return Q
+
+
+@st.composite
+def power_specs(draw):
+    """A validated parameter system on 2-3 variables and exponents t_i in 1..3.
+
+    The relations are those of monomial_homs, plus, on three variables,
+    possibly a pure power of z, which drops the dimension to one.  The
+    variables other than x that lie in no such power are exactly the
+    ones without a pure power in I, one per dimension, and the
+    parameters are powers of them.
+    """
+    d = draw(st.integers(2, 3))
+    exp = st.integers(0, 3)
+    pure = lambda i, e: tuple(e if k == i else 0 for k in range(d))  # noqa: E731
+    relations = [pure(0, draw(st.integers(1, 3)))]
+    relations += draw(st.lists(st.tuples(st.integers(1, 3), *[exp] * (d - 1)),
+                               min_size=1, max_size=2))
+    free = list(range(1, d))
+    if d == 3 and draw(st.booleans()):
+        relations.append(pure(2, draw(st.integers(1, 3))))
+        free = [1]
+    ring = LocalRing(tuple("xyz"[:d]), MonomialIdeal(d, relations))
+    ps = validate_sop(ring, [pure(i, draw(st.integers(1, 3))) for i in free])
+    t = draw(st.lists(st.integers(1, 3), min_size=len(free), max_size=len(free)))
+    return ps, t

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from homdecomp import cli
 from homdecomp.cli import (
     RingSpec,
     RingSpecError,
@@ -274,6 +275,31 @@ class TestGrid:
         code, out, _ = run(capsys, "grid", path, "--max", "2", "--format", "json")
         assert code == 0
         assert len(json.loads(out)["points"]) == 8
+
+    @pytest.fixture
+    def no_classify(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "classify_grid", lambda *args: calls.append(args))
+        return calls
+
+    def test_three_parameter_ascii_exits_before_classifying(self, tmp_path, capsys,
+                                                             no_classify):
+        path = write(tmp_path, "four.ring", "ring x y z w\nrelations x^2 xyzw\nsop y z w\n")
+        code, out, err = run(capsys, "grid", path, "--max", "6")
+        assert (code, out) == (2, "")
+        assert "json" in err
+        assert no_classify == []
+
+    def test_figure_of_one_parameter_exits_before_classifying(self, tmp_path, capsys,
+                                                               no_classify):
+        path = write(tmp_path, "m3.ring", E52_M3)
+        svg = tmp_path / "f.svg"
+        code, out, err = run(capsys, "grid", path, "--max", "2", "--format", "json",
+                             "--out", str(svg))
+        assert (code, out) == (2, "")
+        assert "two parameters" in err
+        assert no_classify == []
+        assert not svg.exists()
 
 
 class TestSvgFigure:

@@ -10,8 +10,8 @@ implementation under test.
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import monomial_homs
-from homdecomp import theorems
+from conftest import monomial_homs, power_specs
+from homdecomp import hom, theorems
 from homdecomp.decomp import connected_components
 from homdecomp.gfp import PrimeFieldMatrix
 from homdecomp.hom import build_hom, hom_from_ideals
@@ -302,6 +302,51 @@ def test_hom_and_layer_length_scan_no_box(monkeypatch):
     assert Q.length() == 3 and Q.minimal_generator_count() == 3
     assert theorems._layer_length(Q.numerator, Q.denominator) == Q.length()
     assert calls == []
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(power_specs())
+def test_power_path_matches_validated_paths(case):
+    ps, t = case
+    ring = ps.ring
+    b_gens = [tuple(e * k for e in a) for a, k in zip(ps.params, t)]
+    # the theorem the power path relies on instead of validating b
+    assert validate_sop(ring, b_gens).params == tuple(b_gens)
+    fast = build_hom(ps, t)
+    explicit = build_hom(ps, b_gens)
+    direct = hom_from_ideals(ring, MonomialIdeal(ring.ambient, ps.params),
+                             MonomialIdeal(ring.ambient, b_gens))
+    for Q in (explicit, direct):
+        assert Q.numerator == fast.numerator
+        assert Q.denominator == fast.denominator
+        assert Q.basis() == fast.basis()
+        assert Q.base.defining == fast.base.defining
+        assert Q.minimal_generator_count() == fast.minimal_generator_count()
+        assert Q.base_length() == fast.base_length()
+        assert Q.is_free_over_base() is fast.is_free_over_base()
+
+
+def test_grid_scans_base_once_and_never_revalidates(monkeypatch):
+    R = make_ring(("x", "y", "z"), "(x^2, xyz)")
+    ps = validate_sop(R, [R.parse_monomial("y"), R.parse_monomial("z")])
+    scans = []
+    validations = []
+    original_scan = MonomialIdeal.standard_monomials
+
+    def counting_scan(self, *args, **kwargs):
+        scans.append(self)
+        return original_scan(self, *args, **kwargs)
+
+    def counting_validate(*args, **kwargs):
+        validations.append(args)
+        return validate_sop(*args, **kwargs)
+
+    monkeypatch.setattr(MonomialIdeal, "standard_monomials", counting_scan)
+    monkeypatch.setattr(hom, "validate_sop", counting_validate)
+    grid = theorems.classify_grid(ps, 4)
+    assert len(grid.classes) == 16
+    assert scans == [ps.ideal]
+    assert validations == []
 
 
 class TestWitnessSoundness:

@@ -61,7 +61,10 @@ def test_validate_sop():
     R = ring("(x^2, xy^2)")
     ps = validate_sop(R, [R.parse_monomial("y")])
     assert ps.ideal == parse_ideal("(x^2, y)", XY)
-    assert ps.base_ring().length() == 2
+    assert ps.a_ideal == parse_ideal("(y)", XY)
+    assert ps.base.defining == ps.ideal
+    assert ps.base.length() == 2
+    assert ps.base_length() == 2
     with pytest.raises(ValueError):
         validate_sop(R, [])
     with pytest.raises(ValueError):
