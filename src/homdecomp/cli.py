@@ -74,8 +74,14 @@ LEGEND = (
 )
 
 
-ASCII_GRID_ERROR = "ascii grids need one or two parameters; use --format json"
-FIGURE_ERROR = "figure rendering needs exactly two parameters"
+def _require_ascii_grid(d: int) -> None:
+    if d not in (1, 2):
+        raise ValueError("ascii grids need one or two parameters; use --format json")
+
+
+def _require_figure_grid(d: int) -> None:
+    if d != 2:
+        raise ValueError("figure rendering needs exactly two parameters")
 
 
 class RingSpecError(ValueError):
@@ -251,6 +257,7 @@ def grid_report(grid: GridClassification) -> dict:
 def render_grid_ascii(grid: GridClassification) -> str:
     """Terminal picture; rows are t2 from the top down, columns t1."""
     d = len(grid.ps.params)
+    _require_ascii_grid(d)
     T = grid.tmax
     w = len(str(T))
     lines = []
@@ -259,15 +266,13 @@ def render_grid_ascii(grid: GridClassification) -> str:
         axis = " ".join(str(t).rjust(w) for t in range(1, T + 1))
         lines.append("t1 | " + axis)
         lines.append("   | " + cells)
-    elif d == 2:
+    else:
         for t2 in range(T, 0, -1):
             row = " ".join(GLYPHS[grid.classes[(t1, t2)]].rjust(w) for t1 in range(1, T + 1))
             lines.append(f"t2 {str(t2).rjust(w)} | " + row)
         lines.append("   " + " " * w + " +" + "-" * ((w + 1) * T))
         axis = " ".join(str(t).rjust(w) for t in range(1, T + 1))
         lines.append("   " + " " * w + "   " + axis + "  t1")
-    else:
-        raise ValueError(ASCII_GRID_ERROR)
     lines.append("")
     lines.append("  ".join(f"{GLYPHS[cls]} {label}" for cls, label in LEGEND))
     return "\n".join(lines) + "\n"
@@ -282,8 +287,7 @@ LEGEND_WIDTH = 210
 
 def render_grid_figure(grid: GridClassification) -> str:
     """Deterministic SVG for a two-parameter grid; one square per point."""
-    if len(grid.ps.params) != 2:
-        raise ValueError(FIGURE_ERROR)
+    _require_figure_grid(len(grid.ps.params))
     T = grid.tmax
     width = MARGIN_LEFT + CELL * T + 24 + LEGEND_WIDTH
     height = MARGIN_TOP + CELL * T + MARGIN_BOTTOM
@@ -358,10 +362,10 @@ def cmd_grid(args) -> int:
             sys.stdout.write("empty grid\n")
         return 0
     ps = spec.parameter_system()
-    if args.format == "ascii" and len(ps.params) > 2:
-        raise ValueError(ASCII_GRID_ERROR)
-    if args.out and len(ps.params) != 2:
-        raise ValueError(FIGURE_ERROR)
+    if args.format == "ascii":
+        _require_ascii_grid(len(ps.params))
+    if args.out:
+        _require_figure_grid(len(ps.params))
     grid = classify_grid(ps, args.max)
     if args.format == "json":
         _emit(grid_report(grid))

@@ -75,11 +75,10 @@ class HomSubquotient:
     """Hom_R(R/𝔞, R/𝔟R) presented as C/B with its Artinian base ring.
 
     base is S = k[x]/(I + 𝔞), the ring the freeness questions quantify
-    over; ps is the parameter system the module was built from, if any,
-    and then S's length is read from it.  The monomial basis and the
-    generator count are computed once, at construction: the basis by
-    walking up from C's generators outside B (monomials_between), so
-    B's pure-power box is never scanned.
+    over; S stores its own length.  The monomial basis and the generator
+    count are computed once, at construction: the basis by walking up
+    from C's generators outside B (monomials_between), so B's pure-power
+    box is never scanned.
     """
 
     ring: LocalRing
@@ -88,7 +87,6 @@ class HomSubquotient:
     numerator: MonomialIdeal
     denominator: MonomialIdeal
     base: LocalRing
-    ps: ParameterSystem | None = field(default=None, repr=False, compare=False)
     _basis: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
     _generator_count: int = field(init=False, repr=False, compare=False)
 
@@ -146,8 +144,6 @@ class HomSubquotient:
         return self._generator_count == 1
 
     def base_length(self) -> int:
-        if self.ps is not None:
-            return self.ps.base_length()
         return self.base.length()
 
     def is_free_over_base(self) -> bool:
@@ -198,7 +194,7 @@ class HomSubquotient:
 
 
 def _subquotient(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal,
-                 base: LocalRing, ps: ParameterSystem | None = None) -> HomSubquotient:
+                 base: LocalRing) -> HomSubquotient:
     """C/B for B = I + 𝔟 and C = (B : 𝔞), over the given base ring R/(I + 𝔞).
 
     B must have finite colength, and a B whose pure-power box has more
@@ -212,7 +208,7 @@ def _subquotient(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal
     C = B.colon(a_ideal)
     assert C.contains_ideal(B)
     assert all(B.contains(mono_mul(g, h)) for g in C.gens for h in a_ideal.gens)
-    return HomSubquotient(ring, a_ideal, b_ideal, C, B, base, ps)
+    return HomSubquotient(ring, a_ideal, b_ideal, C, B, base)
 
 
 def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal) -> HomSubquotient:
@@ -240,8 +236,9 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
     validated in full.  Powers need no validation: 𝔟 lies in 𝔞, its d
     generators are non-units, and a_i lies in the radical of 𝔟, so
     I + 𝔟 and I + 𝔞 have the same radical and 𝔟 is a system of
-    parameters because 𝔞 is.  The ideal 𝔞, the base ring S and S's
-    length come from ps, so they are not rebuilt for each module.
+    parameters because 𝔞 is.  The ideal 𝔞 and the base ring S come
+    from ps, and S stores its length, so neither is rebuilt and S is
+    not recounted for each module.
 
     >>> from .rings import LocalRing, validate_sop
     >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^2)")
@@ -270,4 +267,4 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
         validate_sop(ring, b_gens)
     else:
         raise ValueError("b must be all exponents or all monomials")
-    return _subquotient(ring, ps.a_ideal, MonomialIdeal(ring.ambient, b_gens), ps.base, ps)
+    return _subquotient(ring, ps.a_ideal, MonomialIdeal(ring.ambient, b_gens), ps.base)

@@ -34,11 +34,13 @@ class LocalRing:
     """k[variables]/defining, viewed as a graded-local ring.
 
     The defining ideal must be proper; the zero ideal (a polynomial ring)
-    is allowed.
+    is allowed.  The length of an Artinian ring is counted on the first
+    call to length() and stored.
     """
 
     variables: tuple[str, ...]
     defining: MonomialIdeal
+    _length: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.variables) != self.defining.ambient:
@@ -77,7 +79,10 @@ class LocalRing:
         return self.defining.contains(u)
 
     def length(self, cap: int = DEFAULT_LENGTH_CAP) -> int:
-        return self.defining.length(cap)
+        # A stored length above cap is counted again, so the cap still raises.
+        if self._length is None or self._length > cap:
+            object.__setattr__(self, "_length", self.defining.length(cap))
+        return self._length
 
     def parse_monomial(self, text: str) -> Monomial:
         return parse_monomial(text, self.variables)
@@ -102,8 +107,8 @@ class ParameterSystem:
     Everything that depends on the parameters alone is built once and
     shared by every Hom module built over them: ``a_ideal`` is the
     parameter ideal (a1..ad), ``ideal`` is (a1..ad) + I, and ``base`` is
-    the Artinian base ring S = R/(I + a) the Hom modules live over.
-    S's length is counted on the first call to base_length().
+    the Artinian base ring S = R/(I + a) the Hom modules live over, so
+    S's length is counted once.
     """
 
     ring: LocalRing
@@ -111,7 +116,6 @@ class ParameterSystem:
     a_ideal: MonomialIdeal = field(init=False, repr=False, compare=False)
     ideal: MonomialIdeal = field(init=False)
     base: LocalRing = field(init=False, repr=False, compare=False)
-    _base_length: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a_ideal = MonomialIdeal(self.ring.ambient, self.params)
@@ -119,12 +123,6 @@ class ParameterSystem:
         object.__setattr__(self, "a_ideal", a_ideal)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "base", LocalRing(self.ring.variables, ideal))
-
-    def base_length(self) -> int:
-        """Length of S, enumerated on the first call and stored."""
-        if self._base_length is None:
-            object.__setattr__(self, "_base_length", self.base.length())
-        return self._base_length
 
 
 def validate_sop(ring: LocalRing, params: list[Monomial]) -> ParameterSystem:

@@ -221,7 +221,7 @@ def test_criterion_10_free_over_regular_parameters():
     pairs = cm_power_pairs()
     for ps, powers in pairs:
         report = verify_rees(ps, list(powers))
-        assert report.parameters["length"] == ps.base.length()
+        assert report.parameters["length"] == ps.ideal.length()
     ok = len(pairs) >= 20
     verdict(10, ok, f"{len(pairs)} parameter-power pairs, all free cyclic "
                     f"of base length, 0 failures")

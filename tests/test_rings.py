@@ -64,7 +64,6 @@ def test_validate_sop():
     assert ps.a_ideal == parse_ideal("(y)", XY)
     assert ps.base.defining == ps.ideal
     assert ps.base.length() == 2
-    assert ps.base_length() == 2
     with pytest.raises(ValueError):
         validate_sop(R, [])
     with pytest.raises(ValueError):
@@ -74,6 +73,26 @@ def test_validate_sop():
         (0, 1, 0),
         (0, 0, 1),
     )
+
+
+def test_length_is_counted_once_and_keeps_its_cap(monkeypatch):
+    R = ring("(x^3, y^4)")
+    scans = []
+    original_scan = MonomialIdeal.standard_monomials
+
+    def counting_scan(self, *args, **kwargs):
+        scans.append(self)
+        return original_scan(self, *args, **kwargs)
+
+    monkeypatch.setattr(MonomialIdeal, "standard_monomials", counting_scan)
+    assert R.length() == 12
+    assert R.length() == 12
+    assert scans == [R.defining]
+    with pytest.raises(LengthCapExceeded):
+        R.length(cap=11)
+    assert R.length(cap=12) == 12
+    assert R.length() == 12
+    assert R == ring("(x^3, y^4)")
 
 
 def test_validate_sop_rejects_unit_parameter():
