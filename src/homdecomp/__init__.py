@@ -4,6 +4,7 @@ from .monomials import (
     LengthCapExceeded,
     Monomial,
     MonomialIdeal,
+    SearchCapExceeded,
     degree,
     divides,
     format_ideal,
@@ -19,7 +20,6 @@ from .monomials import (
 from .rings import (
     LocalRing,
     ParameterSystem,
-    SearchCapExceeded,
     depth_is_zero,
     find_non_cm_power,
     gamma_m,

@@ -21,13 +21,14 @@ from .hom import build_hom
 from .monomials import (
     LengthCapExceeded,
     MonomialIdeal,
+    SearchCapExceeded,
     format_monomial,
     grlex_key,
+    mono_pow,
     parse_monomial,
 )
 from .rings import (
     LocalRing,
-    SearchCapExceeded,
     depth_is_zero,
     gamma_module_generators,
     is_cohen_macaulay,
@@ -435,8 +436,7 @@ def cmd_verify(args) -> int:
         vals = _parse_powers(args.powers)
         if len(vals) != len(ps.params):
             raise ValueError("need one exponent per parameter")
-        small = MonomialIdeal(ring.ambient,
-                              [tuple(e * t for e in p) for p, t in zip(ps.params, vals)])
+        small = MonomialIdeal(ring.ambient, [mono_pow(p, t) for p, t in zip(ps.params, vals)])
         report = check_radical_transfer(ring, small, ps.a_ideal,
                                         ring.parse_ideal(args.b))
     else:

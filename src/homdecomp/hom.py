@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gfp import PrimeFieldMatrix, is_prime
-from .monomials import Monomial, MonomialIdeal, mono_mul, monomials_between
+from .monomials import Monomial, MonomialIdeal, mono_mul, mono_pow, monomials_between
 from .rings import LocalRing, ParameterSystem, validate_sop
 
 PRESENTATION_CAP = 512
@@ -178,18 +178,20 @@ class HomSubquotient:
         return FinitePresentation(basis, tuple(actions), prime, self.ring.variables)
 
     def non_free_annihilator_witness(self) -> Monomial | None:
-        """A monomial nonzero in S that multiplies C into B, if one exists.
+        """The grlex-least monomial other than 1, nonzero in S, that multiplies C into B.
 
         Such an element annihilates the whole Hom module, and a free
-        module over S is faithful, so a witness proves non-freeness.
+        module over S is faithful, so a witness proves non-freeness.  It
+        is the first generator of (B : C) that is not 1 and not in I + 𝔞:
+        were it x_i * v with v in (B : C), then v would be smaller, also
+        nonzero in S, and not 1, since C is not inside B when the module
+        is nonzero.  So S is never enumerated.  The zero module is free
+        and gets None.
         """
-        B = self.denominator
-        gens = self.numerator.gens
-        for u in self.base.defining.standard_monomials():
-            if all(e == 0 for e in u):
-                continue
-            if all(B.contains(mono_mul(u, g)) for g in gens):
-                return u
+        S = self.base.defining
+        for g in self.denominator.colon(self.numerator).gens:
+            if any(g) and not S.contains(g):
+                return g
         return None
 
 
@@ -258,7 +260,7 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
             raise ValueError("need one exponent per parameter")
         if any(t < 1 for t in spec):
             raise ValueError("exponents must be >= 1")
-        b_gens = [tuple(e * t for e in a) for a, t in zip(ps.params, spec)]
+        b_gens = [mono_pow(a, t) for a, t in zip(ps.params, spec)]
     elif all(isinstance(t, tuple) for t in spec):
         b_gens = spec
         for g in b_gens:

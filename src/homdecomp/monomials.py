@@ -33,6 +33,10 @@ class LengthCapExceeded(RuntimeError):
     """Raised when a standard-monomial enumeration would exceed the cap."""
 
 
+class SearchCapExceeded(RuntimeError):
+    """A bounded search or fixpoint loop ran out of steps; the message names the cap."""
+
+
 def degree(u: Monomial) -> int:
     return sum(u)
 
@@ -44,6 +48,10 @@ def divides(u: Monomial, v: Monomial) -> bool:
 
 def mono_mul(u: Monomial, v: Monomial) -> Monomial:
     return tuple(a + b for a, b in zip(u, v))
+
+
+def mono_pow(u: Monomial, k: int) -> Monomial:
+    return tuple(e * k for e in u)
 
 
 def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
@@ -203,7 +211,7 @@ class MonomialIdeal:
             if step == current:
                 return current
             current = step
-        raise RuntimeError("saturation did not stabilize within the iteration cap")
+        raise SearchCapExceeded(f"saturation did not stabilize within the iteration cap {cap}")
 
     def radical(self) -> "MonomialIdeal":
         """Radical: generated by the squarefree parts of the generators."""

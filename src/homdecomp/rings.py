@@ -15,18 +15,17 @@ from .monomials import (
     DEFAULT_LENGTH_CAP,
     Monomial,
     MonomialIdeal,
-    degree,
+    SearchCapExceeded,
     format_ideal,
     format_monomial,
     mono_mul,
+    mono_pow,
     monomials_between,
     parse_ideal,
     parse_monomial,
 )
 
-
-class SearchCapExceeded(RuntimeError):
-    """A bounded existential search ran out of candidates."""
+NON_CM_POWER_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,7 @@ def stabilization_index(ring: LocalRing, cap: int = 64) -> int:
         if I.contains_ideal(power.intersect(sat)):
             return n
         power = power * m
-    raise RuntimeError(f"stabilization index exceeded the cap {cap}")
+    raise SearchCapExceeded(f"stabilization index exceeded the cap {cap}")
 
 
 def colon_identity_check(
@@ -249,48 +248,45 @@ def colon_identity_check(
     if not 1 <= p <= q <= r:
         raise ValueError("need 1 <= p <= q <= r")
     I = ring.defining
-    n = ring.ambient
-
-    def apow(k: int) -> Monomial:
-        out = (0,) * n
-        for _ in range(k):
-            out = mono_mul(out, a)
-        return out
-
     Lmod = L + I
-    ap = apow(p)
+    ap = mono_pow(a, p)
 
     def colon_in_L(sub: MonomialIdeal) -> MonomialIdeal:
         return sub.colon_monomial(ap).intersect(Lmod)
 
-    lhs = colon_in_L(L * mono_mul(b, apow(r)) + I)
-    inner = colon_in_L(L * mono_mul(b, apow(q)) + I)
-    rhs = inner * apow(r - q) + I.colon_monomial(ap).intersect(Lmod) + I
+    lhs = colon_in_L(L * mono_mul(b, mono_pow(a, r)) + I)
+    inner = colon_in_L(L * mono_mul(b, mono_pow(a, q)) + I)
+    rhs = inner * mono_pow(a, r - q) + I.colon_monomial(ap).intersect(Lmod) + I
     return lhs == rhs
 
 
-def find_non_cm_power(ps: ParameterSystem, cap: int = 10) -> tuple[int, int]:
+def reduced_system(ps: ParameterSystem, index: int, power: int) -> ParameterSystem:
+    """ps with parameter #index (1-based) raised to power and quotiented out.
+
+    The remaining parameters form a system of parameters of the quotient.
+    """
+    extra = MonomialIdeal(ps.ring.ambient, [mono_pow(ps.params[index - 1], power)])
+    rest = [p for j, p in enumerate(ps.params) if j != index - 1]
+    return validate_sop(ps.ring.quotient(extra), rest)
+
+
+def find_non_cm_power(ps: ParameterSystem) -> tuple[int, int]:
     """Find (i, s), 1-indexed, with ring/(a_i^s) not CM via the remaining parameters.
 
-    Scans s = 1..cap, inner loop over i.  When some a_i is regular on the
-    ring, (i, 1) necessarily works, so the scan finds it at s = 1.  If the
-    cap is exhausted the instance needs manual review rather than a verdict.
+    Scans s = 1..NON_CM_POWER_CAP, inner loop over i.  When some a_i is
+    regular on the ring, (i, 1) necessarily works, so the scan finds it at
+    s = 1.  If the cap is exhausted the instance needs manual review
+    rather than a verdict.
     """
-    ring = ps.ring
-    if ring.dimension() < 2:
+    if ps.ring.dimension() < 2:
         raise ValueError("needs a ring of dimension at least 2")
     if is_cohen_macaulay(ps):
         raise ValueError("the ring is CM; no non-CM parameter power exists")
-    for s in range(1, cap + 1):
-        for i, a in enumerate(ps.params):
-            power = a
-            for _ in range(s - 1):
-                power = mono_mul(power, a)
-            quo = ring.quotient(MonomialIdeal(ring.ambient, [power]))
-            rest = [p for j, p in enumerate(ps.params) if j != i]
-            sub = validate_sop(quo, rest)
-            if not is_cohen_macaulay(sub):
-                return (i + 1, s)
+    for s in range(1, NON_CM_POWER_CAP + 1):
+        for i in range(1, len(ps.params) + 1):
+            if not is_cohen_macaulay(reduced_system(ps, i, s)):
+                return (i, s)
     raise SearchCapExceeded(
-        f"no non-CM parameter power with exponent <= {cap}; flag for manual review"
+        f"no non-CM parameter power with exponent <= {NON_CM_POWER_CAP}; "
+        "flag for manual review"
     )

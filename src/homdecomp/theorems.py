@@ -18,22 +18,30 @@ from enum import Enum
 
 from .decomp import DecompositionReport, decide
 from .hom import HomSubquotient, build_hom, hom_from_ideals
-from .monomials import Monomial, MonomialIdeal, grlex_key, mono_mul, monomials_between
+from .monomials import (
+    Monomial,
+    MonomialIdeal,
+    SearchCapExceeded,
+    grlex_key,
+    mono_mul,
+    mono_pow,
+    monomials_between,
+)
 from .rings import (
     LocalRing,
     ParameterSystem,
-    SearchCapExceeded,
     colon_identity_check,
     depth_is_zero,
     find_non_cm_power,
     gamma_m,
-    gamma_module_generators,
     is_cohen_macaulay,
+    reduced_system,
     stabilization_index,
     validate_sop,
 )
 
 PARAMETER_DEGREE_CAP = 8
+DEPTH_ZERO_DRAWS = 200
 
 
 class VerificationError(RuntimeError):
@@ -87,17 +95,38 @@ def _check(checks: list, instance: str, name: str, ok: bool) -> None:
     checks.append(name)
 
 
-def _pow(u: Monomial, k: int) -> Monomial:
-    return tuple(e * k for e in u)
-
-
 def _one(ring: LocalRing) -> Monomial:
     return (0,) * ring.ambient
 
 
-def _layer_length(upper: MonomialIdeal, lower: MonomialIdeal) -> int:
-    """Length of upper/lower for nested monomial ideals; it must be finite."""
-    return len(monomials_between(upper, lower))
+def _split_check_names(gen: str, tors: str) -> tuple[str, str]:
+    return (f"colon identity: (B : a) = ({gen}) + {tors}",
+            f"intersection identity: B = (({gen}) + I) cap ({tors} + B)")
+
+
+# built once, so that every report of a statement shares the same strings
+DIM1_SPLIT_CHECKS = _split_check_names("c a^n", "(0 : a)")
+NONFREE_SPLIT_CHECKS = _split_check_names("c a", "Gamma")
+
+
+def _check_split(checks: list, instance: str, Q: HomSubquotient, gen: Monomial,
+                 tors: MonomialIdeal, names: tuple[str, str]) -> list[int]:
+    """Check the splitting C/B = ((gen) + I)/B ⊕ (tors + B)/B behind 3.1 and 3.3.
+
+    Checks the colon identity C = (B : a) = (gen) + tors, the
+    intersection identity B = ((gen) + I) ∩ (tors + B), and that the two
+    layers are nonzero with lengths adding up to the Hom length.  names
+    holds the first two check names, from _split_check_names.  Returns
+    the two lengths.
+    """
+    B = Q.denominator
+    left = MonomialIdeal(Q.ring.ambient, [gen]) + Q.ring.defining
+    _check(checks, instance, names[0], Q.numerator == left + tors)
+    _check(checks, instance, names[1], B == left.intersect(tors + B))
+    lengths = [len(monomials_between(left, B)), len(monomials_between(tors + B, B))]
+    _check(checks, instance, "both summands are nonzero", min(lengths) > 0)
+    _check(checks, instance, "summand lengths add up", sum(lengths) == Q.length())
+    return lengths
 
 
 def _monomials_of_degree(nvars: int, deg: int):
@@ -109,11 +138,11 @@ def _monomials_of_degree(nvars: int, deg: int):
             yield (e,) + rest
 
 
-def first_monomial_parameter(ring: LocalRing, max_degree: int = PARAMETER_DEGREE_CAP) -> Monomial:
+def first_monomial_parameter(ring: LocalRing) -> Monomial:
     """Grlex-smallest monomial parameter of a one-dimensional ring."""
     if ring.dimension() != 1:
         raise ValueError("parameter search needs a one-dimensional ring")
-    for deg in range(1, max_degree + 1):
+    for deg in range(1, PARAMETER_DEGREE_CAP + 1):
         for u in sorted(_monomials_of_degree(ring.ambient, deg), key=grlex_key):
             if ring.is_zero_element(u):
                 continue
@@ -122,7 +151,7 @@ def first_monomial_parameter(ring: LocalRing, max_degree: int = PARAMETER_DEGREE
             except ValueError:
                 continue
             return u
-    raise SearchCapExceeded(f"no monomial parameter of degree <= {max_degree}")
+    raise SearchCapExceeded(f"no monomial parameter of degree <= {PARAMETER_DEGREE_CAP}")
 
 
 def verify_rees(ps: ParameterSystem, b_spec) -> TheoremReport:
@@ -168,25 +197,12 @@ def verify_thm_dim1(ring: LocalRing, a: Monomial, c: Monomial | None = None) -> 
         c = _one(ring)
     ps = validate_sop(ring, [a])
     n = stabilization_index(ring)
-    b = mono_mul(c, _pow(a, n + 1))
-    validate_sop(ring, [b])  # c must keep c*a^{n+1} a parameter
-    Q = build_hom(ps, [b])
-
-    I = ring.defining
-    B = Q.denominator
-    can = mono_mul(c, _pow(a, n))
-    left = MonomialIdeal(ring.ambient, [can]) + I
-    tors = I.colon_monomial(a)
+    b = mono_mul(c, mono_pow(a, n + 1))
+    Q = build_hom(ps, [b])  # validates b: c must keep c*a^{n+1} a parameter
     instance = f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}"
     checks: list = []
-    _check(checks, instance, "colon identity: (B : a) = (c a^n) + (0 : a)",
-           B.colon_monomial(a) == left + tors)
-    _check(checks, instance, "intersection identity: B = ((c a^n) + I) cap ((0 : a) + B)",
-           B == left.intersect(tors + B))
-    lv = _layer_length(left, B)
-    rv = _layer_length(tors + B, B)
-    _check(checks, instance, "both summands are nonzero", lv > 0 and rv > 0)
-    _check(checks, instance, "summand lengths add up", lv + rv == Q.length())
+    lengths = _check_split(checks, instance, Q, mono_mul(c, mono_pow(a, n)),
+                           ring.defining.colon_monomial(a), DIM1_SPLIT_CHECKS)
     report = decide(Q)
     _check(checks, instance, "engine confirms a decomposition", report.decomposable)
     return TheoremReport(
@@ -198,7 +214,7 @@ def verify_thm_dim1(ring: LocalRing, a: Monomial, c: Monomial | None = None) -> 
             "c": ring.fmt(c),
             "b": ring.fmt(b),
             "hom_length": Q.length(),
-            "summand_lengths": [lv, rv],
+            "summand_lengths": lengths,
         },
         checks=tuple(checks),
         decomposition=report,
@@ -221,34 +237,20 @@ def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremRep
         c = _one(ring)
     n = stabilization_index(ring)
     a0 = first_monomial_parameter(ring)
-    a = _pow(a0, n)
-    b = mono_mul(c, _pow(a, 2))
+    a = mono_pow(a0, n)
+    b = mono_mul(c, mono_pow(a, 2))
     ps = validate_sop(ring, [a])
-    validate_sop(ring, [b])
-    Q = build_hom(ps, [b])
-
-    I = ring.defining
-    B = Q.denominator
-    sat = gamma_m(ring)
+    Q = build_hom(ps, [b])  # validates b
     ca = mono_mul(c, a)
-    left = MonomialIdeal(ring.ambient, [ca]) + I
     instance = f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}"
     checks: list = []
-    _check(checks, instance, "colon identity: (B : a) = (c a) + Gamma",
-           B.colon_monomial(a) == left + sat)
-    _check(checks, instance, "intersection identity: B = ((c a) + I) cap (Gamma + B)",
-           B == left.intersect(sat + B))
-    lv = _layer_length(left, B)
-    rv = _layer_length(sat + B, B)
-    _check(checks, instance, "both summands are nonzero", lv > 0 and rv > 0)
-    _check(checks, instance, "summand lengths add up", lv + rv == Q.length())
-
-    torsion = [g for g in gamma_module_generators(ring)
-               if not (MonomialIdeal(ring.ambient, [a]) + I).contains(g)]
+    sat = gamma_m(ring)
+    lengths = _check_split(checks, instance, Q, ca, sat, NONFREE_SPLIT_CHECKS)
+    torsion = [g for g in sat.gens if not ps.ideal.contains(g)]
     _check(checks, instance, "Gamma has a generator outside (a) + I", bool(torsion))
     w = min(torsion, key=grlex_key)
     _check(checks, instance, "witness kills the cyclic summand",
-           B.contains(mono_mul(w, ca)))
+           Q.denominator.contains(mono_mul(w, ca)))
     _check(checks, instance, "module is not free over the base",
            not Q.is_free_over_base())
     _check(checks, instance, "annihilator witness found on the module",
@@ -266,73 +268,64 @@ def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremRep
             "b": ring.fmt(b),
             "witness": ring.fmt(w),
             "hom_length": Q.length(),
-            "summand_lengths": [lv, rv],
+            "summand_lengths": lengths,
         },
         checks=tuple(checks),
         decomposition=report,
     )
 
 
-def _reduced_system(ps: ParameterSystem, index: int, power: int) -> ParameterSystem:
-    """ps with parameter #index (1-based) raised to `power` and quotiented out."""
-    extra = MonomialIdeal(ps.ring.ambient, [_pow(ps.params[index - 1], power)])
-    rest = [p for j, p in enumerate(ps.params) if j != index - 1]
-    return validate_sop(ps.ring.quotient(extra), rest)
+def _reduction_chain(ps: ParameterSystem) -> tuple[dict, int]:
+    """The induction behind 4.1 and 4.2, run down to dimension one.
 
-
-def _weave(d: int, index: int, value: int, tail: list) -> list:
-    out = []
-    it = iter(tail)
-    for j in range(d):
-        out.append(value if j == index - 1 else next(it))
-    return out
-
-
-def _decomposable_exponents(ps: ParameterSystem) -> list[int]:
-    ring = ps.ring
-    if len(ps.params) == 1:
-        # a non-CM ring of dimension one has depth zero
-        if not depth_is_zero(ring):
-            raise VerificationError(f"induction reached a CM ring: {ring!r}")
-        return [stabilization_index(ring) + 1]
-    i, s = find_non_cm_power(ps)
-    tail = _decomposable_exponents(_reduced_system(ps, i, s))
-    return _weave(len(ps.params), i, s, tail)
+    While two or more parameters remain, quotient by the first parameter
+    power a_i^s that keeps the ring non-CM (find_non_cm_power).  Returns
+    the steps as {position of a_i in ps: s}, in the order taken, and the
+    stabilization index n of the one-dimensional ring reached, which has
+    depth zero because it is not CM.  The one parameter never quotiented
+    is the position missing from the steps.
+    """
+    positions = list(range(len(ps.params)))
+    steps = {}
+    while len(ps.params) > 1:
+        i, s = find_non_cm_power(ps)
+        steps[positions.pop(i - 1)] = s
+        ps = reduced_system(ps, i, s)
+    if not depth_is_zero(ps.ring):
+        raise VerificationError(f"induction reached a CM ring: {ps.ring!r}")
+    return steps, stabilization_index(ps.ring)
 
 
 def search_decomposable_powers(ps: ParameterSystem) -> TheoremReport:
     """Exponents n with Hom(R/a, R/(a_1^{n_1}, ..., a_d^{n_d})) decomposable.
 
-    Follows the induction: pick a parameter power that destroys the CM
-    property, quotient by it, and recurse; in dimension one take the
-    stabilization index plus one.  The assembled module is then handed
-    to the engine, and for d >= 2 the first reduction step is
-    cross-checked through check_radical_transfer.
+    Follows the induction (_reduction_chain): each quotient step fixes
+    the exponent of the parameter it quotients by, and the last
+    parameter gets the stabilization index plus one.  The assembled
+    module is then handed to the engine, and for d >= 2 the first
+    reduction step is cross-checked through check_radical_transfer.
     """
     if is_cohen_macaulay(ps):
         raise ValueError("ring is CM along these parameters; Hom stays indecomposable")
     ring = ps.ring
-    d = len(ps.params)
-    checks: list = []
+    steps, n = _reduction_chain(ps)
+    exps = [steps.get(k, n + 1) for k in range(len(ps.params))]
     instance = f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}"
     parameters: dict = {}
-    if d == 1:
-        exps = _decomposable_exponents(ps)
-    else:
-        i, s = find_non_cm_power(ps)
-        parameters["index"] = i
-        parameters["power"] = s
-        tail = _decomposable_exponents(_reduced_system(ps, i, s))
-        exps = _weave(d, i, s, tail)
-    parameters["n"] = list(exps)
+    if steps:
+        first = next(iter(steps))
+        parameters["index"] = first + 1
+        parameters["power"] = steps[first]
+    parameters["n"] = exps
     Q = build_hom(ps, exps)
     report = decide(Q)
+    checks: list = []
     _check(checks, instance, "engine confirms a decomposition", report.decomposable)
-    if d >= 2:
+    if steps:
         # the induction transfers the split from the smaller ideal
         # (a_i^{n_i}, rest) up to a itself; rerun that step explicitly
-        j_gens = [_pow(p, exps[k]) if k == i - 1 else p for k, p in enumerate(ps.params)]
-        n_gens = [_pow(p, exps[k]) for k, p in enumerate(ps.params)]
+        j_gens = [mono_pow(p, exps[k]) if k == first else p for k, p in enumerate(ps.params)]
+        n_gens = [mono_pow(p, e) for p, e in zip(ps.params, exps)]
         transfer = check_radical_transfer(
             ring,
             MonomialIdeal(ring.ambient, j_gens),
@@ -350,32 +343,24 @@ def search_decomposable_powers(ps: ParameterSystem) -> TheoremReport:
     )
 
 
-def _nonfree_exponents(ps: ParameterSystem) -> tuple[list[int], list[int]]:
-    ring = ps.ring
-    if len(ps.params) == 1:
-        if not depth_is_zero(ring):
-            raise VerificationError(f"induction reached a CM ring: {ring!r}")
-        n = stabilization_index(ring)
-        return [n], [2 * n]
-    i, s = find_non_cm_power(ps)
-    tail_n, tail_b = _nonfree_exponents(_reduced_system(ps, i, s))
-    d = len(ps.params)
-    return _weave(d, i, s, tail_n), _weave(d, i, s, tail_b)
-
-
 def search_nonfree_powers(ps: ParameterSystem) -> TheoremReport:
     """Exponents n, N making Hom(R/(a_i^{n_i}), R/(a_i^{N_i})) split non-free.
 
-    Same induction as the decomposability search, but the base case digs
-    to the stabilization depth: a = a0^n and b = a^2, which places the
-    torsion submodule inside the Hom and rules out freeness.
+    Same induction as the decomposability search, but the last parameter
+    digs to the stabilization depth: it gets n_i = n and N_i = 2n, which
+    places the torsion submodule inside the Hom and rules out freeness.
+    Every quotient step's parameter gets n_i = N_i = s, so b is given by
+    the powers 1, ..., 1, 2 of the new parameters.
     """
     if is_cohen_macaulay(ps):
         raise ValueError("ring is CM along these parameters; Hom stays free")
     ring = ps.ring
-    n_vec, b_vec = _nonfree_exponents(ps)
-    ps2 = validate_sop(ring, [_pow(p, k) for p, k in zip(ps.params, n_vec)])
-    Q = build_hom(ps2, [_pow(p, k) for p, k in zip(ps.params, b_vec)])
+    steps, n = _reduction_chain(ps)
+    d = len(ps.params)
+    n_vec = [steps.get(k, n) for k in range(d)]
+    t = [1 if k in steps else 2 for k in range(d)]
+    ps2 = validate_sop(ring, [mono_pow(p, e) for p, e in zip(ps.params, n_vec)])
+    Q = build_hom(ps2, t)
     instance = f"{ring!r}, a = {ring.fmt_ideal(ps2.a_ideal)}"
     checks: list = []
     report = decide(Q)
@@ -388,8 +373,8 @@ def search_nonfree_powers(ps: ParameterSystem) -> TheoremReport:
         statement="4.2",
         instance=instance,
         parameters={
-            "n": list(n_vec),
-            "N": list(b_vec),
+            "n": n_vec,
+            "N": [e * k for e, k in zip(n_vec, t)],
             "witness": ring.fmt(w),
             "hom_length": Q.length(),
         },
@@ -469,7 +454,7 @@ def verify_non_cm_power(ps: ParameterSystem) -> TheoremReport:
     i, s = find_non_cm_power(ps)
     instance = f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}"
     checks: list = []
-    reduced = _reduced_system(ps, i, s)
+    reduced = reduced_system(ps, i, s)
     _check(checks, instance, "quotient by the chosen power is not CM",
            not is_cohen_macaulay(reduced))
     _check(checks, instance, "quotient dimension drops by one",
@@ -550,13 +535,13 @@ def socle_family_ring(n1: int) -> LocalRing:
     return LocalRing.from_text(("x", "y", "z"), f"(x^2, xyz, y^{n1})")
 
 
-def random_depth_zero_ring(rng: random.Random, tries: int = 200) -> LocalRing:
+def random_depth_zero_ring(rng: random.Random) -> LocalRing:
     """One random monomial ring of dimension one and depth zero.
 
     The stabilization index is capped so that suite modules built from
     the draw stay small; structured families cover the deeper cases.
     """
-    for _ in range(tries):
+    for _ in range(DEPTH_ZERO_DRAWS):
         if rng.random() < 0.5:
             e = rng.randint(2, 4)
             f = rng.randint(1, e - 1)
@@ -571,7 +556,7 @@ def random_depth_zero_ring(rng: random.Random, tries: int = 200) -> LocalRing:
         if (ring.dimension() == 1 and depth_is_zero(ring)
                 and stabilization_index(ring) <= 5):
             return ring
-    raise SearchCapExceeded(f"no depth-zero draw in {tries} tries")
+    raise SearchCapExceeded(f"no depth-zero draw in {DEPTH_ZERO_DRAWS} tries")
 
 
 def dim1_corpus(extra: int = 24, seed: int = 2026) -> list[LocalRing]:
@@ -603,7 +588,7 @@ def cm_power_pairs() -> list:
         d = len(ps.params)
         for t in itertools.product(range(1, 4), repeat=d):
             pairs.append((ps, list(t)))
-        squared = validate_sop(ps.ring, [_pow(p, 2) for p in ps.params])
+        squared = validate_sop(ps.ring, [mono_pow(p, 2) for p in ps.params])
         for t in itertools.product(range(1, 3), repeat=d):
             pairs.append((squared, list(t)))
     return pairs

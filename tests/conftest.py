@@ -84,6 +84,18 @@ def oracle_monomials_between(upper: MonomialIdeal, lower: MonomialIdeal):
     return sorted(members, key=grlex_key)
 
 
+def oracle_annihilator_witness(Q):
+    """The grlex-least monomial other than 1, nonzero in S, with u * C inside B.
+
+    Scans the standard monomials of S = R/(I + a) in graded-lex order.
+    """
+    B = Q.denominator
+    for u in Q.base.defining.standard_monomials():
+        if any(u) and all(B.contains(mono_mul(u, g)) for g in Q.numerator.gens):
+            return u
+    return None
+
+
 @st.composite
 def monomial_ideals(draw, ambient: int, max_exp: int = 3, min_gens: int = 0,
                     max_gens: int = 3):

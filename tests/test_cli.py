@@ -13,6 +13,7 @@ from homdecomp.cli import (
     render_grid_figure,
     serialize_ring_spec,
 )
+from homdecomp.monomials import MonomialIdeal
 from homdecomp.rings import LocalRing, validate_sop
 from homdecomp.theorems import classify_grid
 
@@ -170,6 +171,20 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: ")
         assert "exceeds cap 1000000" in err
+
+    def test_report_enumerates_the_base_once(self, monkeypatch):
+        scans = []
+        original = MonomialIdeal.standard_monomials
+
+        def counting(self, *args, **kwargs):
+            scans.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MonomialIdeal, "standard_monomials", counting)
+        spec = parse_ring_file("ring x y\nrelations x^4 x^3y^9\nsop y^5\n")
+        report = cli.analysis_report(spec, None, None, [3])
+        assert report["hom"]["non_free_witness"] == "x^3"
+        assert [spec.ring().fmt_ideal(I) for I in scans] == ["(x^4, y^5)"]
 
     def test_b_outside_a_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "e51.ring", E51)
@@ -348,6 +363,15 @@ class TestStabilize:
         report = json.loads(out)
         assert report["stabilization_index"] == 0
         assert report["gamma_generators"] == []
+
+    @pytest.mark.parametrize("relations, message", [
+        ("x^1500 xy", "saturation did not stabilize within the iteration cap 1000"),
+        ("x^2 xy^100", "stabilization index exceeded the cap 64"),
+    ])
+    def test_caps_exit_2_and_name_the_cap(self, tmp_path, capsys, relations, message):
+        path = write(tmp_path, "deep.ring", f"ring x y\nrelations {relations}\nsop y\n")
+        code, out, err = run(capsys, "stabilize", path)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestVerify:

@@ -10,12 +10,12 @@ implementation under test.
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import monomial_homs, power_specs
+from conftest import monomial_homs, oracle_annihilator_witness, power_specs
 from homdecomp import hom, theorems
 from homdecomp.decomp import connected_components
 from homdecomp.gfp import PrimeFieldMatrix
 from homdecomp.hom import build_hom, hom_from_ideals
-from homdecomp.monomials import MonomialIdeal, mono_mul
+from homdecomp.monomials import MonomialIdeal, mono_mul, monomials_between
 from homdecomp.rings import LocalRing, validate_sop
 
 
@@ -300,7 +300,7 @@ def test_hom_and_layer_length_scan_no_box(monkeypatch):
     R = make_ring(("x", "y", "z"), "(x^2, xyz)")
     Q = make_hom(R, "y z", [3, 2])
     assert Q.length() == 3 and Q.minimal_generator_count() == 3
-    assert theorems._layer_length(Q.numerator, Q.denominator) == Q.length()
+    assert len(monomials_between(Q.numerator, Q.denominator)) == Q.length()
     assert calls == []
 
 
@@ -364,6 +364,26 @@ class TestWitnessSoundness:
     def test_free_modules_have_no_witness(self, name, Q):
         if Q.is_free_over_base():
             assert Q.non_free_annihilator_witness() is None
+
+    def test_least_of_several_candidates(self):
+        # (B : C) = (y, x^2, xz, z^2); x^2 and xz are nonzero in S, x^2 comes first
+        R = make_ring(("x", "y", "z"), "(x^3, x^2z, xz^2)")
+        Q = hom_from_ideals(R, ideal_of(R, "(y, z^2)"), ideal_of(R, "(y, z^4)"))
+        assert Q.non_free_annihilator_witness() == R.parse_monomial("x^2")
+        assert oracle_annihilator_witness(Q) == R.parse_monomial("x^2")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(monomial_homs())
+def test_witness_matches_base_scan(Q):
+    assert Q.non_free_annihilator_witness() == oracle_annihilator_witness(Q)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(power_specs())
+def test_witness_matches_base_scan_on_powers(case):
+    Q = build_hom(*case)
+    assert Q.non_free_annihilator_witness() == oracle_annihilator_witness(Q)
 
 
 class TestValidation:

@@ -343,3 +343,37 @@ class TestReportSerialization:
     def test_report_without_decomposition(self):
         rep = verify_colon_identity(ring2("(x^2, xy^2)"), count=10, seed=0)
         assert "decomposition" not in rep.as_dict()
+
+
+SPLIT = ("both summands are nonzero", "summand lengths add up")
+ENGINE = "engine confirms a decomposition"
+NONFREE = ("module is not free over the base", "annihilator witness found on the module")
+
+
+class TestCheckNames:
+    """The full checks tuples; bench/workloads.py matches these names, so they must not drift."""
+
+    def test_dim_one_statements(self):
+        R = ring2("(x^2, xy^3)")
+        assert verify_thm_dim1(R, R.parse_monomial("y")).checks == (
+            "colon identity: (B : a) = (c a^n) + (0 : a)",
+            "intersection identity: B = ((c a^n) + I) cap ((0 : a) + B)",
+            *SPLIT, ENGINE)
+        assert verify_thm_nonfree(R).checks == (
+            "colon identity: (B : a) = (c a) + Gamma",
+            "intersection identity: B = ((c a) + I) cap (Gamma + B)",
+            *SPLIT,
+            "Gamma has a generator outside (a) + I",
+            "witness kills the cyclic summand",
+            *NONFREE, ENGINE)
+        ps = sop(R, "y^2")
+        assert search_decomposable_powers(ps).checks == (ENGINE,)
+        assert search_nonfree_powers(ps).checks == (ENGINE, *NONFREE)
+
+    def test_power_searches_in_dimension_two(self):
+        ps = sop(THREE_VARS, "y", "z")
+        assert search_decomposable_powers(ps).checks == (
+            ENGINE,
+            "transfer step: source Hom decomposable",
+            "transfer step: enlarged ideal keeps the decomposition")
+        assert search_nonfree_powers(ps).checks == (ENGINE, *NONFREE)
