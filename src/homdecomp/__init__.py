@@ -1,10 +1,9 @@
 """Exact Hom-module construction and decomposition over monomial quotient rings."""
 
 from .monomials import (
-    LengthCapExceeded,
+    CapExceeded,
     Monomial,
     MonomialIdeal,
-    SearchCapExceeded,
     degree,
     divides,
     format_ideal,
@@ -31,13 +30,7 @@ from .rings import (
     validate_sop,
 )
 from .hom import HomSubquotient, build_hom, hom_from_ideals
-from .decomp import (
-    DecompositionReport,
-    brute_force_idempotent_oracle,
-    commutant,
-    decide,
-    is_decomposable,
-)
+from .decomp import DecompositionReport, decide
 from .theorems import (
     GridClassification,
     PointClass,

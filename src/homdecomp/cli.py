@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from .decomp import decide
 from .hom import build_hom
 from .monomials import (
-    LengthCapExceeded,
+    CapExceeded,
     MonomialIdeal,
-    SearchCapExceeded,
     format_monomial,
     grlex_key,
     mono_pow,
@@ -91,16 +90,14 @@ class RingSpecError(ValueError):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Parsed ring-spec file: the ring plus optional sop, prime, and seed.
+    """Parsed ring-spec file: the ring plus an optional sop and seed.
 
-    prime is parsed and written back but no command reads it; seed feeds
-    verify's randomized 2.5 check.
+    seed feeds verify's randomized 2.5 check.
     """
 
     variables: tuple[str, ...]
     relations: tuple[str, ...] = ()
     sop: tuple[str, ...] = ()
-    prime: int | None = None
     seed: int | None = None
 
     def ring(self) -> LocalRing:
@@ -115,7 +112,7 @@ class RingSpec:
 
 
 def parse_ring_file(text: str) -> RingSpec:
-    """Line grammar: `ring x y`, `relations x^2 xy`, `sop y`, `prime 7`, `seed 3`.
+    """Line grammar: `ring x y`, `relations x^2 xy`, `sop y`, `seed 3`.
 
     Blank lines and `#` comments are skipped.  Keys may appear once,
     `ring` must come before any monomials, and every monomial must use
@@ -151,7 +148,7 @@ def parse_ring_file(text: str) -> RingSpec:
                     raise RingSpecError(f"line {lineno}: {exc}") from exc
             sections[key] = tuple(monos)
             continue
-        if key in ("prime", "seed"):
+        if key == "seed":
             if len(rest) != 1 or not rest[0].isdigit():
                 raise RingSpecError(f"line {lineno}: {key} takes one integer")
             sections[key] = (int(rest[0]),)
@@ -163,7 +160,6 @@ def parse_ring_file(text: str) -> RingSpec:
         variables=variables,
         relations=sections.get("relations", ()),
         sop=sections.get("sop", ()),
-        prime=sections.get("prime", (None,))[0],
         seed=sections.get("seed", (None,))[0],
     )
 
@@ -174,8 +170,6 @@ def serialize_ring_spec(spec: RingSpec) -> str:
         lines.append("relations " + " ".join(spec.relations))
     if spec.sop:
         lines.append("sop " + " ".join(spec.sop))
-    if spec.prime is not None:
-        lines.append(f"prime {spec.prime}")
     if spec.seed is not None:
         lines.append(f"seed {spec.seed}")
     return "\n".join(lines) + "\n"
@@ -428,7 +422,7 @@ def cmd_verify(args) -> int:
     elif name == "4.2":
         report = search_nonfree_powers(spec.parameter_system())
     elif name == "2.5":
-        report = verify_colon_identity(ring, count=100, seed=7 if seed is None else seed)
+        report = verify_colon_identity(ring, seed=7 if seed is None else seed)
     elif name == "2.6":
         if not args.powers or args.b is None:
             raise ValueError("--theorem 2.6 needs --powers (for J) and --b (for N)")
@@ -484,7 +478,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (RingSpecError, SearchCapExceeded, LengthCapExceeded, ValueError, OSError) as exc:
+    except (RingSpecError, CapExceeded, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except VerificationError as exc:

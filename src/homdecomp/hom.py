@@ -155,12 +155,12 @@ class HomSubquotient:
         """
         return self.length() == self._generator_count * self.base_length()
 
-    def presentation(self, prime: int, cap: int = PRESENTATION_CAP) -> FinitePresentation:
+    def presentation(self, prime: int) -> FinitePresentation:
         if not is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         basis = self._basis
-        if len(basis) > cap:
-            raise ValueError(f"presentation basis {len(basis)} exceeds cap {cap}")
+        if len(basis) > PRESENTATION_CAP:
+            raise ValueError(f"presentation basis {len(basis)} exceeds cap {PRESENTATION_CAP}")
         index = {u: i for i, u in enumerate(basis)}
         n = self.ring.ambient
         actions = []
@@ -200,7 +200,7 @@ def _subquotient(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal
     """C/B for B = I + 𝔟 and C = (B : 𝔞), over the given base ring R/(I + 𝔞).
 
     B must have finite colength, and a B whose pure-power box has more
-    than DEFAULT_LENGTH_CAP cells is refused with LengthCapExceeded.
+    than LENGTH_CAP cells is refused with CapExceeded.
     """
     B = ring.defining + b_ideal
     try:

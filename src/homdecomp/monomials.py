@@ -20,21 +20,21 @@ True
 from __future__ import annotations
 
 import sys
+from itertools import combinations
 from itertools import product as _cartesian
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Monomial = tuple[int, ...]
 
 MAX_AMBIENT = 8
-DEFAULT_LENGTH_CAP = 10**6
+# Resource caps, read at call time: the most standard monomials one
+# enumeration may hold, and the most colon steps one saturation may take.
+LENGTH_CAP = 10**6
+SATURATION_CAP = 1000
 
 
-class LengthCapExceeded(RuntimeError):
-    """Raised when a standard-monomial enumeration would exceed the cap."""
-
-
-class SearchCapExceeded(RuntimeError):
-    """A bounded search or fixpoint loop ran out of steps; the message names the cap."""
+class CapExceeded(RuntimeError):
+    """An enumeration, search or fixpoint loop hit a resource cap; the message names it."""
 
 
 def degree(u: Monomial) -> int:
@@ -203,15 +203,16 @@ class MonomialIdeal:
             out = piece if out is None else out.intersect(piece)
         return out
 
-    def saturation(self, J: "MonomialIdeal", cap: int = 1000) -> "MonomialIdeal":
+    def saturation(self, J: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J^infinity), computed by iterating the colon to a fixpoint."""
         current = self
-        for _ in range(cap):
+        for _ in range(SATURATION_CAP):
             step = current.colon(J)
             if step == current:
                 return current
             current = step
-        raise SearchCapExceeded(f"saturation did not stabilize within the iteration cap {cap}")
+        raise CapExceeded(
+            f"saturation did not stabilize within the iteration cap {SATURATION_CAP}")
 
     def radical(self) -> "MonomialIdeal":
         """Radical: generated by the squarefree parts of the generators."""
@@ -231,67 +232,70 @@ class MonomialIdeal:
         if self.is_unit():
             return -1
         supports = [frozenset(i for i, e in enumerate(g) if e > 0) for g in self.gens]
-        best = -1
         for size in range(self.ambient, -1, -1):
-            for subset in _subsets(self.ambient, size):
+            for subset in map(frozenset, combinations(range(self.ambient), size)):
                 if not any(s <= subset for s in supports):
                     return size
-        return best
+
+    def _pure_powers(self) -> list[int | None]:
+        """Least exponent e with x_i^e in I, for each variable x_i; None where none is.
+
+        The generators are minimal, so each variable has at most one pure
+        power among them.  The unit ideal has every entry 0.
+
+        >>> MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 3, 0)])._pure_powers()
+        [2, 3, None]
+        """
+        least: list[int | None] = [None] * self.ambient
+        for g in self.gens:
+            support = [i for i, e in enumerate(g) if e]
+            if not support:
+                return [0] * self.ambient
+            if len(support) == 1:
+                least[support[0]] = g[support[0]]
+        return least
 
     def is_finite_colength(self) -> bool:
         """True iff k[x]/I is finite dimensional: every variable has a pure power in I."""
-        if self.is_unit():
-            return True
-        for i in range(self.ambient):
-            if not any(
-                g[i] > 0 and all(e == 0 for j, e in enumerate(g) if j != i)
-                for g in self.gens
-            ):
-                return False
-        return True
+        return None not in self._pure_powers()
 
-    def box_bounds(self, cap: int = DEFAULT_LENGTH_CAP) -> list[int]:
+    def box_bounds(self) -> list[int]:
         """Least pure-power exponent of each variable; requires finite colength.
 
         The box they span holds every standard monomial; the unit ideal
-        has the empty box, all bounds 0.  Raises LengthCapExceeded when
-        the box has more than cap cells.
+        has the empty box, all bounds 0.  Raises CapExceeded when the box
+        has more than LENGTH_CAP cells.
 
         >>> MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)]).box_bounds()
         [2, 3]
         """
-        if not self.is_finite_colength():
+        bounds = self._pure_powers()
+        if None in bounds:
             raise ValueError("ideal does not have finite colength")
-        bounds = []
-        for i in range(self.ambient):
-            pure = [g[i] for g in self.gens
-                    if all(e == 0 for j, e in enumerate(g) if j != i)]
-            bounds.append(min(pure))
         volume = 1
         for b in bounds:
             volume *= b
-        if volume > cap:
-            raise LengthCapExceeded(f"box volume {volume} exceeds cap {cap}")
+        if volume > LENGTH_CAP:
+            raise CapExceeded(f"box volume {volume} exceeds cap {LENGTH_CAP}")
         return bounds
 
-    def standard_monomials(self, cap: int = DEFAULT_LENGTH_CAP) -> list[Monomial]:
+    def standard_monomials(self) -> list[Monomial]:
         """All monomials not in I, in graded-lex order; requires finite colength.
 
         >>> MonomialIdeal(2, [(2, 0), (0, 2)]).standard_monomials()
         [(0, 0), (1, 0), (0, 1), (1, 1)]
         """
-        bounds = self.box_bounds(cap)
+        bounds = self.box_bounds()
         out = [u for u in _cartesian(*(range(b) for b in bounds)) if not self.contains(u)]
         out.sort(key=grlex_key)
         return out
 
-    def length(self, cap: int = DEFAULT_LENGTH_CAP) -> int:
+    def length(self) -> int:
         """dim_k of k[x]/I; requires finite colength."""
-        return len(self.standard_monomials(cap))
+        return len(self.standard_monomials())
 
 
-def monomials_between(upper: MonomialIdeal, lower: MonomialIdeal,
-                      cap: int = DEFAULT_LENGTH_CAP) -> list[Monomial]:
+def monomials_between(upper: MonomialIdeal, lower: MonomialIdeal) -> list[Monomial]:
     """The monomials of upper that are not in lower, in graded-lex order.
 
     The walk starts at upper's generators outside lower and steps up one
@@ -299,7 +303,7 @@ def monomials_between(upper: MonomialIdeal, lower: MonomialIdeal,
     a generator g of upper, and each monomial between g and u on the way
     divides u, so it lies in upper and, as lower is an ideal, outside
     lower.  lower need not have finite colength; the walk ends whenever
-    the set is finite and raises LengthCapExceeded past cap monomials.
+    the set is finite and raises CapExceeded past LENGTH_CAP monomials.
 
     >>> upper = MonomialIdeal(2, [(0, 1), (2, 0)])      # (y, x^2)
     >>> monomials_between(upper, MonomialIdeal(2, [(2, 0), (0, 2)]))
@@ -319,17 +323,11 @@ def monomials_between(upper: MonomialIdeal, lower: MonomialIdeal,
                 if v not in found and not in_lower(v):
                     found.add(v)
                     step.append(v)
-        if len(found) > cap:
-            raise LengthCapExceeded(f"count of monomials between the ideals exceeds cap {cap}")
+        if len(found) > LENGTH_CAP:
+            raise CapExceeded(
+                f"count of monomials between the ideals exceeds cap {LENGTH_CAP}")
         frontier = step
     return sorted(found, key=grlex_key)
-
-
-def _subsets(n: int, size: int) -> Iterator[frozenset]:
-    from itertools import combinations
-
-    for combo in combinations(range(n), size):
-        yield frozenset(combo)
 
 
 # ---------------------------------------------------------------------------

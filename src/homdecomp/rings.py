@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .monomials import (
-    DEFAULT_LENGTH_CAP,
+    CapExceeded,
     Monomial,
     MonomialIdeal,
-    SearchCapExceeded,
     format_ideal,
     format_monomial,
     mono_mul,
@@ -26,6 +25,7 @@ from .monomials import (
 )
 
 NON_CM_POWER_CAP = 10
+STABILIZATION_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,9 @@ class LocalRing:
     def is_zero_element(self, u: Monomial) -> bool:
         return self.defining.contains(u)
 
-    def length(self, cap: int = DEFAULT_LENGTH_CAP) -> int:
-        # A stored length above cap is counted again, so the cap still raises.
-        if self._length is None or self._length > cap:
-            object.__setattr__(self, "_length", self.defining.length(cap))
+    def length(self) -> int:
+        if self._length is None:
+            object.__setattr__(self, "_length", self.defining.length())
         return self._length
 
     def parse_monomial(self, text: str) -> Monomial:
@@ -200,17 +199,17 @@ def gamma_module_generators(ring: LocalRing) -> list[Monomial]:
     return [g for g in gamma_m(ring).gens if not I.contains(g)]
 
 
-def gamma_monomial_basis(ring: LocalRing, cap: int = DEFAULT_LENGTH_CAP) -> list[Monomial]:
+def gamma_monomial_basis(ring: LocalRing) -> list[Monomial]:
     """All monomials in the saturation but not in I; a k-basis of the torsion.
 
     The torsion module has finite length, so the walk up from the
-    saturation generators terminates; past cap monomials it raises
-    LengthCapExceeded.
+    saturation generators terminates; past LENGTH_CAP monomials it raises
+    CapExceeded.
     """
-    return monomials_between(gamma_m(ring), ring.defining, cap)
+    return monomials_between(gamma_m(ring), ring.defining)
 
 
-def stabilization_index(ring: LocalRing, cap: int = 64) -> int:
+def stabilization_index(ring: LocalRing) -> int:
     """Least n >= 0 with (m^n + I) intersected with sat(I, m) inside I.
 
     Zero exactly when the torsion submodule vanishes; finite always, since
@@ -223,11 +222,11 @@ def stabilization_index(ring: LocalRing, cap: int = 64) -> int:
     m = ring.maximal_ideal
     sat = gamma_m(ring)
     power = MonomialIdeal.unit(ring.ambient)
-    for n in range(cap + 1):
+    for n in range(STABILIZATION_CAP + 1):
         if I.contains_ideal(power.intersect(sat)):
             return n
         power = power * m
-    raise SearchCapExceeded(f"stabilization index exceeded the cap {cap}")
+    raise CapExceeded(f"stabilization index exceeded the cap {STABILIZATION_CAP}")
 
 
 def colon_identity_check(
@@ -286,7 +285,7 @@ def find_non_cm_power(ps: ParameterSystem) -> tuple[int, int]:
         for i in range(1, len(ps.params) + 1):
             if not is_cohen_macaulay(reduced_system(ps, i, s)):
                 return (i, s)
-    raise SearchCapExceeded(
+    raise CapExceeded(
         f"no non-CM parameter power with exponent <= {NON_CM_POWER_CAP}; "
         "flag for manual review"
     )

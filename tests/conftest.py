@@ -11,9 +11,9 @@ from itertools import product as cartesian
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from homdecomp.hom import hom_from_ideals
-from homdecomp.monomials import MonomialIdeal, grlex_key, mono_mul
-from homdecomp.rings import LocalRing, validate_sop
+from homdecomp.hom import build_hom, hom_from_ideals
+from homdecomp.monomials import MonomialIdeal, grlex_key, mono_mul, mono_pow
+from homdecomp.rings import LocalRing, stabilization_index, validate_sop
 
 
 def enumerate_monomials(ambient: int, max_exp: int):
@@ -96,6 +96,34 @@ def oracle_annihilator_witness(Q):
     return None
 
 
+def monomials_of_degree(nvars: int, deg: int):
+    """Every exponent vector of the given degree."""
+    if nvars == 1:
+        yield (deg,)
+        return
+    for e in range(deg, -1, -1):
+        for rest in monomials_of_degree(nvars - 1, deg - e):
+            yield (e,) + rest
+
+
+def oracle_first_monomial_parameter(ring: LocalRing, max_degree: int = 8):
+    """The grlex-least monomial parameter of degree <= max_degree, or None.
+
+    Tries every monomial nonzero in the ring, degree by degree in grlex
+    order, and keeps the first one that validate_sop accepts.
+    """
+    for deg in range(1, max_degree + 1):
+        for u in sorted(monomials_of_degree(ring.ambient, deg), key=grlex_key):
+            if ring.is_zero_element(u):
+                continue
+            try:
+                validate_sop(ring, [u])
+            except ValueError:
+                continue
+            return u
+    return None
+
+
 @st.composite
 def monomial_ideals(draw, ambient: int, max_exp: int = 3, min_gens: int = 0,
                     max_gens: int = 3):
@@ -172,3 +200,56 @@ def power_specs(draw):
     ps = validate_sop(ring, [pure(i, draw(st.integers(1, 3))) for i in free])
     t = draw(st.lists(st.integers(1, 3), min_size=len(free), max_size=len(free)))
     return ps, t
+
+
+@st.composite
+def nonfree_homs(draw):
+    """Hom(R/(a), R/(c a^2)) in the shape of statement 3.3, length at most 40.
+
+    R is one-dimensional of depth zero on 2-3 variables: every variable
+    x_i but the last, t, has a pure power x_i^e in I and a relation
+    x_i^f t^g with f < e, so x_i^f is torsion, and one more relation may
+    mix the variables.  t is then the monomial parameter a0; with n the
+    stabilization index, a = t^n and c = t^k for k in 0..2, so b = c a^2
+    is a parameter and the module is not free.
+    """
+    d = draw(st.integers(2, 3))
+    relations = []
+    for i in range(d - 1):
+        e = draw(st.integers(2, 4))
+        relations.append(tuple(e if k == i else 0 for k in range(d)))
+        f, g = draw(st.integers(1, e - 1)), draw(st.integers(1, 3))
+        relations.append(tuple(f if k == i else g if k == d - 1 else 0 for k in range(d)))
+    mixed = st.tuples(*[st.integers(0, 3)] * (d - 1), st.integers(1, 3)).filter(
+        lambda g: any(g[:-1]))
+    relations += draw(st.lists(mixed, max_size=1))
+    ring = LocalRing(tuple("xyz"[:d]), MonomialIdeal(d, relations))
+    n = stabilization_index(ring)
+    t = tuple(int(k == d - 1) for k in range(d))
+    a = mono_pow(t, n)
+    b = mono_mul(mono_pow(t, draw(st.integers(0, 2))), mono_pow(a, 2))
+    Q = build_hom(validate_sop(ring, [a]), [b])
+    assume(Q.length() <= 40)
+    return Q
+
+
+@st.composite
+def one_dimensional_rings(draw):
+    """k[x]/I of dimension one on 2-4 variables.
+
+    One or two variables lack a pure power in I and every other one has
+    one.  Two are cut down to dimension one by a relation in just those
+    two, and such a ring has no monomial parameter.  Up to two random
+    relations follow; draws of another dimension are rejected.
+    """
+    n = draw(st.integers(2, 4))
+    free = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
+    exps = st.integers(1, 3)
+    gens = [tuple(draw(exps) if k == i else 0 for k in range(n))
+            for i in range(n) if i not in free]
+    if len(free) == 2:
+        gens.append(tuple(draw(exps) if k in free else 0 for k in range(n)))
+    gens += draw(monomial_ideals(n, max_gens=2)).gens
+    ring_ideal = MonomialIdeal(n, gens)
+    assume(ring_ideal.dimension() == 1)
+    return LocalRing(tuple("xyzw"[:n]), ring_ideal)

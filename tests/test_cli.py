@@ -41,7 +41,7 @@ class TestRingSpecParsing:
         assert spec.variables == ("x", "y")
         assert spec.relations == ("x^2", "xy^3")
         assert spec.sop == ("y^2",)
-        assert spec.prime is None and spec.seed is None
+        assert spec.seed is None
 
     def test_comments_and_blank_lines(self):
         spec = parse_ring_file("# header\n\nring x y  # trailing\n\nrelations x^2\n")
@@ -54,9 +54,9 @@ class TestRingSpecParsing:
         assert spec.relations == ("x^2y",)
 
     def test_prime_and_seed_keys(self):
-        spec = parse_ring_file("ring x y\nprime 7\nseed 3\n")
-        assert spec.prime == 7
-        assert spec.seed == 3
+        with pytest.raises(RingSpecError, match="line 2: unknown key 'prime'"):
+            parse_ring_file("ring x y\nprime 7\nseed 3\n")
+        assert parse_ring_file("ring x y\nseed 3\n").seed == 3
 
     def test_duplicate_variable(self):
         with pytest.raises(RingSpecError, match="line 1: duplicate variable"):
@@ -88,10 +88,10 @@ class TestRingSpecParsing:
 
     def test_bad_integer_key(self):
         with pytest.raises(RingSpecError, match="one integer"):
-            parse_ring_file("ring x y\nprime seven\n")
+            parse_ring_file("ring x y\nseed seven\n")
 
     @pytest.mark.parametrize("text", [E51, E52_M3, FIG1, CM,
-                                      "ring a b c\nrelations a^2 abc\nsop b c\nprime 11\nseed 5\n"])
+                                      "ring a b c\nrelations a^2 abc\nsop b c\nseed 5"])
     def test_round_trip(self, text):
         spec = parse_ring_file(text)
         assert parse_ring_file(serialize_ring_spec(spec)) == spec
@@ -159,8 +159,11 @@ class TestAnalyze:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_spec_prime_and_seed_are_accepted(self, tmp_path, capsys):
-        path = write(tmp_path, "e52.ring", E52_M3 + "prime 7\nseed 3\n")
+    def test_spec_prime_is_rejected_and_seed_accepted(self, tmp_path, capsys):
+        path = write(tmp_path, "e52p.ring", E52_M3 + "prime 7\nseed 3\n")
+        assert run(capsys, "analyze", path, "--powers", "3") == (
+            2, "", "error: line 4: unknown key 'prime'\n")
+        path = write(tmp_path, "e52.ring", E52_M3 + "seed 3\n")
         code, out, _ = run(capsys, "analyze", path, "--powers", "3")
         assert code == 0
         assert json.loads(out)["hom"]["decomposition"]["summand_count"] == 2
@@ -375,6 +378,12 @@ class TestStabilize:
 
 
 class TestVerify:
+    def test_nonfree_without_a_monomial_parameter(self, tmp_path, capsys):
+        path = write(tmp_path, "two.ring", "ring x y z\nrelations x^2 xy xz yz\n")
+        assert run(capsys, "verify", path, "--theorem", "3.3") == (
+            2, "", "error: no monomial parameter: the variables y, z "
+                   "have no pure power in the relations\n")
+
     def test_rees_on_hypersurface(self, tmp_path, capsys):
         path = write(tmp_path, "cm.ring", CM)
         code, out, _ = run(capsys, "verify", path, "--theorem", "rees", "--powers", "3")

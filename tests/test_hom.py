@@ -10,7 +10,7 @@ implementation under test.
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import monomial_homs, oracle_annihilator_witness, power_specs
+from conftest import monomial_homs, nonfree_homs, oracle_annihilator_witness, power_specs
 from homdecomp import hom, theorems
 from homdecomp.decomp import connected_components
 from homdecomp.gfp import PrimeFieldMatrix
@@ -242,11 +242,12 @@ class TestPresentation:
         with pytest.raises(ValueError):
             Q.presentation(6)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         R = make_ring(("x", "y"), "(x^2, xy^2)")
         Q = make_hom(R, "y", [2])
-        with pytest.raises(ValueError):
-            Q.presentation(5, cap=1)
+        monkeypatch.setattr(hom, "PRESENTATION_CAP", 1)
+        with pytest.raises(ValueError, match="exceeds cap 1"):
+            Q.presentation(5)
 
 
 class TestComponents:
@@ -384,6 +385,15 @@ def test_witness_matches_base_scan(Q):
 def test_witness_matches_base_scan_on_powers(case):
     Q = build_hom(*case)
     assert Q.non_free_annihilator_witness() == oracle_annihilator_witness(Q)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nonfree_homs())
+def test_witness_matches_base_scan_on_nonfree(Q):
+    # every draw is non-free, and about half have two or more candidates
+    witness = Q.non_free_annihilator_witness()
+    assert witness is not None
+    assert witness == oracle_annihilator_witness(Q)
 
 
 class TestValidation:

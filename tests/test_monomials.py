@@ -1,7 +1,8 @@
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,8 +16,9 @@ from conftest import (
     random_proper_ideal,
     torsion_ideals,
 )
+from homdecomp import monomials
 from homdecomp.monomials import (
-    LengthCapExceeded,
+    CapExceeded,
     MonomialIdeal,
     format_ideal,
     format_monomial,
@@ -241,10 +243,11 @@ def test_length_matches_brute_force():
         checked += 1
 
 
-def test_length_cap():
+def test_length_cap(monkeypatch):
     I = parse_ideal("(x^200, y^200, z^200)", ("x", "y", "z"))
-    with pytest.raises(LengthCapExceeded):
-        I.length(cap=10**5)
+    monkeypatch.setattr(monomials, "LENGTH_CAP", 10**5)
+    with pytest.raises(CapExceeded):
+        I.length()
     with pytest.raises(ValueError):
         ideal("(x^2)").length()
 
@@ -258,12 +261,14 @@ def test_monomials_between_example():
     assert monomials_between(MonomialIdeal.zero(2), lower) == []
 
 
-def test_monomials_between_cap():
-    with pytest.raises(LengthCapExceeded, match="exceeds cap 5"):
-        monomials_between(MonomialIdeal.unit(2), ideal("(x^3, y^3)"), cap=5)
+def test_monomials_between_cap(monkeypatch):
+    monkeypatch.setattr(monomials, "LENGTH_CAP", 5)
+    with pytest.raises(CapExceeded, match="exceeds cap 5"):
+        monomials_between(MonomialIdeal.unit(2), ideal("(x^3, y^3)"))
     # (x) minus (x^2): the walk along y never ends, and the cap stops it
-    with pytest.raises(LengthCapExceeded, match="exceeds cap 100"):
-        monomials_between(ideal("(x)"), ideal("(x^2)"), cap=100)
+    monkeypatch.setattr(monomials, "LENGTH_CAP", 100)
+    with pytest.raises(CapExceeded, match="exceeds cap 100"):
+        monomials_between(ideal("(x)"), ideal("(x^2)"))
 
 
 @st.composite
@@ -292,10 +297,74 @@ def test_monomials_between_matches_box_filter(pair):
     upper, lower = pair
     expected = oracle_monomials_between(upper, lower)
     if expected is None:
-        with pytest.raises(LengthCapExceeded):
-            monomials_between(upper, lower, cap=500)
+        with mock.patch.object(monomials, "LENGTH_CAP", 500), pytest.raises(CapExceeded):
+            monomials_between(upper, lower)
     else:
         assert monomials_between(upper, lower) == expected
+
+
+# ---------------------------------------------------------------------------
+# colon, intersection, saturation and length against the oracles, with
+# exponents up to 12
+# ---------------------------------------------------------------------------
+
+BIG = 12
+
+
+def probes_near(ideals, extra):
+    """extra, plus each generator of the ideals and its one-step divisors.
+
+    A generator lies in its ideal and a one-step divisor of it does not,
+    so these probes sit on both sides of every generator.
+    """
+    out = list(extra)
+    for I in ideals:
+        for g in I.gens:
+            out.append(g)
+            out += [g[:i] + (g[i] - 1,) + g[i + 1:] for i in range(len(g)) if g[i]]
+    return out
+
+
+def big_case(n, divisor):
+    """(I, J, extra probes) on n variables, I with exponents up to BIG and J from divisor."""
+    return st.tuples(monomial_ideals(n, max_exp=BIG), divisor,
+                     st.lists(st.tuples(*[st.integers(0, BIG + 1)] * n), max_size=8))
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda n: big_case(n, monomial_ideals(n, max_exp=BIG, min_gens=1))))
+def test_colon_and_intersection_match_membership_big(case):
+    I, J, extra = case
+    colon, meet = I.colon(J), I.intersect(J)
+    for u in probes_near((colon, meet, I, J), extra):
+        assert colon.contains(u) == oracle_colon_member(I, J, u)
+        assert meet.contains(u) == (I.contains(u) and J.contains(u))
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda n: big_case(n, monomial_ideals(n, max_exp=2, min_gens=1, max_gens=2))))
+def test_saturation_matches_oracle_big(case):
+    I, J, extra = case
+    sat = I.saturation(J)
+    # u is in the saturation iff u * h^BIG is in I for every generator h
+    # of J, so products of len(J.gens) * BIG generators of J settle it
+    steps = len(J.gens) * BIG + 1
+    for u in probes_near((sat, I), extra):
+        assert sat.contains(u) == oracle_saturation_member(I, J, u, steps)
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    monomial_ideals(n, max_exp=BIG), st.tuples(*[st.integers(1, BIG)] * n))))
+def test_length_matches_box_count_big(case):
+    I, pures = case
+    n = I.ambient
+    I = I + MonomialIdeal(n, [tuple(e if k == i else 0 for k in range(n))
+                              for i, e in enumerate(pures)])
+    assume(not I.is_unit())
+    assert I.length() == brute_force_box_count(I)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from conftest import (
     random_proper_ideal,
     torsion_ideals,
 )
-from homdecomp.monomials import LengthCapExceeded, MonomialIdeal, degree, grlex_key, parse_ideal
+from homdecomp import monomials
+from homdecomp.monomials import CapExceeded, MonomialIdeal, degree, grlex_key, parse_ideal
 from homdecomp.rings import (
     LocalRing,
-    SearchCapExceeded,
     colon_identity_check,
     depth_is_zero,
     find_non_cm_power,
@@ -88,11 +88,10 @@ def test_length_is_counted_once_and_keeps_its_cap(monkeypatch):
     assert R.length() == 12
     assert R.length() == 12
     assert scans == [R.defining]
-    with pytest.raises(LengthCapExceeded):
-        R.length(cap=11)
-    assert R.length(cap=12) == 12
-    assert R.length() == 12
     assert R == ring("(x^3, y^4)")
+    monkeypatch.setattr(monomials, "LENGTH_CAP", 11)
+    with pytest.raises(CapExceeded):
+        ring("(x^3, y^4)").length()
 
 
 def test_validate_sop_rejects_unit_parameter():
@@ -193,11 +192,13 @@ def test_gamma_basis():
     assert gamma_monomial_basis(ring("(x^2)")) == []
 
 
-def test_gamma_basis_cap_is_an_input_error():
+def test_gamma_basis_cap_is_an_input_error(monkeypatch):
     R = ring("(x^2, xy^5)")  # torsion x, xy, ..., xy^4
-    assert len(gamma_monomial_basis(R, cap=5)) == 5
-    with pytest.raises(LengthCapExceeded, match="exceeds cap 3"):
-        gamma_monomial_basis(R, cap=3)
+    monkeypatch.setattr(monomials, "LENGTH_CAP", 5)
+    assert len(gamma_monomial_basis(R)) == 5
+    monkeypatch.setattr(monomials, "LENGTH_CAP", 3)
+    with pytest.raises(CapExceeded, match="exceeds cap 3"):
+        gamma_monomial_basis(R)
 
 
 @settings(max_examples=100, deadline=None)
@@ -230,7 +231,8 @@ def test_depth_zero_iff_gamma_nonzero():
         assert depth_is_zero(R) == (len(gamma_module_generators(R)) > 0)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+# m = 63 has index 64, the largest the stabilization cap allows
+@pytest.mark.parametrize("m", [*range(2, 17), 33, 48, 63])
 def test_stabilization_power_chain_family(m):
     R = ring(f"(x^2, xy^{m})")
     assert stabilization_index(R) == m + 1

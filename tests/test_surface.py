@@ -1,0 +1,65 @@
+"""The public surface stays free of options that lost their meaning.
+
+Resource caps are module constants read at call time, not per-call
+arguments, and a ring spec carries no field prime.  This guard walks
+every public function and method of the package so that such an option
+cannot come back unnoticed.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import homdecomp
+from homdecomp.cli import RingSpec
+
+MODULES = [importlib.import_module(f"homdecomp.{info.name}")
+           for info in pkgutil.iter_modules(homdecomp.__path__)]
+REMOVED_PARAMETERS = {"cap", "count"}
+
+
+def public_callables(module):
+    """(qualified name, callable) for each public function and method defined in module."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr.startswith("_") and attr != "__init__":
+                    continue
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.__name__ for m in MODULES])
+def test_no_cap_or_count_parameters(module):
+    found = [f"{name}({param})"
+             for name, fn in public_callables(module)
+             for param in inspect.signature(fn).parameters
+             if param in REMOVED_PARAMETERS]
+    assert found == []
+
+
+def test_guard_sees_the_capped_functions():
+    names = {name for module in MODULES for name, _ in public_callables(module)}
+    assert {"MonomialIdeal.saturation", "monomials_between", "LocalRing.length",
+            "stabilization_index", "HomSubquotient.presentation",
+            "verify_colon_identity"} <= names
+
+
+def test_ring_spec_has_no_prime_field():
+    assert "prime" not in {f.name for f in dataclasses.fields(RingSpec)}
+
+
+def test_package_exports():
+    assert homdecomp.CapExceeded is homdecomp.monomials.CapExceeded
+    for name in ("LengthCapExceeded", "SearchCapExceeded", "commutant",
+                 "is_decomposable", "brute_force_idempotent_oracle"):
+        assert not hasattr(homdecomp, name)

@@ -8,7 +8,10 @@ before these tests were written; the verifiers must reproduce them.
 import json
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import one_dimensional_rings, oracle_first_monomial_parameter
+from homdecomp import theorems
 from homdecomp.monomials import MonomialIdeal
 from homdecomp.rings import LocalRing, validate_sop
 from homdecomp.theorems import (
@@ -230,11 +233,12 @@ class TestRadicalTransfer:
 class TestColonIdentitySuite:
     def test_hundred_instances_on_two_rings(self):
         for ring in (ring2("(x^2, xy^3)"), socle_family_ring(3)):
-            rep = verify_colon_identity(ring, count=100, seed=7)
+            rep = verify_colon_identity(ring, seed=7)
             assert rep.checks == ("colon identity held on all 100 instances",)
 
-    def test_regular_ring_instances(self):
-        rep = verify_colon_identity(ring2("(0)"), count=50, seed=1)
+    def test_regular_ring_instances(self, monkeypatch):
+        monkeypatch.setattr(theorems, "COLON_IDENTITY_DRAWS", 50)
+        rep = verify_colon_identity(ring2("(0)"), seed=1)
         assert rep.parameters["count"] == 50
 
 
@@ -341,7 +345,7 @@ class TestReportSerialization:
         assert back["decomposition"]["partition"]
 
     def test_report_without_decomposition(self):
-        rep = verify_colon_identity(ring2("(x^2, xy^2)"), count=10, seed=0)
+        rep = verify_colon_identity(ring2("(x^2, xy^2)"), seed=0)
         assert "decomposition" not in rep.as_dict()
 
 
@@ -377,3 +381,14 @@ class TestCheckNames:
             "transfer step: source Hom decomposable",
             "transfer step: enlarged ideal keeps the decomposition")
         assert search_nonfree_powers(ps).checks == (ENGINE, *NONFREE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_dimensional_rings())
+def test_first_parameter_matches_search(ring):
+    expected = oracle_first_monomial_parameter(ring)
+    if expected is None:
+        with pytest.raises(ValueError, match="no monomial parameter"):
+            first_monomial_parameter(ring)
+    else:
+        assert first_monomial_parameter(ring) == expected
