@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -477,42 +478,76 @@ class PointClass(str, Enum):
     DECOMPOSABLE = "DECOMPOSABLE"
 
 
-def classify_point(ps: ParameterSystem, powers) -> PointClass:
-    """Class of the Hom module at one lattice point.
+def classify_point(ps: ParameterSystem, powers) -> tuple[PointClass, bool]:
+    """Class of the Hom module at one lattice point, and whether it is free.
 
-    Cyclic modules over the Artinian local base are indecomposable, so
-    the engine only runs when there are at least two generators.
+    Both answers are read off one module.  Cyclic modules over the
+    Artinian local base are indecomposable, so the engine only runs when
+    there are at least two generators.
     """
     Q = build_hom(ps, list(powers))
+    free = Q.is_free_over_base()
     if Q.is_cyclic():
-        return PointClass.FREE_CYCLIC if Q.is_free_over_base() else PointClass.CYCLIC_NONFREE
+        return (PointClass.FREE_CYCLIC if free else PointClass.CYCLIC_NONFREE), free
     if decide(Q).decomposable:
-        return PointClass.DECOMPOSABLE
-    return PointClass.INDECOMPOSABLE_NONCYCLIC
+        return PointClass.DECOMPOSABLE, free
+    return PointClass.INDECOMPOSABLE_NONCYCLIC, free
+
+
+class BoxMap(Mapping):
+    """Read-only map from the points of the box [1, tmax]^d to one value each.
+
+    The values sit in one tuple in itertools.product order, which is
+    sorted order, so no point is stored as a key.  A point outside the
+    box, or of another length than d, raises KeyError.
+    """
+
+    __slots__ = ("tmax", "dim", "_values")
+
+    def __init__(self, tmax: int, dim: int, values: tuple):
+        self.tmax = tmax
+        self.dim = dim
+        self._values = values
+
+    def __getitem__(self, t):
+        if len(t) != self.dim or not all(1 <= e <= self.tmax for e in t):
+            raise KeyError(t)
+        pos = 0
+        for e in t:
+            pos = pos * self.tmax + e - 1
+        return self._values[pos]
+
+    def __iter__(self):
+        return itertools.product(range(1, self.tmax + 1), repeat=self.dim)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return f"BoxMap(tmax={self.tmax}, dim={self.dim})"
 
 
 @dataclass(frozen=True)
 class GridClassification:
-    """Point classes over the full exponent box [1, tmax]^d."""
+    """Point classes and freeness over the full exponent box [1, tmax]^d."""
 
     ps: ParameterSystem
     tmax: int
-    classes: dict
-    free: dict
+    classes: BoxMap
+    free: BoxMap
 
     def lattice(self) -> list:
-        return sorted(self.classes)
+        return list(self.classes)
 
 
 def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
+    """classify_point at every point of [1, tmax]^d, one Hom per point."""
     if tmax < 1:
         raise ValueError("tmax must be at least 1")
-    classes = {}
-    free = {}
-    for t in itertools.product(range(1, tmax + 1), repeat=len(ps.params)):
-        classes[t] = classify_point(ps, t)
-        free[t] = build_hom(ps, list(t)).is_free_over_base()
-    return GridClassification(ps, tmax, classes, free)
+    d = len(ps.params)
+    points = itertools.product(range(1, tmax + 1), repeat=d)
+    classes, free = zip(*(classify_point(ps, t) for t in points))
+    return GridClassification(ps, tmax, BoxMap(tmax, d, classes), BoxMap(tmax, d, free))
 
 
 # ------------------------------------------------------------------- corpora

@@ -44,8 +44,16 @@ def oracle_colon_member(I: MonomialIdeal, J: MonomialIdeal, u) -> bool:
     return all(I.contains(mono_mul(u, h)) for h in J.gens)
 
 
-def oracle_saturation_member(I: MonomialIdeal, J: MonomialIdeal, u, max_steps: int = 30) -> bool:
-    """u is in (I : J^infinity) iff some power of J multiplies u into I."""
+def oracle_saturation_member(I: MonomialIdeal, J: MonomialIdeal, u,
+                             max_steps: int | None = None) -> bool:
+    """u is in (I : J^infinity) iff some power of J multiplies u into I.
+
+    The default bound is len(J.gens) * M for M the top exponent of I: a
+    member u has u * h^M in I for every generator h of J, and a product
+    of that many generators repeats some h at least M times.
+    """
+    if max_steps is None:
+        max_steps = max(1, len(J.gens) * max((max(g) for g in I.gens), default=0))
     frontier = {u}
     for _ in range(max_steps):
         if all(I.contains(w) for w in frontier):

@@ -3,11 +3,13 @@
 bench/tracing.py wraps package functions and methods by module and
 attribute name, so a rename inside the package would break
 `bench/run.py --trace 1`.  The tracer file is loaded by path; the lookup
-below is the one its Tracer.patch does.
+below is the one its Tracer.patch does.  A traced grid run then pins the
+grid ratios the tracer reports.
 """
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,25 @@ def test_traced_name_resolves(name, module, path):
     else:
         target = getattr(mod, path)
     assert callable(target)
+
+
+def test_traced_grid_builds_one_hom_per_point():
+    # Tracer.install patches the homdecomp modules it finds in sys.modules
+    package = importlib.import_module(tracing.PACKAGE)
+    for info in pkgutil.iter_modules(package.__path__):
+        importlib.import_module(f"{tracing.PACKAGE}.{info.name}")
+    rings = importlib.import_module(f"{tracing.PACKAGE}.rings")
+    theorems = importlib.import_module(f"{tracing.PACKAGE}.theorems")
+    ring = rings.LocalRing.from_text(("x", "y", "z"), "(x^2, xyz)")
+    ps = rings.validate_sop(ring, [ring.parse_monomial(v) for v in "yz"])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        theorems.classify_grid(ps, 3)
+    finally:
+        tracer.uninstall()
+    summary = tracing.summarize(tracer)
+    assert summary["theorems.homs_per_point"] == (1.0, "ratio")
+    assert summary["theorems.classify_point.calls"] == (9, "count")
+    # the five points with a 1 in t are cyclic and skip the engine
+    assert summary["theorems.cyclic_shortcut_ratio"][0] > 0

@@ -23,6 +23,11 @@ FIG1 = "ring x y z\nrelations x^2 xyz\nsop y z\n"
 CM = "ring x y\nrelations x^2\nsop y\n"
 
 
+def three_var_class(t) -> str:
+    """Class of k[x,y,z]/(x^2, xyz), sop y, z, at powers t, in closed form."""
+    return "DECOMPOSABLE" if min(t) >= 2 else "FREE_CYCLIC"
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -261,6 +266,17 @@ class TestGrid:
         assert by_t[(1, 1)]["free"] is True
         assert by_t[(2, 2)]["class"] == "DECOMPOSABLE"
         assert by_t[(2, 2)]["free"] is False
+
+    def test_json_every_point(self, tmp_path, capsys):
+        path = write(tmp_path, "fig1.ring", FIG1)
+        code, out, _ = run(capsys, "grid", path, "--max", "4", "--format", "json")
+        assert code == 0
+        points = json.loads(out)["points"]
+        box = [[t1, t2] for t1 in range(1, 5) for t2 in range(1, 5)]
+        assert [p["t"] for p in points] == box
+        for p in points:
+            assert p["class"] == three_var_class(p["t"]), p
+            assert p["free"] is (1 in p["t"]), p
 
     def test_svg_written_and_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, "fig1.ring", FIG1)

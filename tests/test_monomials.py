@@ -161,6 +161,17 @@ def test_saturation_frozen_values():
     assert ideal("(x)").saturation(m) == ideal("(x)")
 
 
+def test_saturation_oracle_default_bound_reaches_deep_members():
+    # 1 lies in ((x^12, y^12, z^12) : m^infinity), the unit ideal, but
+    # only x^11 y^11 z^11 times one more variable, 34 steps up, is in I
+    I = MonomialIdeal(3, [(12, 0, 0), (0, 12, 0), (0, 0, 12)])
+    m = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert I.saturation(m).is_unit()
+    assert oracle_saturation_member(I, m, (0, 0, 0))
+    assert not oracle_saturation_member(I, m, (0, 0, 0), max_steps=33)
+    assert oracle_saturation_member(I, m, (0, 0, 0), max_steps=34)
+
+
 def test_saturation_matches_oracle():
     rng = random.Random(23)
     for _ in range(40):

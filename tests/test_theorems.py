@@ -5,13 +5,18 @@ lengths, witnesses) were derived independently from the ideal arithmetic
 before these tests were written; the verifiers must reproduce them.
 """
 
+import gc
+import itertools
 import json
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
-from conftest import one_dimensional_rings, oracle_first_monomial_parameter
+from conftest import one_dimensional_rings, oracle_first_monomial_parameter, power_specs
 from homdecomp import theorems
+from homdecomp.decomp import decide
+from homdecomp.hom import build_hom
 from homdecomp.monomials import MonomialIdeal
 from homdecomp.rings import LocalRing, validate_sop
 from homdecomp.theorems import (
@@ -100,7 +105,8 @@ class TestDim1Splitting:
         assert rep.parameters["b"] == "z^4"
         # any deeper power of z keeps the conclusion
         ps = sop(R, "z")
-        assert classify_point(ps, [5]) is PointClass.DECOMPOSABLE
+        cls, _ = classify_point(ps, [5])
+        assert cls is PointClass.DECOMPOSABLE
 
     def test_scaling_by_c(self):
         R = ring2("(x^2, xy^3)")
@@ -280,15 +286,16 @@ class TestPointClasses:
         R = power_family_ring(m)
         ps = sop(R, "y^2")
         for t in range(1, m + 4):
-            assert classify_point(ps, [t]) is expected_power_family_class(m, t), (m, t)
+            cls, _ = classify_point(ps, [t])
+            assert cls is expected_power_family_class(m, t), (m, t)
 
     def test_two_parameter_grid_corners(self):
         ps = sop(THREE_VARS, "y", "z")
-        assert classify_point(ps, [1, 1]) is PointClass.FREE_CYCLIC
-        assert classify_point(ps, [1, 3]) is PointClass.FREE_CYCLIC
-        assert classify_point(ps, [3, 1]) is PointClass.FREE_CYCLIC
-        assert classify_point(ps, [2, 2]) is PointClass.DECOMPOSABLE
-        assert classify_point(ps, [3, 2]) is PointClass.DECOMPOSABLE
+        assert classify_point(ps, [1, 1]) == (PointClass.FREE_CYCLIC, True)
+        assert classify_point(ps, [1, 3]) == (PointClass.FREE_CYCLIC, True)
+        assert classify_point(ps, [3, 1]) == (PointClass.FREE_CYCLIC, True)
+        assert classify_point(ps, [2, 2]) == (PointClass.DECOMPOSABLE, False)
+        assert classify_point(ps, [3, 2]) == (PointClass.DECOMPOSABLE, False)
 
     def test_grid_matches_pointwise(self):
         ps = sop(THREE_VARS, "y", "z")
@@ -296,13 +303,80 @@ class TestPointClasses:
         assert isinstance(grid, GridClassification)
         assert len(grid.classes) == 9
         for t in grid.lattice():
-            assert grid.classes[t] is classify_point(ps, t)
-            assert grid.free[t] == (1 in t)
+            cls, free = classify_point(ps, t)
+            assert grid.classes[t] is cls
+            assert grid.free[t] is free
+            assert free == (1 in t)
 
     def test_grid_rejects_empty_box(self):
         ps = sop(THREE_VARS, "y", "z")
         with pytest.raises(ValueError):
             classify_grid(ps, 0)
+
+
+def two_hom_point(ps, t):
+    """A point's class and freeness, each from its own fresh Hom."""
+    Q = build_hom(ps, list(t))
+    if Q.is_cyclic():
+        cls = PointClass.FREE_CYCLIC if Q.is_free_over_base() else PointClass.CYCLIC_NONFREE
+    elif decide(Q).decomposable:
+        cls = PointClass.DECOMPOSABLE
+    else:
+        cls = PointClass.INDECOMPOSABLE_NONCYCLIC
+    return cls, build_hom(ps, list(t)).is_free_over_base()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(power_specs())
+def test_grid_matches_two_hom_points(spec):
+    ps, _ = spec
+    d = len(ps.params)
+    grid = classify_grid(ps, 3)
+    box = list(itertools.product(range(1, 4), repeat=d))
+    assert len(grid.classes) == len(grid.free) == 3 ** d
+    assert list(grid.classes) == list(grid.free) == grid.lattice() == sorted(box)
+    for t in box:
+        assert (grid.classes[t], grid.free[t]) == two_hom_point(ps, t), t
+    for bad in [(0,) * d, (4,) * d, (1,) * (d + 1), (1,) * (d - 1), (1,) * (d - 1) + (0,)]:
+        for view in (grid.classes, grid.free):
+            with pytest.raises(KeyError):
+                view[bad]
+            assert bad not in view
+
+
+def test_grid_builds_one_hom_per_point(monkeypatch):
+    ps = sop(THREE_VARS, "y", "z")
+    homs = []
+    points = []
+
+    def counting_build(*args):
+        homs.append(args[1])
+        return build_hom(*args)
+
+    def counting_point(*args):
+        points.append(tuple(args[1]))
+        return classify_point(*args)
+
+    monkeypatch.setattr(theorems, "build_hom", counting_build)
+    monkeypatch.setattr(theorems, "classify_point", counting_point)
+    grid = classify_grid(ps, 4)
+    assert len(homs) == len(points) == 16
+    assert points == grid.lattice()
+
+
+def test_grid_result_is_dense():
+    ps = sop(THREE_VARS, "y", "z")
+    classify_grid(ps, 1)  # the base ring counts its length on first use
+    gc.collect()
+    tracemalloc.start()
+    try:
+        grid = classify_grid(ps, 12)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(grid.classes) == 144
+    assert kept / 144 < 48
 
 
 class TestCorpora:
