@@ -78,7 +78,12 @@ class HomSubquotient:
     over; S stores its own length.  The monomial basis and the generator
     count are computed once, at construction: the basis by walking up
     from C's generators outside B (monomials_between), so B's pure-power
-    box is never scanned.
+    box is never scanned.  A generator of C lies outside B exactly when
+    it is a basis cell, so one scan of C's generators against the basis
+    gives both the count and the generators on which C·𝔞 ⊆ B is
+    checked; the other generators lie in B, and B is an ideal.
+    Construction raises AssertionError, also under ``python -O``, when
+    B ⊄ C or C·𝔞 ⊄ B.
     """
 
     ring: LocalRing
@@ -91,11 +96,16 @@ class HomSubquotient:
     _generator_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        B = self.denominator
-        basis = tuple(monomials_between(self.numerator, B))
+        B, C = self.denominator, self.numerator
+        if not C.contains_ideal(B):
+            raise AssertionError("the denominator is not inside the numerator")
+        basis = tuple(monomials_between(C, B))
+        cells = set(basis)
+        outside = [g for g in C.gens if g in cells]
+        if not all(B.contains(mono_mul(g, h)) for g in outside for h in self.a_ideal.gens):
+            raise AssertionError("the numerator times a is not inside the denominator")
         object.__setattr__(self, "_basis", basis)
-        count = sum(1 for g in self.numerator.gens if not B.contains(g))
-        object.__setattr__(self, "_generator_count", count)
+        object.__setattr__(self, "_generator_count", len(outside))
 
     def basis(self) -> tuple[Monomial, ...]:
         """Standard monomials of B lying in C, in graded-lex order."""
@@ -130,6 +140,9 @@ class HomSubquotient:
 
     def minimal_generator_count(self) -> int:
         """dim_k of C/(𝔪C + B), which is the number of C's generators outside B.
+
+        Those generators are the ones among the basis cells, counted once
+        at construction.
 
         A monomial lies in 𝔪C + B exactly when it lies in 𝔪C or in B.  A
         minimal generator g of C is never in 𝔪C, since g = x_i * c with c
@@ -207,10 +220,7 @@ def _subquotient(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal
         B.box_bounds()
     except ValueError:
         raise ValueError("quotient by b is not Artinian") from None
-    C = B.colon(a_ideal)
-    assert C.contains_ideal(B)
-    assert all(B.contains(mono_mul(g, h)) for g in C.gens for h in a_ideal.gens)
-    return HomSubquotient(ring, a_ideal, b_ideal, C, B, base)
+    return HomSubquotient(ring, a_ideal, b_ideal, B.colon(a_ideal), B, base)
 
 
 def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal) -> HomSubquotient:

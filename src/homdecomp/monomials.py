@@ -22,6 +22,7 @@ from __future__ import annotations
 import sys
 from itertools import combinations
 from itertools import product as _cartesian
+from operator import le
 from typing import Iterable
 
 Monomial = tuple[int, ...]
@@ -150,8 +151,15 @@ class MonomialIdeal:
             raise ValueError("ideals live in different ambient rings")
 
     def contains(self, u: Monomial) -> bool:
-        """Membership: some generator divides u."""
-        return any(divides(g, u) for g in self.gens)
+        """Membership: some generator divides u.
+
+        The loop stops at the first such generator, and each test
+        compares the exponents pairwise with no call per generator.
+        """
+        for g in self.gens:
+            if all(map(le, g, u)):
+                return True
+        return False
 
     def __contains__(self, u: Monomial) -> bool:
         return self.contains(u)
@@ -193,15 +201,34 @@ class MonomialIdeal:
         return MonomialIdeal(self.ambient, [mono_quot(g, u) for g in self.gens])
 
     def colon(self, J: "MonomialIdeal") -> "MonomialIdeal":
-        """(I : J) = intersection of (I : g) over the generators of J."""
+        """(I : J) = I + ⋂_g (I : g)°, over the generators g of J.
+
+        (I : g) is generated by the quotients h / gcd(h, g) of I's
+        generators h, and (I : g)° keeps those outside I.  Each (I : g)
+        is I + (I : g)°, and monomial ideals form a distributive lattice,
+        so the intersection of the (I : g) is I plus the intersection of
+        the parts outside I.  When one part is empty, (I : g) = I and the
+        colon is I itself.  The parts are intersected by pairwise lcms,
+        minimalized between steps, and one ideal is built at the end.
+
+        >>> I = MonomialIdeal(2, [(2, 0), (1, 2)])       # (x^2, xy^2)
+        >>> I.colon(MonomialIdeal(2, [(1, 0), (0, 1)])).gens   # (I : (x, y))
+        ((2, 0), (1, 1))
+        >>> I.colon(MonomialIdeal.unit(2)) is I                # no part outside I
+        True
+        """
         self._check_compatible(J)
         if J.is_zero():
             raise ValueError("colon by the zero ideal is undefined")
-        out = None
+        inside = self.contains
+        common = None
         for g in J.gens:
-            piece = self.colon_monomial(g)
-            out = piece if out is None else out.intersect(piece)
-        return out
+            part = [q for q in (mono_quot(h, g) for h in self.gens) if not inside(q)]
+            if not part:
+                return self
+            common = part if common is None else _minimalize(
+                mono_lcm(u, v) for u in common for v in part)
+        return MonomialIdeal(self.ambient, self.gens + tuple(common))
 
     def saturation(self, J: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J^infinity), computed by iterating the colon to a fixpoint."""

@@ -494,47 +494,67 @@ def classify_point(ps: ParameterSystem, powers) -> tuple[PointClass, bool]:
     return PointClass.INDECOMPOSABLE_NONCYCLIC, free
 
 
+_CLASS_CODE = {cls: 2 * i for i, cls in enumerate(PointClass)}
+_CLASS_OF_CODE = tuple(cls for cls in PointClass for _ in (False, True))
+_FREE_OF_CODE = (False, True) * len(PointClass)
+
+
 class BoxMap(Mapping):
     """Read-only map from the points of the box [1, tmax]^d to one value each.
 
-    The values sit in one tuple in itertools.product order, which is
-    sorted order, so no point is stored as a key.  A point outside the
-    box, or of another length than d, raises KeyError.
+    The points' codes sit in one bytes object in itertools.product order,
+    which is sorted order, and a value is decoded through a table, so no
+    point is stored as a key.  A key that is not a length-d tuple of ints
+    in [1, tmax] raises KeyError, so ``in`` answers False for it.
     """
 
-    __slots__ = ("tmax", "dim", "_values")
+    __slots__ = ("tmax", "dim", "_codes", "_table")
 
-    def __init__(self, tmax: int, dim: int, values: tuple):
+    def __init__(self, tmax: int, dim: int, codes: bytes, table: tuple):
         self.tmax = tmax
         self.dim = dim
-        self._values = values
+        self._codes = codes
+        self._table = table
 
     def __getitem__(self, t):
-        if len(t) != self.dim or not all(1 <= e <= self.tmax for e in t):
+        if not (isinstance(t, tuple) and len(t) == self.dim
+                and all(isinstance(e, int) and 1 <= e <= self.tmax for e in t)):
             raise KeyError(t)
         pos = 0
         for e in t:
             pos = pos * self.tmax + e - 1
-        return self._values[pos]
+        return self._table[self._codes[pos]]
 
     def __iter__(self):
         return itertools.product(range(1, self.tmax + 1), repeat=self.dim)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._codes)
 
     def __repr__(self) -> str:
         return f"BoxMap(tmax={self.tmax}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridClassification:
-    """Point classes and freeness over the full exponent box [1, tmax]^d."""
+    """Point classes and freeness over the full exponent box [1, tmax]^d.
+
+    codes holds one byte per point in itertools.product order,
+    2 * (index of the class in PointClass) + free; classes and free are
+    views that decode it.
+    """
 
     ps: ParameterSystem
     tmax: int
-    classes: BoxMap
-    free: BoxMap
+    codes: bytes
+
+    @property
+    def classes(self) -> BoxMap:
+        return BoxMap(self.tmax, len(self.ps.params), self.codes, _CLASS_OF_CODE)
+
+    @property
+    def free(self) -> BoxMap:
+        return BoxMap(self.tmax, len(self.ps.params), self.codes, _FREE_OF_CODE)
 
     def lattice(self) -> list:
         return list(self.classes)
@@ -544,10 +564,10 @@ def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
     """classify_point at every point of [1, tmax]^d, one Hom per point."""
     if tmax < 1:
         raise ValueError("tmax must be at least 1")
-    d = len(ps.params)
-    points = itertools.product(range(1, tmax + 1), repeat=d)
-    classes, free = zip(*(classify_point(ps, t) for t in points))
-    return GridClassification(ps, tmax, BoxMap(tmax, d, classes), BoxMap(tmax, d, free))
+    points = itertools.product(range(1, tmax + 1), repeat=len(ps.params))
+    codes = bytes(_CLASS_CODE[cls] + free
+                  for cls, free in (classify_point(ps, t) for t in points))
+    return GridClassification(ps, tmax, codes)
 
 
 # ------------------------------------------------------------------- corpora

@@ -44,6 +44,23 @@ def oracle_colon_member(I: MonomialIdeal, J: MonomialIdeal, u) -> bool:
     return all(I.contains(mono_mul(u, h)) for h in J.gens)
 
 
+def reference_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """(I : J) = intersection of (I : g) over the generators of J.
+
+    The pairwise-intersection colon that MonomialIdeal.colon replaced,
+    kept as a reference: each (I : g) is a full ideal, and the pieces
+    are intersected by pairwise lcms.
+    """
+    I._check_compatible(J)
+    if J.is_zero():
+        raise ValueError("colon by the zero ideal is undefined")
+    out = None
+    for g in J.gens:
+        piece = I.colon_monomial(g)
+        out = piece if out is None else out.intersect(piece)
+    return out
+
+
 def oracle_saturation_member(I: MonomialIdeal, J: MonomialIdeal, u,
                              max_steps: int | None = None) -> bool:
     """u is in (I : J^infinity) iff some power of J multiplies u into I.

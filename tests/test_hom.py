@@ -10,11 +10,17 @@ implementation under test.
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import monomial_homs, nonfree_homs, oracle_annihilator_witness, power_specs
+from conftest import (
+    monomial_homs,
+    nonfree_homs,
+    oracle_annihilator_witness,
+    oracle_monomials_between,
+    power_specs,
+)
 from homdecomp import hom, theorems
 from homdecomp.decomp import connected_components
 from homdecomp.gfp import PrimeFieldMatrix
-from homdecomp.hom import build_hom, hom_from_ideals
+from homdecomp.hom import HomSubquotient, build_hom, hom_from_ideals
 from homdecomp.monomials import MonomialIdeal, mono_mul, monomials_between
 from homdecomp.rings import LocalRing, validate_sop
 
@@ -325,6 +331,41 @@ def test_power_path_matches_validated_paths(case):
         assert Q.minimal_generator_count() == fast.minimal_generator_count()
         assert Q.base_length() == fast.base_length()
         assert Q.is_free_over_base() is fast.is_free_over_base()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(power_specs())
+def test_generators_outside_b_give_count_and_basis(case):
+    ps, t = case
+    Q = build_hom(ps, t)
+    B, C = Q.denominator, Q.numerator
+    assert Q.minimal_generator_count() == sum(1 for g in C.gens if not B.contains(g))
+    assert list(Q.basis()) == oracle_monomials_between(C, B)
+
+
+class TestInvariants:
+    """HomSubquotient refuses a pair (C, B) that is not (B : a) over B."""
+
+    def parts(self):
+        Q = make_hom(make_ring(("x", "y", "z"), "(x^2, xyz)"), "y z", [2, 2])
+        return Q.ring, Q.a_ideal, Q.b_ideal, Q.numerator, Q.denominator, Q.base
+
+    def test_valid_parts_construct(self):
+        ring, a, b, C, B, base = self.parts()
+        assert HomSubquotient(ring, a, b, C, B, base).length() == 3
+
+    def test_unit_numerator_is_refused(self):
+        ring, a, b, C, B, base = self.parts()
+        with pytest.raises(AssertionError, match="times a"):
+            HomSubquotient(ring, a, b, MonomialIdeal.unit(ring.ambient), B, base)
+
+    def test_numerator_missing_a_denominator_generator_is_refused(self):
+        ring, a, b, C, B, base = self.parts()
+        shared = next(g for g in C.gens if g in B.gens)
+        short = MonomialIdeal(ring.ambient, [g for g in C.gens if g != shared])
+        assert not short.contains(shared)
+        with pytest.raises(AssertionError, match="not inside the numerator"):
+            HomSubquotient(ring, a, b, short, B, base)
 
 
 def test_grid_scans_base_once_and_never_revalidates(monkeypatch):

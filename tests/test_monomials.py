@@ -14,12 +14,14 @@ from conftest import (
     brute_force_box_count,
     random_ideal,
     random_proper_ideal,
+    reference_colon,
     torsion_ideals,
 )
 from homdecomp import monomials
 from homdecomp.monomials import (
     CapExceeded,
     MonomialIdeal,
+    divides,
     format_ideal,
     format_monomial,
     monomials_between,
@@ -138,6 +140,51 @@ def test_colon_matches_oracle():
         Q = I.colon(J)
         for u in enumerate_monomials(n, 4):
             assert Q.contains(u) == oracle_colon_member(I, J, u)
+
+
+@st.composite
+def colon_pairs(draw):
+    """(I, J) on 1-4 variables with exponents up to 12.
+
+    J holds random monomials other than 1 and, now and then, the unit
+    monomial or a generator of I, where a part of the colon outside I is
+    empty.  Half the exponents are 0, so that some generator of I is
+    coprime to some generator of J: its quotient is itself, and only
+    the summand I keeps it.  J's exponents stay below a drawn cap, since
+    a J inside I only gives the unit ideal.
+    """
+    n = draw(st.integers(1, 4))
+    I_exp = st.one_of(st.just(0), st.integers(1, 12))
+    I_gens = st.tuples(*[I_exp] * n).filter(any)
+    I = MonomialIdeal(n, draw(st.lists(I_gens, min_size=1, max_size=4)))
+    J_exp = st.one_of(st.just(0), st.integers(1, draw(st.integers(1, 12))))
+    J_gens = draw(st.lists(st.tuples(*[J_exp] * n).filter(any), min_size=1, max_size=3))
+    J_gens += draw(st.lists(st.sampled_from([(0,) * n] + list(I.gens)), max_size=1))
+    return I, MonomialIdeal(n, J_gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(colon_pairs())
+def test_colon_matches_pairwise_intersection(pair):
+    I, J = pair
+    assert I.colon(J) == reference_colon(I, J)
+
+
+def test_colon_of_zero_ideal():
+    assert ideal("(x^2, y^2)").colon(ideal("(x)")) == ideal("(x, y^2)")
+    for J in (ideal("(x, y^3)"), MonomialIdeal.unit(2), ideal("(xy)")):
+        assert ideal("(0)").colon(J).is_zero()
+        assert reference_colon(ideal("(0)"), J).is_zero()
+    with pytest.raises(ValueError):
+        ideal("(0)").colon(MonomialIdeal.zero(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    monomial_ideals(n, max_exp=6, max_gens=4), st.tuples(*[st.integers(0, 7)] * n))))
+def test_contains_is_some_generator_dividing(case):
+    I, u = case
+    assert I.contains(u) == any(divides(g, u) for g in I.gens)
 
 
 def test_colon_iterated_is_colon_of_product():

@@ -1,7 +1,10 @@
-"""The README's library quick tour, run as a doctest."""
+"""The README's library quick tour, run as a doctest, and the CI's test line."""
 
 import doctest
+import re
 from pathlib import Path
+
+import pytest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,3 +13,14 @@ def test_quick_tour_runs():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_ci_runs_the_roadmap_tier1_line():
+    yaml = pytest.importorskip("yaml")
+    root = README.parent
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    job = workflow["jobs"]["tests"]
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", (root / "ROADMAP.md").read_text())
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12"]
+    assert job["steps"][-2]["run"] == "pip install pytest hypothesis"
+    assert job["steps"][-1]["run"] == tier1.group(1)

@@ -364,6 +364,34 @@ def test_grid_builds_one_hom_per_point(monkeypatch):
     assert points == grid.lattice()
 
 
+@pytest.mark.parametrize("ring, texts, tmax, built", [
+    (THREE_VARS, ("y", "z"), 4, 48),
+    (FOUR_VARS, ("y", "z", "w"), 3, 81),
+])
+def test_grid_builds_three_ideals_per_point(monkeypatch, ring, texts, tmax, built):
+    ps = sop(ring, *texts)
+    calls = []
+    original = MonomialIdeal.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MonomialIdeal, "__init__", counting_init)
+    grid = classify_grid(ps, tmax)
+    assert len(grid.classes) * 3 == len(calls) == built
+
+
+def test_grid_views_refuse_malformed_keys():
+    grid = classify_grid(sop(ring2("(x^2, xy^3)"), "y^2"), 3)
+    for view in (grid.classes, grid.free):
+        for bad in [(1.5,), 5, ("a",)]:
+            with pytest.raises(KeyError):
+                view[bad]
+            assert bad not in view
+        assert (1,) in view and view.get((1.5,)) is None
+
+
 def test_grid_result_is_dense():
     ps = sop(THREE_VARS, "y", "z")
     classify_grid(ps, 1)  # the base ring counts its length on first use
@@ -376,7 +404,7 @@ def test_grid_result_is_dense():
     finally:
         tracemalloc.stop()
     assert len(grid.classes) == 144
-    assert kept / 144 < 48
+    assert kept / 144 < 4
 
 
 class TestCorpora:
