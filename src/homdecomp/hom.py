@@ -51,6 +51,27 @@ class UnionFind:
         return tuple(sorted(tuple(g) for g in groups.values()))
 
 
+def action_blocks(basis) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the one-step action graph on a monomial basis.
+
+    Cells u and u*x_i of basis are joined.  Blocks are sorted tuples of
+    indices into basis, ordered by their first index.  This is the one
+    union-find behind both HomSubquotient.components and the grid's
+    classify_point.
+
+    >>> action_blocks([(0, 1), (1, 0), (1, 1), (0, 3)])
+    ((0, 1, 2), (3,))
+    """
+    index = {u: i for i, u in enumerate(basis)}
+    uf = UnionFind(len(basis))
+    for i, u in enumerate(basis):
+        for v in range(len(u)):
+            j = index.get(u[:v] + (u[v] + 1,) + u[v + 1:])
+            if j is not None:
+                uf.union(i, j)
+    return uf.blocks()
+
+
 @dataclass(frozen=True)
 class FinitePresentation:
     """A finite-length module as commuting 0/1 action matrices over F_p.
@@ -120,7 +141,7 @@ class HomSubquotient:
         Basis cells u and u*x_i are joined whenever u*x_i is not in B.
         Blocks are sorted tuples of basis indices, ordered by their first
         index.  C is an ideal, so u*x_i lies in C and is either a basis
-        cell or in B.
+        cell or in B; so action_blocks on the basis finds them.
 
         >>> from .rings import LocalRing, validate_sop
         >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^3)")
@@ -128,15 +149,7 @@ class HomSubquotient:
         >>> build_hom(ps, [3]).components()
         ((0, 1), (2, 3))
         """
-        basis = self._basis
-        index = {u: i for i, u in enumerate(basis)}
-        uf = UnionFind(len(basis))
-        for i, u in enumerate(basis):
-            for v in range(len(u)):
-                j = index.get(u[:v] + (u[v] + 1,) + u[v + 1:])
-                if j is not None:
-                    uf.union(i, j)
-        return uf.blocks()
+        return action_blocks(self._basis)
 
     def minimal_generator_count(self) -> int:
         """dim_k of C/(𝔪C + B), which is the number of C's generators outside B.

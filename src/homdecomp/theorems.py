@@ -12,13 +12,15 @@ always means a defect in this library.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
+from . import monomials
 from .decomp import DecompositionReport, decide
-from .hom import HomSubquotient, build_hom, hom_from_ideals
+from .hom import HomSubquotient, action_blocks, build_hom, hom_from_ideals
 from .monomials import (
     CapExceeded,
     Monomial,
@@ -479,19 +481,95 @@ class PointClass(str, Enum):
 
 
 def classify_point(ps: ParameterSystem, powers) -> tuple[PointClass, bool]:
-    """Class of the Hom module at one lattice point, and whether it is free.
+    """Class of Hom(R/a, R/bR) at one lattice point t, and whether it is free.
 
-    Both answers are read off one module.  Cyclic modules over the
-    Artinian local base are indecomposable, so the engine only runs when
-    there are at least two generators.
+    Here b = (a_1^{t_1}, ..., a_d^{t_d}).  The module C/B, with
+    B = I + b and C = (B : a), is read straight off B's pure-power box;
+    no ideal, colon or Hom object is built.
+
+    Precondition: every a_i is a pure power x_{v_i}^{e_i} of its own
+    variable, and x_{v_i} has no pure power in I.  validate_sop only
+    accepts such systems.  As R has dimension d, some set S of d
+    variables holds the support of no generator of I; in particular no
+    variable of S has a pure power in I.  I + a has finite colength, so
+    each x_j in S has a pure power in I + a, and a monomial dividing a
+    pure power of x_j is one itself.  It is not from I, so some a_i is a
+    pure power of x_j.  A monomial other than 1 is a pure power of at
+    most one variable, so the d parameters are pure powers of the d
+    distinct variables of S.  A system that breaks this raises
+    ValueError naming the parameter.
+
+    B's box is [0, e_i t_i) on x_{v_i} and [0, p_j) on every other x_j,
+    with x_j^{p_j} in I.  Its cells outside I are the monomials outside
+    B.  Such a cell u lies in C exactly when u a_i is in B for every i.
+    u a_i only raises the exponent of x_{v_i}, so it meets a pure power
+    of b only through a_i^{t_i}.  So the condition is that u_{v_i} >=
+    e_i (t_i - 1) or u a_i lies in I.  B and C are ideals, so C/B has
+    these cells as its basis.  A basis cell u is a minimal generator of
+    C outside B exactly when no u / x_v is a basis cell, as u / x_v is
+    outside B.  By HomSubquotient.minimal_generator_count, these cells
+    number the minimal generators of the module.
+
+    The module is free when its length is the generator count times
+    length(S).  Cyclic modules over the Artinian local base are
+    indecomposable, and otherwise the summands are the components that
+    hom.action_blocks finds, as in decide().
     """
-    Q = build_hom(ps, list(powers))
-    free = Q.is_free_over_base()
-    if Q.is_cyclic():
+    basis, generators = _box_basis(ps, powers)
+    free = len(basis) == generators * ps.base.length()
+    if generators == 1:
         return (PointClass.FREE_CYCLIC if free else PointClass.CYCLIC_NONFREE), free
-    if decide(Q).decomposable:
+    if len(action_blocks(basis)) >= 2:
         return PointClass.DECOMPOSABLE, free
     return PointClass.INDECOMPOSABLE_NONCYCLIC, free
+
+
+def _box_basis(ps: ParameterSystem, powers) -> tuple[list[Monomial], int]:
+    """The monomial basis of C/B at one lattice point and its generator count.
+
+    The basis is in the box's product order.  See classify_point for
+    the precondition on ps and for why the box gives both answers.
+    """
+    t = list(powers)
+    if not t:
+        raise ValueError("b must not be empty")
+    if not all(isinstance(e, int) for e in t):
+        raise ValueError("a lattice point is a list of integer exponents")
+    if len(t) != len(ps.params):
+        raise ValueError("need one exponent per parameter")
+    if any(e < 1 for e in t):
+        raise ValueError("exponents must be >= 1")
+    ring = ps.ring
+    bounds = ring.defining._pure_powers()
+    steps = []  # (v_i, e_i, e_i (t_i - 1)) per parameter
+    for a, k in zip(ps.params, t):
+        support = [v for v, e in enumerate(a) if e]
+        if len(support) != 1 or bounds[support[0]] is not None:
+            raise ValueError(f"parameter {ring.fmt(a)} is not a pure power of a variable "
+                             "free in the relations and in the other parameters")
+        v = support[0]
+        bounds[v] = a[v] * k
+        steps.append((v, a[v], bounds[v] - a[v]))
+    if None in bounds:
+        raise ValueError("quotient by b is not Artinian")
+    volume = math.prod(bounds)
+    if volume > monomials.LENGTH_CAP:
+        raise CapExceeded(f"box volume {volume} exceeds cap {monomials.LENGTH_CAP}")
+    in_I = ring.defining.contains
+    basis = []
+    for u in itertools.product(*map(range, bounds)):
+        if in_I(u):
+            continue
+        for v, e, low in steps:
+            if u[v] < low and not in_I(u[:v] + (u[v] + e,) + u[v + 1:]):
+                break
+        else:
+            basis.append(u)
+    cells = set(basis)
+    generators = sum(1 for u in basis
+                     if not any(u[v] and u[:v] + (u[v] - 1,) + u[v + 1:] in cells
+                                for v in range(len(u))))
+    return basis, generators
 
 
 _CLASS_CODE = {cls: 2 * i for i, cls in enumerate(PointClass)}
@@ -561,7 +639,7 @@ class GridClassification:
 
 
 def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
-    """classify_point at every point of [1, tmax]^d, one Hom per point."""
+    """classify_point at every point of [1, tmax]^d."""
     if tmax < 1:
         raise ValueError("tmax must be at least 1")
     points = itertools.product(range(1, tmax + 1), repeat=len(ps.params))

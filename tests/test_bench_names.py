@@ -4,7 +4,7 @@ bench/tracing.py wraps package functions and methods by module and
 attribute name, so a rename inside the package would break
 `bench/run.py --trace 1`.  The tracer file is loaded by path; the lookup
 below is the one its Tracer.patch does.  A traced grid run then pins the
-grid ratios the tracer reports.
+grid counts the tracer reports.
 """
 
 import importlib
@@ -39,7 +39,7 @@ def test_traced_name_resolves(name, module, path):
     assert callable(target)
 
 
-def test_traced_grid_builds_one_hom_per_point():
+def test_traced_grid_builds_no_hom():
     # Tracer.install patches the homdecomp modules it finds in sys.modules
     package = importlib.import_module(tracing.PACKAGE)
     for info in pkgutil.iter_modules(package.__path__):
@@ -55,7 +55,10 @@ def test_traced_grid_builds_one_hom_per_point():
     finally:
         tracer.uninstall()
     summary = tracing.summarize(tracer)
-    assert summary["theorems.homs_per_point"] == (1.0, "ratio")
+    assert summary["theorems.homs_per_point"] == (0.0, "ratio")
     assert summary["theorems.classify_point.calls"] == (9, "count")
-    # the five points with a 1 in t are cyclic and skip the engine
-    assert summary["theorems.cyclic_shortcut_ratio"][0] > 0
+    # each point is read off the box: no Hom, ideal, colon or decide call
+    for name in ("hom.build_hom", "hom.hom_from_ideals", "hom.basis",
+                 "monomials.ideal_init", "decomp.decide"):
+        assert summary[f"{name}.calls"] == (0, "count"), name
+    assert summary["monomials.saturation.colon_steps"] == (0, "count")

@@ -1,4 +1,4 @@
-"""The README's library quick tour, run as a doctest, and the CI's test line."""
+"""The README's library quick tour, run as a doctest, and the CI's test and smoke lines."""
 
 import doctest
 import re
@@ -24,3 +24,14 @@ def test_ci_runs_the_roadmap_tier1_line():
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12"]
     assert job["steps"][-2]["run"] == "pip install pytest hypothesis"
     assert job["steps"][-1]["run"] == tier1.group(1)
+
+
+def test_ci_smoke_runs_every_benchmark_workload():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
+    job = workflow["jobs"]["bench-smoke"]
+    assert job["strategy"]["matrix"]["workload"] == ["grid", "analyze", "verify"]
+    run, check = (step["run"] for step in job["steps"][-2:])
+    assert run.startswith("python3 bench/run.py --workload ${{ matrix.workload }} "
+                          "--seed 1 --seconds 2 --trace 0")
+    assert '["correct"] is not True' in check

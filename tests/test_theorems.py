@@ -8,17 +8,25 @@ before these tests were written; the verifiers must reproduce them.
 import gc
 import itertools
 import json
+import re
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, find, given, settings
+from hypothesis import strategies as st
 
-from conftest import one_dimensional_rings, oracle_first_monomial_parameter, power_specs
-from homdecomp import theorems
+from conftest import (
+    monomial_homs,
+    monomial_ideals,
+    one_dimensional_rings,
+    oracle_first_monomial_parameter,
+    power_specs,
+)
+from homdecomp import hom, monomials, theorems
 from homdecomp.decomp import decide
-from homdecomp.hom import build_hom
-from homdecomp.monomials import MonomialIdeal
-from homdecomp.rings import LocalRing, validate_sop
+from homdecomp.hom import HomSubquotient, build_hom
+from homdecomp.monomials import CapExceeded, MonomialIdeal, grlex_key, monomials_between
+from homdecomp.rings import LocalRing, ParameterSystem, validate_sop
 from homdecomp.theorems import (
     GridClassification,
     PointClass,
@@ -344,31 +352,163 @@ def test_grid_matches_two_hom_points(spec):
             assert bad not in view
 
 
-def test_grid_builds_one_hom_per_point(monkeypatch):
+def monomial_hom_system(Q):
+    """The parameter system of a monomial_homs draw: a's pure powers of y and z.
+
+    Every relation of that ring involves x, and x has a pure power in it,
+    so y (and z) are the free variables and a holds one pure power of each.
+    """
+    pure = [g for g in Q.a_ideal.gens if g[0] == 0 and sum(map(bool, g)) == 1]
+    return validate_sop(Q.ring, sorted(pure, reverse=True))
+
+
+def check_point_against_homs(ps, t):
+    """classify_point and its box basis against build_hom + decide at t."""
+    assert classify_point(ps, t) == two_hom_point(ps, t)
+    basis, generators = theorems._box_basis(ps, t)
+    Q = build_hom(ps, t)
+    assert sorted(basis, key=grlex_key) == list(Q.basis())
+    assert generators == Q.minimal_generator_count()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(power_specs(), st.data())
+def test_point_matches_two_hom_points(spec, data):
+    ps, _ = spec
+    t = data.draw(st.lists(st.integers(1, 6), min_size=len(ps.params), max_size=len(ps.params)))
+    check_point_against_homs(ps, t)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(monomial_homs(), st.data())
+def test_point_matches_two_hom_points_on_monomial_homs(Q, data):
+    ps = monomial_hom_system(Q)
+    t = data.draw(st.lists(st.integers(1, 6), min_size=len(ps.params), max_size=len(ps.params)))
+    check_point_against_homs(ps, t)
+
+
+@st.composite
+def drawn_systems(draw):
+    """A ring on 1-4 variables and as many monomials as its dimension.
+
+    Some variables get a pure power in I and up to two random relations
+    follow.  Each candidate parameter is a pure power of a random
+    variable or a random monomial, so validate_sop accepts some draws
+    and refuses others.
+    """
+    n = draw(st.integers(1, 4))
+    pure = lambda i, e: tuple(e if k == i else 0 for k in range(n))  # noqa: E731
+    bounded = draw(st.sets(st.integers(0, n - 1)))
+    gens = [pure(i, draw(st.integers(1, 3))) for i in sorted(bounded)]
+    gens += [g for g in draw(monomial_ideals(n, max_gens=2)).gens if any(g)]
+    ring = LocalRing(tuple("xyzw"[:n]), MonomialIdeal(n, gens))
+    power = st.builds(pure, st.integers(0, n - 1), st.integers(1, 3))
+    anything = st.tuples(*[st.integers(0, 2)] * n)
+    params = draw(st.lists(st.one_of(power, anything), min_size=ring.dimension(),
+                           max_size=ring.dimension()))
+    return ring, params
+
+
+def accepted(drawn) -> bool:
+    try:
+        validate_sop(*drawn)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_systems())
+def test_accepted_systems_are_pure_powers_of_free_variables(drawn):
+    ring, params = drawn
+    if not accepted(drawn):
+        return
+    ps = validate_sop(ring, params)
+    supports = [[v for v, e in enumerate(a) if e] for a in ps.params]
+    assert all(len(support) == 1 for support in supports)
+    variables = [support[0] for support in supports]
+    assert len(set(variables)) == len(variables)
+    for v in variables:
+        assert not any(g[v] and sum(map(bool, g)) == 1 for g in ring.defining.gens)
+
+
+def test_drawn_systems_reach_accepted_systems():
+    ring, params = find(drawn_systems(),
+                        lambda drawn: len(drawn[1]) >= 2 and accepted(drawn)
+                        and not drawn[0].defining.is_zero())
+    assert len(validate_sop(ring, params).params) >= 2
+
+
+@pytest.mark.parametrize("variables, relations, params, named", [
+    ("xy", "(x^2)", ["xy"], "xy"),           # not a pure power
+    ("xyz", "(x^2, xyz)", ["y", "y^2"], "y^2"),  # a variable taken twice
+    ("xyz", "(x^2, xyz)", ["x", "z"], "x"),    # x has a pure power in I
+])
+def test_point_refuses_parameters_off_the_box(variables, relations, params, named):
+    ring = LocalRing.from_text(tuple(variables), relations)
+    ps = ParameterSystem(ring, tuple(ring.parse_monomial(p) for p in params))
+    with pytest.raises(ValueError, match=f"^parameter {re.escape(named)} is not a pure power"):
+        classify_point(ps, [1] * len(params))
+
+
+def test_point_errors_match_build_hom(monkeypatch):
+    empty = validate_sop(ring2("(x^2, y^3)"), [])
+    with pytest.raises(ValueError, match="^b must not be empty$"):
+        classify_grid(empty, 2)
+    ps = sop(THREE_VARS, "y", "z")
+    cases = [(ps, [1]), (ps, [1, 2, 3]), (ps, [0, 1]),
+             (ParameterSystem(THREE_VARS, ((0, 1, 0),)), [1])]  # z is left unbounded
+    for system, t in cases:
+        with pytest.raises(ValueError) as expected:
+            build_hom(system, t)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            classify_point(system, t)
+    with pytest.raises(ValueError, match="^a lattice point is a list of integer exponents$"):
+        classify_point(ps, [1.5, 1])
+    for t in [(1000, 1000), [1000, 1000]]:
+        with pytest.raises(CapExceeded, match="^box volume 2000000 exceeds cap 1000000$"):
+            classify_point(ps, t)
+    # the cap is read at call time, as build_hom reads it
+    monkeypatch.setattr(monomials, "LENGTH_CAP", 31)
+    for build in (classify_point, build_hom):
+        with pytest.raises(CapExceeded, match="^box volume 32 exceeds cap 31$"):
+            build(ps, [4, 4])
+    assert classify_point(ps, [4, 3]) == (PointClass.DECOMPOSABLE, False)
+
+
+def test_grid_builds_no_hom(monkeypatch):
     ps = sop(THREE_VARS, "y", "z")
     homs = []
     points = []
+    original_post_init = HomSubquotient.__post_init__
 
     def counting_build(*args):
         homs.append(args[1])
         return build_hom(*args)
+
+    def counting_post_init(self):
+        homs.append(self)
+        original_post_init(self)
 
     def counting_point(*args):
         points.append(tuple(args[1]))
         return classify_point(*args)
 
     monkeypatch.setattr(theorems, "build_hom", counting_build)
+    monkeypatch.setattr(hom, "build_hom", counting_build)
+    monkeypatch.setattr(HomSubquotient, "__post_init__", counting_post_init)
     monkeypatch.setattr(theorems, "classify_point", counting_point)
     grid = classify_grid(ps, 4)
-    assert len(homs) == len(points) == 16
+    assert homs == []
     assert points == grid.lattice()
+    assert len(points) == 16
 
 
-@pytest.mark.parametrize("ring, texts, tmax, built", [
-    (THREE_VARS, ("y", "z"), 4, 48),
-    (FOUR_VARS, ("y", "z", "w"), 3, 81),
+@pytest.mark.parametrize("ring, texts, tmax", [
+    (THREE_VARS, ("y", "z"), 4),
+    (FOUR_VARS, ("y", "z", "w"), 3),
 ])
-def test_grid_builds_three_ideals_per_point(monkeypatch, ring, texts, tmax, built):
+def test_grid_builds_no_ideal_per_point(monkeypatch, ring, texts, tmax):
     ps = sop(ring, *texts)
     calls = []
     original = MonomialIdeal.__init__
@@ -377,9 +517,16 @@ def test_grid_builds_three_ideals_per_point(monkeypatch, ring, texts, tmax, buil
         calls.append(args)
         original(self, *args, **kwargs)
 
+    def counting_between(*args):
+        calls.append(args)
+        return monomials_between(*args)
+
     monkeypatch.setattr(MonomialIdeal, "__init__", counting_init)
+    monkeypatch.setattr(theorems, "monomials_between", counting_between)
+    monkeypatch.setattr(hom, "monomials_between", counting_between)
     grid = classify_grid(ps, tmax)
-    assert len(grid.classes) * 3 == len(calls) == built
+    assert len(grid.classes) == tmax ** len(texts)
+    assert calls == []
 
 
 def test_grid_views_refuse_malformed_keys():
