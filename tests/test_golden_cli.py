@@ -1,0 +1,123 @@
+"""`homdecomp analyze` and `homdecomp verify` output, byte for byte, against golden files.
+
+Each case runs the CLI in-process on one ring spec with one set of
+options and compares stdout, stderr and the exit code with
+tests/golden/cli.  The cases cover b given as powers and as explicit
+monomials, the statements rees, 3.1, 3.3, 4.1, 4.2 and 2.6 on the grid
+golden specs and on two Cohen-Macaulay specs, and the refusals the
+hypotheses and the b validation raise.  Partition indices in the
+reports follow the grlex order of the Hom basis, so the files pin that
+order too.
+
+    PYTHONPATH=src python tests/test_golden_cli.py DIR
+
+writes the current code's output for every case into DIR.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from homdecomp.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+
+SPECS = {
+    "x2-xyz": "ring x y z\nrelations x^2 xyz\nsop y z\n",
+    "x2-xy3": "ring x y\nrelations x^2 xy^3\nsop y^2\n",
+    "x2-xyz-y3": "ring x y z\nrelations x^2 xyz y^3\nsop z\n",
+    "x2-xyzw": "ring x y z w\nrelations x^2 xyzw\nsop y z w\n",
+    "cm-x2": "ring x y z\nrelations x^2\nsop y z^2\n",
+    "cm-x2y3": "ring x y z\nrelations x^2 y^3\nsop z^2\n",
+}
+
+# b for analyze and verify rees, as powers and as explicit monomials
+POWERS = {"x2-xyz": "2,3", "x2-xy3": "3", "x2-xyz-y3": "2", "x2-xyzw": "2,1,3",
+          "cm-x2": "2,2", "cm-x2y3": "3"}
+EXPLICIT_B = {"x2-xyz": "(z^2, y^3)", "x2-xy3": "(y^8)", "x2-xyz-y3": "(z^4)",
+              "x2-xyzw": "(w^2, z, y^2)", "cm-x2": "(z^4, y)", "cm-x2y3": "(z^6)"}
+# --powers for J and --b for N in 2.6
+TRANSFER = {"x2-xyz": ("2,2", "(y^3, z^3)"), "x2-xy3": ("2", "(y^6)"),
+            "x2-xyz-y3": ("3", "(z^4)"), "x2-xyzw": ("1,2,1", "(y^2, z^4, w^2)"),
+            "cm-x2": ("2,1", "(y^2, z^4)"), "cm-x2y3": ("2", "(z^4)")}
+
+
+def _cases() -> dict:
+    """Case name -> (spec, subcommand and options)."""
+    cases = {}
+    for spec in SPECS:
+        cases[f"{spec}-analyze-powers"] = spec, ["analyze", "--powers", POWERS[spec]]
+        cases[f"{spec}-analyze-b"] = spec, ["analyze", "--b", EXPLICIT_B[spec]]
+        cases[f"{spec}-verify-rees"] = spec, ["verify", "--theorem", "rees"]
+        if spec.startswith("cm-"):
+            cases[f"{spec}-verify-rees-powers"] = spec, ["verify", "--theorem", "rees",
+                                                         "--powers", POWERS[spec]]
+            cases[f"{spec}-verify-rees-b"] = spec, ["verify", "--theorem", "rees",
+                                                    "--b", EXPLICIT_B[spec]]
+        for theorem in ("3.1", "3.3", "4.1", "4.2"):
+            cases[f"{spec}-verify-{theorem}"] = spec, ["verify", "--theorem", theorem]
+        powers, b = TRANSFER[spec]
+        cases[f"{spec}-verify-2.6"] = spec, ["verify", "--theorem", "2.6",
+                                             "--powers", powers, "--b", b]
+    # the refusals of b, which every route shares
+    cases["x2-xy3-analyze-a"] = "x2-xy3", ["analyze", "--a", "(y)", "--b", "(y^3)"]
+    cases["x2-xy3-analyze-b-outside-a"] = "x2-xy3", ["analyze", "--b", "(y)"]
+    cases["x2-xy3-analyze-b-not-parameter"] = "x2-xy3", ["analyze", "--b", "(xy^2)"]
+    cases["x2-xy3-analyze-powers-zero"] = "x2-xy3", ["analyze", "--powers", "0"]
+    cases["x2-xy3-analyze-powers-count"] = "x2-xy3", ["analyze", "--powers", "1,2"]
+    cases["x2-xyz-analyze-b-short"] = "x2-xyz", ["analyze", "--b", "(y^2)"]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(case: str, workdir: Path) -> dict:
+    """Run one case; its exit code, stdout and stderr."""
+    spec, (command, *options) = CASES[case]
+    spec_path = workdir / f"{spec}.ring"
+    spec_path.write_text(SPECS[spec], encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(spec_path)] + options)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def load_case(case: str) -> dict:
+    entry = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))[case]
+    return {"exit": entry["exit"],
+            "stdout": (GOLDEN / f"{case}.out").read_text(encoding="utf-8"),
+            "stderr": entry["stderr"]}
+
+
+def test_manifest_lists_every_case():
+    manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest) == sorted(CASES)
+    # every statement passes somewhere and every refusal is a bad-input exit
+    assert {entry["exit"] for entry in manifest.values()} == {0, 2}
+    for theorem in ("rees", "3.1", "3.3", "4.1", "4.2", "2.6"):
+        assert any(manifest[case]["exit"] == 0 for case in CASES
+                   if case.endswith(f"-verify-{theorem}"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, tmp_path):
+    assert run_case(case, tmp_path) == load_case(case)
+
+
+if __name__ == "__main__":
+    target = Path(sys.argv[1])
+    target.mkdir(parents=True, exist_ok=True)
+    manifest = {}
+    with tempfile.TemporaryDirectory() as work:
+        for case in sorted(CASES):
+            result = run_case(case, Path(work))
+            (target / f"{case}.out").write_text(result["stdout"], encoding="utf-8")
+            manifest[case] = {"exit": result["exit"], "stderr": result["stderr"]}
+    (target / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                          encoding="utf-8")
