@@ -2,17 +2,22 @@
 
 For a ring R = k[x]/I, a parameter ideal 𝔞 = (a_1..a_d), and 𝔟 ⊆ 𝔞, the
 module Hom_R(R/𝔞, R/𝔟R) is the annihilator of 𝔞 inside R/(I+𝔟), that is
-C/B for B = I + 𝔟 and C = (B : 𝔞).  Everything downstream (length, number
-of generators, freeness, the action graph the decomposition verdict
-reads) reads off this pair of monomial ideals.
+C/B for B = I + 𝔟 and C = (B : 𝔞).  build_hom, hom_from_ideals and the
+grid's classify_point all read it off B's pure-power box with one kernel,
+box_basis, and everything downstream (length, generators, freeness, the
+action graph the decomposition verdict reads) reads off its answers.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
+from operator import lt
 
+from . import monomials
 from .gfp import PrimeFieldMatrix, is_prime
-from .monomials import Monomial, MonomialIdeal, mono_mul, mono_pow, monomials_between
+from .monomials import CapExceeded, Monomial, MonomialIdeal, grlex_key, mono_mul, mono_pow
 from .rings import LocalRing, ParameterSystem, validate_sop
 
 PRESENTATION_CAP = 512
@@ -95,38 +100,30 @@ class FinitePresentation:
 class HomSubquotient:
     """Hom_R(R/𝔞, R/𝔟R) presented as C/B with its Artinian base ring.
 
-    base is S = k[x]/(I + 𝔞), the ring the freeness questions quantify
-    over; S stores its own length.  The monomial basis and the generator
-    count are computed once, at construction: the basis by walking up
-    from C's generators outside B (monomials_between), so B's pure-power
-    box is never scanned.  A generator of C lies outside B exactly when
-    it is a basis cell, so one scan of C's generators against the basis
-    gives both the count and the generators on which C·𝔞 ⊆ B is
-    checked; the other generators lie in B, and B is an ideal.
-    Construction raises AssertionError, also under ``python -O``, when
-    B ⊄ C or C·𝔞 ⊄ B.
+    denominator is B = I + 𝔟, numerator is C = (B : 𝔞), and base is
+    S = k[x]/(I + 𝔞), which stores its own length.  The builders pass
+    box_basis's answers: the basis cells of C/B, which construction sorts
+    into graded-lex order, and C's generators outside B.  C is B plus
+    those generators, so B ⊆ C by construction, and C·𝔞 ⊆ B is checked
+    on them alone, as B is an ideal; construction raises AssertionError,
+    also under ``python -O``, when it fails.
     """
 
     ring: LocalRing
     a_ideal: MonomialIdeal
     b_ideal: MonomialIdeal
-    numerator: MonomialIdeal
     denominator: MonomialIdeal
     base: LocalRing
-    _basis: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
-    _generator_count: int = field(init=False, repr=False, compare=False)
+    _basis: tuple[Monomial, ...] = field(repr=False, compare=False)
+    _generators: tuple[Monomial, ...] = field(repr=False, compare=False)
+    numerator: MonomialIdeal = field(init=False)
 
     def __post_init__(self):
-        B, C = self.denominator, self.numerator
-        if not C.contains_ideal(B):
-            raise AssertionError("the denominator is not inside the numerator")
-        basis = tuple(monomials_between(C, B))
-        cells = set(basis)
-        outside = [g for g in C.gens if g in cells]
-        if not all(B.contains(mono_mul(g, h)) for g in outside for h in self.a_ideal.gens):
+        B, gens = self.denominator, self._generators
+        if not all(B.contains(mono_mul(g, h)) for g in gens for h in self.a_ideal.gens):
             raise AssertionError("the numerator times a is not inside the denominator")
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_generator_count", len(outside))
+        object.__setattr__(self, "_basis", tuple(sorted(self._basis, key=grlex_key)))
+        object.__setattr__(self, "numerator", MonomialIdeal(B.ambient, B.gens + gens))
 
     def basis(self) -> tuple[Monomial, ...]:
         """Standard monomials of B lying in C, in graded-lex order."""
@@ -154,9 +151,6 @@ class HomSubquotient:
     def minimal_generator_count(self) -> int:
         """dim_k of C/(𝔪C + B), which is the number of C's generators outside B.
 
-        Those generators are the ones among the basis cells, counted once
-        at construction.
-
         A monomial lies in 𝔪C + B exactly when it lies in 𝔪C or in B.  A
         minimal generator g of C is never in 𝔪C, since g = x_i * c with c
         in C would put g/x_i in C.  Every other monomial of C is a
@@ -164,10 +158,10 @@ class HomSubquotient:
         of C outside 𝔪C + B, a k-basis of the quotient, are exactly the
         generators of C outside B.
         """
-        return self._generator_count
+        return len(self._generators)
 
     def is_cyclic(self) -> bool:
-        return self._generator_count == 1
+        return len(self._generators) == 1
 
     def base_length(self) -> int:
         return self.base.length()
@@ -179,7 +173,7 @@ class HomSubquotient:
         Artinian local base, equality of finite lengths forces the cover
         to be an isomorphism, so this test is exact in both directions.
         """
-        return self.length() == self._generator_count * self.base_length()
+        return self.length() == len(self._generators) * self.base_length()
 
     def presentation(self, prime: int) -> FinitePresentation:
         if not is_prime(prime):
@@ -221,58 +215,79 @@ class HomSubquotient:
         return None
 
 
-def _subquotient(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal,
-                 base: LocalRing) -> HomSubquotient:
-    """C/B for B = I + 𝔟 and C = (B : 𝔞), over the given base ring R/(I + 𝔞).
+def box_basis(in_L, bounds, a_gens) -> tuple[list[Monomial], tuple[Monomial, ...]]:
+    """The basis cells of C/B and the generators of C outside B, off one box.
 
-    B must have finite colength, and a B whose pure-power box has more
-    than LENGTH_CAP cells is refused with CapExceeded.
+    Here B = L + (x_j^{bounds_j}), with in_L the membership test of the
+    monomial ideal L, and C = (B : 𝔞) for 𝔞 generated by a_gens.  The
+    box [0, bounds_j) holds every monomial outside B, the cells outside
+    L, and such a cell u is in C when, for each g in a_gens, u·g leaves
+    the box or lies in L: one comparison, u_v >= bounds_v - e, and at
+    most one shifted membership test for g = x_v^e, the full product for
+    any other g.  The cells come in product order.  A basis cell u is a
+    minimal generator of C when no u / x_v is a basis cell.
+
+    hom_from_ideals takes L = B and B's pure powers.  build_hom and
+    classify_point take L = I and parameter_box's bounds, since B is then
+    I plus pure powers: every system that validate_sop accepts is made
+    of pure powers a_i = x_{v_i}^{e_i} of distinct variables free in I.
+    As R has dimension d, some set S of d variables holds the support of
+    no generator of I.  I + 𝔞 has finite colength, so each x_j in S has
+    a pure power in I + 𝔞; a monomial dividing it is a pure power of x_j
+    and not from I, so it is some a_i.  A monomial other than 1 is a pure
+    power of at most one variable, so the a_i are pure powers of the d
+    variables of S.  A validated 𝔟 is such a system too, and none of its
+    generators lies in I, as d - 1 elements cannot cut R down to finite
+    length; so 𝔟 ⊆ 𝔞 + I makes it one pure power x_{v_i}^{f_i},
+    f_i >= e_i, of each parameter's variable (f_i = e_i t_i for powers).
+
+    A bound None (B of infinite colength) raises ValueError, and a box
+    of more than LENGTH_CAP cells raises CapExceeded.
     """
-    B = ring.defining + b_ideal
-    try:
-        B.box_bounds()
-    except ValueError:
-        raise ValueError("quotient by b is not Artinian") from None
-    return HomSubquotient(ring, a_ideal, b_ideal, B.colon(a_ideal), B, base)
+    if None in bounds:
+        raise ValueError("quotient by b is not Artinian")
+    volume = math.prod(bounds)
+    if volume > monomials.LENGTH_CAP:
+        raise CapExceeded(f"box volume {volume} exceeds cap {monomials.LENGTH_CAP}")
+    steps, others = [], []  # steps: (v, e, bounds_v - e) for each pure power x_v^e
+    for g in a_gens:
+        support = [v for v, e in enumerate(g) if e]
+        if len(support) == 1:
+            v = support[0]
+            steps.append((v, g[v], bounds[v] - g[v]))
+        else:
+            others.append(g)
+    basis = []
+    for u in itertools.product(*map(range, bounds)):
+        if in_L(u):
+            continue
+        for v, e, low in steps:
+            if u[v] < low and not in_L(u[:v] + (u[v] + e,) + u[v + 1:]):
+                break
+        else:
+            for g in others:
+                w = mono_mul(u, g)
+                if all(map(lt, w, bounds)) and not in_L(w):
+                    break
+            else:
+                basis.append(u)
+    cells = set(basis)
+    generators = tuple(u for u in basis
+                       if not any(u[v] and u[:v] + (u[v] - 1,) + u[v + 1:] in cells
+                                  for v in range(len(u))))
+    return basis, generators
 
 
-def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal) -> HomSubquotient:
-    """Hom_R(R/𝔞, R/(I+𝔟)) for explicit ideals, no parameter validation.
+def parameter_box(ps: ParameterSystem, b_spec) -> tuple[list[Monomial], list[int | None]]:
+    """𝔟's generators and the box bounds of B = I + 𝔟, for 𝔟 as powers or monomials.
 
-    Used for the radical-transfer checks where 𝔞 need not come from the
-    ring's own system of parameters.
-    """
-    if a_ideal.is_zero():
-        raise ValueError("a must be nonzero")
-    if a_ideal.is_unit():
-        raise ValueError("a is the unit ideal; the base ring R/(I + a) is zero")
-    base_ideal = ring.defining + a_ideal
-    if not base_ideal.is_finite_colength():
-        raise ValueError("base ring R/(a + I) is not Artinian")
-    return _subquotient(ring, a_ideal, b_ideal, LocalRing(ring.variables, base_ideal))
-
-
-def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
-    """Hom_R(R/𝔞, R/𝔟R) for 𝔞 = ps and 𝔟 given as powers or monomials.
-
-    b_spec is either a list of integers t_i >= 1, meaning
-    𝔟 = (a_1^{t_1}, ..., a_d^{t_d}), or a list of d explicit monomials
-    forming a parameter ideal contained in 𝔞.  Explicit monomials are
-    validated in full.  Powers need no validation: 𝔟 lies in 𝔞, its d
-    generators are non-units, and a_i lies in the radical of 𝔟, so
-    I + 𝔟 and I + 𝔞 have the same radical and 𝔟 is a system of
-    parameters because 𝔞 is.  The ideal 𝔞 and the base ring S come
-    from ps, and S stores its length, so neither is rebuilt and S is
-    not recounted for each module.
-
-    >>> from .rings import LocalRing, validate_sop
-    >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^2)")
-    >>> ps = validate_sop(R, [R.parse_monomial("y")])
-    >>> Q = build_hom(ps, [2])
-    >>> R.fmt_ideal(Q.denominator), R.fmt_ideal(Q.numerator)
-    ('(x^2, y^2)', '(y, x^2)')
-    >>> Q.length(), Q.minimal_generator_count(), Q.is_free_over_base()
-    (2, 1, True)
+    b_spec is a list of integers t_i >= 1, meaning 𝔟 = (a_i^{t_i}), or of
+    d monomials forming a parameter ideal inside 𝔞, validated in full.
+    Powers need no validation: 𝔟 ⊆ 𝔞 has d non-unit generators and each
+    a_i lies in its radical, so 𝔟 is a system of parameters as 𝔞 is.
+    The bounds are I's pure powers and 𝔟's exponent on each parameter's
+    variable (see box_basis); parameters that are not pure powers of
+    distinct variables free in I raise ValueError naming the parameter.
     """
     ring = ps.ring
     spec = list(b_spec)
@@ -292,4 +307,58 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
         validate_sop(ring, b_gens)
     else:
         raise ValueError("b must be all exponents or all monomials")
-    return _subquotient(ring, ps.a_ideal, MonomialIdeal(ring.ambient, b_gens), ps.base)
+    bounds = ring.defining._pure_powers()
+    for a in ps.params:
+        support = [v for v, e in enumerate(a) if e]
+        if len(support) != 1 or bounds[support[0]] is not None:
+            raise ValueError(f"parameter {ring.fmt(a)} is not a pure power of a variable "
+                             "free in the relations and in the other parameters")
+        bounds[support[0]] = a[support[0]]  # claimed; b's generator on it sets the bound
+    for g in b_gens:
+        v = next(v for v, e in enumerate(g) if e)
+        bounds[v] = g[v]
+    return b_gens, bounds
+
+
+def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal) -> HomSubquotient:
+    """Hom_R(R/𝔞, R/(I+𝔟)) for explicit ideals, no parameter validation.
+
+    Used for the radical-transfer checks, where 𝔞 need not be the ring's
+    own parameters.  A unit I + 𝔟 is refused: it is the only route to the
+    zero module, as over a proper B the socle of R/B is killed by 𝔞 ⊆ 𝔪.
+    """
+    if a_ideal.is_zero():
+        raise ValueError("a must be nonzero")
+    if a_ideal.is_unit():
+        raise ValueError("a is the unit ideal; the base ring R/(I + a) is zero")
+    base_ideal = ring.defining + a_ideal
+    if not base_ideal.is_finite_colength():
+        raise ValueError("base ring R/(a + I) is not Artinian")
+    B = ring.defining + b_ideal
+    if B.is_unit():
+        raise ValueError("I + b is the unit ideal; the module Hom(R/a, R/(I + b)) is zero")
+    return HomSubquotient(ring, a_ideal, b_ideal, B, LocalRing(ring.variables, base_ideal),
+                          *box_basis(B.contains, B._pure_powers(), a_ideal.gens))
+
+
+def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
+    """Hom_R(R/𝔞, R/𝔟R) for 𝔞 = ps and 𝔟 given as powers or monomials.
+
+    box_basis reads the module off parameter_box's box with L = I.  𝔞 and
+    the base ring S come from ps, and S stores its length, so neither is
+    rebuilt and S is not recounted for each module.
+
+    >>> from .rings import LocalRing, validate_sop
+    >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^2)")
+    >>> ps = validate_sop(R, [R.parse_monomial("y")])
+    >>> Q = build_hom(ps, [2])
+    >>> R.fmt_ideal(Q.denominator), R.fmt_ideal(Q.numerator)
+    ('(x^2, y^2)', '(y, x^2)')
+    >>> Q.length(), Q.minimal_generator_count(), Q.is_free_over_base()
+    (2, 1, True)
+    """
+    ring = ps.ring
+    b_gens, bounds = parameter_box(ps, b_spec)
+    b_ideal = MonomialIdeal(ring.ambient, b_gens)
+    return HomSubquotient(ring, ps.a_ideal, b_ideal, ring.defining + b_ideal, ps.base,
+                          *box_basis(ring.defining.contains, bounds, ps.params))

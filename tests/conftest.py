@@ -12,7 +12,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from homdecomp.hom import build_hom, hom_from_ideals
-from homdecomp.monomials import MonomialIdeal, grlex_key, mono_mul, mono_pow
+from homdecomp.monomials import MonomialIdeal, grlex_key, mono_mul, mono_pow, monomials_between
 from homdecomp.rings import LocalRing, stabilization_index, validate_sop
 
 
@@ -109,16 +109,29 @@ def oracle_monomials_between(upper: MonomialIdeal, lower: MonomialIdeal):
     return sorted(members, key=grlex_key)
 
 
-def oracle_annihilator_witness(Q):
+def oracle_annihilator_witness(Q, numerator=None):
     """The grlex-least monomial other than 1, nonzero in S, with u * C inside B.
 
-    Scans the standard monomials of S = R/(I + a) in graded-lex order.
+    Scans the standard monomials of S = R/(I + a) in graded-lex order.  C
+    is numerator, Q.numerator by default.
     """
     B = Q.denominator
+    C = Q.numerator if numerator is None else numerator
     for u in Q.base.defining.standard_monomials():
-        if any(u) and all(B.contains(mono_mul(u, g)) for g in Q.numerator.gens):
+        if any(u) and all(B.contains(mono_mul(u, g)) for g in C.gens):
             return u
     return None
+
+
+def colon_route(a_ideal: MonomialIdeal, B: MonomialIdeal):
+    """C = (B : a), the basis of C/B and the count of C's generators outside B.
+
+    The construction the box kernel replaced, kept as an oracle: the
+    colon by MonomialIdeal.colon, and the basis by walking up from C's
+    generators with monomials_between, in graded-lex order.
+    """
+    C = B.colon(a_ideal)
+    return C, monomials_between(C, B), sum(1 for g in C.gens if not B.contains(g))
 
 
 def monomials_of_degree(nvars: int, deg: int):

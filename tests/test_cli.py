@@ -444,6 +444,13 @@ class TestVerify:
         assert code == 0
         assert "enlarged ideal keeps the decomposition" in json.loads(out)["checks"]
 
+    def test_radical_transfer_refuses_a_zero_module(self, tmp_path, capsys):
+        path = write(tmp_path, "e52.ring", E52_M3)
+        code, out, err = run(capsys, "verify", path, "--theorem", "2.6",
+                             "--powers", "2", "--b", "(1)")
+        assert (code, out) == (2, "")
+        assert err == "error: I + b is the unit ideal; the module Hom(R/a, R/(I + b)) is zero\n"
+
     def test_colon_identity_and_non_cm_power(self, tmp_path, capsys):
         path = write(tmp_path, "e52.ring", E52_M3)
         code, out, _ = run(capsys, "verify", path, "--theorem", "2.5")

@@ -9,8 +9,10 @@ implementation under test.
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    colon_route,
     monomial_homs,
     nonfree_homs,
     oracle_annihilator_witness,
@@ -20,8 +22,8 @@ from conftest import (
 from homdecomp import hom, theorems
 from homdecomp.decomp import connected_components
 from homdecomp.gfp import PrimeFieldMatrix
-from homdecomp.hom import HomSubquotient, build_hom, hom_from_ideals
-from homdecomp.monomials import MonomialIdeal, mono_mul, monomials_between
+from homdecomp.hom import HomSubquotient, box_basis, build_hom, hom_from_ideals, parameter_box
+from homdecomp.monomials import MonomialIdeal, grlex_key, mono_mul, monomials_between
 from homdecomp.rings import LocalRing, validate_sop
 
 
@@ -343,29 +345,66 @@ def test_generators_outside_b_give_count_and_basis(case):
     assert list(Q.basis()) == oracle_monomials_between(C, B)
 
 
+def check_against_colon_route(Q):
+    """Q's basis, generator count, numerator and witness against the colon route."""
+    C, basis, count = colon_route(Q.a_ideal, Q.denominator)
+    assert Q.basis() == tuple(basis)
+    assert Q.minimal_generator_count() == count
+    assert Q.numerator == C
+    assert Q.non_free_annihilator_witness() == oracle_annihilator_witness(Q, C)
+    return basis, count
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(monomial_homs())
+def test_kernel_matches_colon_route_on_monomial_homs(Q):
+    check_against_colon_route(Q)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(power_specs(), st.data())
+def test_kernel_matches_colon_route_on_powers(case, data):
+    ps, _ = case
+    d = len(ps.params)
+    t = data.draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
+    basis, count = check_against_colon_route(build_hom(ps, t))
+    # classify_point's call keeps the box's product order
+    cells, generators = box_basis(ps.ring.defining.contains, parameter_box(ps, t)[1], ps.params)
+    assert sorted(cells, key=grlex_key) == basis
+    assert len(generators) == count
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(power_specs(), st.data())
+def test_kernel_matches_colon_route_on_explicit_b(case, data):
+    ps, _ = case
+    b_gens = []
+    for a in ps.params:
+        v = next(v for v, e in enumerate(a) if e)
+        f = data.draw(st.integers(a[v], 6 * a[v]))
+        b_gens.append(tuple(f if k == v else 0 for k in range(len(a))))
+    check_against_colon_route(build_hom(ps, data.draw(st.permutations(b_gens))))
+
+
 class TestInvariants:
-    """HomSubquotient refuses a pair (C, B) that is not (B : a) over B."""
+    """HomSubquotient derives C from B and the generators outside B, and checks C·a ⊆ B."""
 
     def parts(self):
         Q = make_hom(make_ring(("x", "y", "z"), "(x^2, xyz)"), "y z", [2, 2])
-        return Q.ring, Q.a_ideal, Q.b_ideal, Q.numerator, Q.denominator, Q.base
+        B = Q.denominator
+        outside = tuple(g for g in Q.numerator.gens if not B.contains(g))
+        return Q.ring, Q.a_ideal, Q.b_ideal, B, Q.base, Q.basis(), outside
 
     def test_valid_parts_construct(self):
-        ring, a, b, C, B, base = self.parts()
-        assert HomSubquotient(ring, a, b, C, B, base).length() == 3
+        ring, a, b, B, base, basis, outside = self.parts()
+        Q = HomSubquotient(ring, a, b, B, base, basis, outside)
+        assert Q.length() == 3
+        assert Q.numerator == B.colon(a)
 
     def test_unit_numerator_is_refused(self):
-        ring, a, b, C, B, base = self.parts()
+        ring, a, b, B, base, basis, outside = self.parts()
         with pytest.raises(AssertionError, match="times a"):
-            HomSubquotient(ring, a, b, MonomialIdeal.unit(ring.ambient), B, base)
-
-    def test_numerator_missing_a_denominator_generator_is_refused(self):
-        ring, a, b, C, B, base = self.parts()
-        shared = next(g for g in C.gens if g in B.gens)
-        short = MonomialIdeal(ring.ambient, [g for g in C.gens if g != shared])
-        assert not short.contains(shared)
-        with pytest.raises(AssertionError, match="not inside the numerator"):
-            HomSubquotient(ring, a, b, short, B, base)
+            HomSubquotient(ring, a, b, B, base, basis, ((0,) * ring.ambient,))
 
 
 def test_grid_scans_base_once_and_never_revalidates(monkeypatch):
@@ -490,6 +529,12 @@ class TestFromIdeals:
         R = make_ring(("x", "y"), "(x^2)")
         with pytest.raises(ValueError, match="a is the unit ideal"):
             hom_from_ideals(R, MonomialIdeal.unit(2), ideal_of(R, "(y^2)"))
+
+    def test_unit_b_rejected(self):
+        # the module would be zero, and decide would call it indecomposable
+        R = make_ring(("x", "y"), "(x^2, xy^3)")
+        with pytest.raises(ValueError, match="^I \\+ b is the unit ideal"):
+            hom_from_ideals(R, ideal_of(R, "(y^2)"), MonomialIdeal.unit(2))
 
     def test_non_artinian_quotient_rejected(self):
         R = make_ring(("x", "y"), "(x^2)")

@@ -1,10 +1,13 @@
 """The README's library quick tour, run as a doctest, and the CI's test and smoke lines."""
 
 import doctest
+import json
 import re
 from pathlib import Path
 
 import pytest
+
+from test_golden_grid import GOLDEN, SPECS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +38,18 @@ def test_ci_smoke_runs_every_benchmark_workload():
     assert run.startswith("python3 bench/run.py --workload ${{ matrix.workload }} "
                           "--seed 1 --seconds 2 --trace 0")
     assert '["correct"] is not True' in check
+
+
+def test_ci_smoke_runs_the_installed_console_script():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
+    steps = workflow["jobs"]["install-smoke"]["steps"]
+    install, spec, run, diff = (step["run"] for step in steps[-4:])
+    assert install == "pip install ."
+    text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
+    assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
+    assert run == "homdecomp grid x2-xy3.ring --max 6 > grid.out"
+    case = "x2-xy3-max6-ascii"
+    assert diff == f"diff grid.out tests/golden/grid/{case}.out"
+    manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    colon_route,
     monomial_homs,
     monomial_ideals,
     one_dimensional_rings,
@@ -24,7 +25,7 @@ from conftest import (
 )
 from homdecomp import hom, monomials, theorems
 from homdecomp.decomp import decide
-from homdecomp.hom import HomSubquotient, build_hom
+from homdecomp.hom import HomSubquotient, box_basis, build_hom, parameter_box
 from homdecomp.monomials import CapExceeded, MonomialIdeal, grlex_key, monomials_between
 from homdecomp.rings import LocalRing, ParameterSystem, validate_sop
 from homdecomp.theorems import (
@@ -363,12 +364,14 @@ def monomial_hom_system(Q):
 
 
 def check_point_against_homs(ps, t):
-    """classify_point and its box basis against build_hom + decide at t."""
+    """classify_point against build_hom + decide, and its box basis against the colon route."""
     assert classify_point(ps, t) == two_hom_point(ps, t)
-    basis, generators = theorems._box_basis(ps, t)
-    Q = build_hom(ps, t)
-    assert sorted(basis, key=grlex_key) == list(Q.basis())
-    assert generators == Q.minimal_generator_count()
+    b_gens, bounds = parameter_box(ps, t)
+    basis, generators = box_basis(ps.ring.defining.contains, bounds, ps.params)
+    B = ps.ring.defining + MonomialIdeal(ps.ring.ambient, b_gens)
+    _, oracle_basis, count = colon_route(ps.a_ideal, B)
+    assert sorted(basis, key=grlex_key) == oracle_basis
+    assert len(generators) == count
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -523,7 +526,8 @@ def test_grid_builds_no_ideal_per_point(monkeypatch, ring, texts, tmax):
 
     monkeypatch.setattr(MonomialIdeal, "__init__", counting_init)
     monkeypatch.setattr(theorems, "monomials_between", counting_between)
-    monkeypatch.setattr(hom, "monomials_between", counting_between)
+    # hom builds every module off the box kernel and does not walk between ideals
+    assert not hasattr(hom, "monomials_between")
     grid = classify_grid(ps, tmax)
     assert len(grid.classes) == tmax ** len(texts)
     assert calls == []
