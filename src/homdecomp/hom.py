@@ -17,7 +17,7 @@ from operator import lt
 
 from . import monomials
 from .gfp import PrimeFieldMatrix, is_prime
-from .monomials import CapExceeded, Monomial, MonomialIdeal, grlex_key, mono_mul, mono_pow
+from .monomials import CapExceeded, Monomial, MonomialIdeal, grlex_key, mono_mul
 from .rings import LocalRing, ParameterSystem, validate_sop
 
 PRESENTATION_CAP = 512
@@ -278,8 +278,8 @@ def box_basis(in_L, bounds, a_gens) -> tuple[list[Monomial], tuple[Monomial, ...
     return basis, generators
 
 
-def parameter_box(ps: ParameterSystem, b_spec) -> tuple[list[Monomial], list[int | None]]:
-    """𝔟's generators and the box bounds of B = I + 𝔟, for 𝔟 as powers or monomials.
+def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:
+    """The box bounds of B = I + 𝔟, for 𝔟 given as powers or monomials.
 
     b_spec is a list of integers t_i >= 1, meaning 𝔟 = (a_i^{t_i}), or of
     d monomials forming a parameter ideal inside 𝔞, validated in full.
@@ -293,31 +293,29 @@ def parameter_box(ps: ParameterSystem, b_spec) -> tuple[list[Monomial], list[int
     spec = list(b_spec)
     if not spec:
         raise ValueError("b must not be empty")
-    if all(isinstance(t, int) for t in spec):
+    powers = all(isinstance(t, int) for t in spec)
+    if powers:
         if len(spec) != len(ps.params):
             raise ValueError("need one exponent per parameter")
         if any(t < 1 for t in spec):
             raise ValueError("exponents must be >= 1")
-        b_gens = [mono_pow(a, t) for a, t in zip(ps.params, spec)]
     elif all(isinstance(t, tuple) for t in spec):
-        b_gens = spec
-        for g in b_gens:
+        for g in spec:
             if not ps.ideal.contains(g):
                 raise ValueError(f"b generator {ring.fmt(g)} is not inside a")
-        validate_sop(ring, b_gens)
+        validate_sop(ring, spec)
     else:
         raise ValueError("b must be all exponents or all monomials")
     bounds = ring.defining._pure_powers()
-    for a in ps.params:
+    for i, a in enumerate(ps.params):
         support = [v for v, e in enumerate(a) if e]
         if len(support) != 1 or bounds[support[0]] is not None:
             raise ValueError(f"parameter {ring.fmt(a)} is not a pure power of a variable "
                              "free in the relations and in the other parameters")
-        bounds[support[0]] = a[support[0]]  # claimed; b's generator on it sets the bound
-    for g in b_gens:
-        v = next(v for v, e in enumerate(g) if e)
-        bounds[v] = g[v]
-    return b_gens, bounds
+        v = support[0]
+        # 𝔟's generator on x_v: a_i^{t_i}, or the one explicit generator that uses x_v
+        bounds[v] = a[v] * spec[i] if powers else max(g[v] for g in spec)
+    return bounds
 
 
 def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal) -> HomSubquotient:
@@ -358,7 +356,9 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
     (2, 1, True)
     """
     ring = ps.ring
-    b_gens, bounds = parameter_box(ps, b_spec)
-    b_ideal = MonomialIdeal(ring.ambient, b_gens)
+    bounds = parameter_box(ps, b_spec)
+    # 𝔟 holds the pure power x_v^{bounds_v} of each parameter's variable
+    b_ideal = MonomialIdeal(ring.ambient, [tuple(bounds[v] if e else 0 for v, e in enumerate(a))
+                                           for a in ps.params])
     return HomSubquotient(ring, ps.a_ideal, b_ideal, ring.defining + b_ideal, ps.base,
                           *box_basis(ring.defining.contains, bounds, ps.params))

@@ -492,7 +492,7 @@ def classify_point(ps: ParameterSystem, powers) -> tuple[PointClass, bool]:
     t = list(powers)
     if not all(isinstance(e, int) for e in t):
         raise ValueError("a lattice point is a list of integer exponents")
-    _, bounds = parameter_box(ps, t)
+    bounds = parameter_box(ps, t)
     basis, generators = box_basis(ps.ring.defining.contains, bounds, ps.params)
     free = len(basis) == len(generators) * ps.base.length()
     if len(generators) == 1:

@@ -369,7 +369,7 @@ def test_kernel_matches_colon_route_on_powers(case, data):
     t = data.draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
     basis, count = check_against_colon_route(build_hom(ps, t))
     # classify_point's call keeps the box's product order
-    cells, generators = box_basis(ps.ring.defining.contains, parameter_box(ps, t)[1], ps.params)
+    cells, generators = box_basis(ps.ring.defining.contains, parameter_box(ps, t), ps.params)
     assert sorted(cells, key=grlex_key) == basis
     assert len(generators) == count
 

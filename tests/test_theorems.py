@@ -26,7 +26,8 @@ from conftest import (
 from homdecomp import hom, monomials, theorems
 from homdecomp.decomp import decide
 from homdecomp.hom import HomSubquotient, box_basis, build_hom, parameter_box
-from homdecomp.monomials import CapExceeded, MonomialIdeal, grlex_key, monomials_between
+from homdecomp.monomials import (CapExceeded, MonomialIdeal, grlex_key, mono_pow,
+                                 monomials_between)
 from homdecomp.rings import LocalRing, ParameterSystem, validate_sop
 from homdecomp.theorems import (
     GridClassification,
@@ -366,8 +367,8 @@ def monomial_hom_system(Q):
 def check_point_against_homs(ps, t):
     """classify_point against build_hom + decide, and its box basis against the colon route."""
     assert classify_point(ps, t) == two_hom_point(ps, t)
-    b_gens, bounds = parameter_box(ps, t)
-    basis, generators = box_basis(ps.ring.defining.contains, bounds, ps.params)
+    basis, generators = box_basis(ps.ring.defining.contains, parameter_box(ps, t), ps.params)
+    b_gens = [mono_pow(a, k) for a, k in zip(ps.params, t)]
     B = ps.ring.defining + MonomialIdeal(ps.ring.ambient, b_gens)
     _, oracle_basis, count = colon_route(ps.a_ideal, B)
     assert sorted(basis, key=grlex_key) == oracle_basis
