@@ -1,11 +1,14 @@
-"""`homdecomp analyze` and `homdecomp verify` output, byte for byte, against golden files.
+"""`homdecomp analyze`, `verify` and `stabilize` output, byte for byte, against golden files.
 
 Each case runs the CLI in-process on one ring spec with one set of
 options and compares stdout, stderr and the exit code with
 tests/golden/cli.  The cases cover b given as powers and as explicit
-monomials, the statements rees, 3.1, 3.3, 4.1, 4.2 and 2.6 on the grid
-golden specs and on two Cohen-Macaulay specs, and the refusals the
-hypotheses and the b validation raise.  Partition indices in the
+monomials, the statements rees, 3.1, 3.3, 4.1, 4.2, 2.5 and 2.6 on the
+grid golden specs and on two Cohen-Macaulay specs, 2.7 on the specs
+with two and three parameters, the refusals the hypotheses and the b
+validation raise, and stabilize on every spec, including the last ring
+of the family (x^2, xy^m) under the stabilization cap and the first one
+past it.  Partition indices in the
 reports follow the grlex order of the Hom basis, so the files pin that
 order too.
 
@@ -35,6 +38,12 @@ SPECS = {
     "cm-x2": "ring x y z\nrelations x^2\nsop y z^2\n",
     "cm-x2y3": "ring x y z\nrelations x^2 y^3\nsop z^2\n",
 }
+# specs that only stabilize runs on: stabilization index 64, the cap, and 65
+STABILIZE_SPECS = {
+    "x2-xy63": "ring x y\nrelations x^2 xy^63\nsop y\n",
+    "x2-xy64": "ring x y\nrelations x^2 xy^64\nsop y\n",
+}
+ALL_SPECS = SPECS | STABILIZE_SPECS
 
 # b for analyze and verify rees, as powers and as explicit monomials
 POWERS = {"x2-xyz": "2,3", "x2-xy3": "3", "x2-xyz-y3": "2", "x2-xyzw": "2,1,3",
@@ -64,6 +73,11 @@ def _cases() -> dict:
         powers, b = TRANSFER[spec]
         cases[f"{spec}-verify-2.6"] = spec, ["verify", "--theorem", "2.6",
                                              "--powers", powers, "--b", b]
+        cases[f"{spec}-verify-2.5"] = spec, ["verify", "--theorem", "2.5", "--seed", "7"]
+    for spec in ("x2-xyz", "x2-xyzw", "cm-x2"):
+        cases[f"{spec}-verify-2.7"] = spec, ["verify", "--theorem", "2.7"]
+    for spec in ALL_SPECS:
+        cases[f"{spec}-stabilize"] = spec, ["stabilize"]
     # the refusals of b, which every route shares
     cases["x2-xy3-analyze-a"] = "x2-xy3", ["analyze", "--a", "(y)", "--b", "(y^3)"]
     cases["x2-xy3-analyze-b-outside-a"] = "x2-xy3", ["analyze", "--b", "(y)"]
@@ -81,7 +95,7 @@ def run_case(case: str, workdir: Path) -> dict:
     """Run one case; its exit code, stdout and stderr."""
     spec, (command, *options) = CASES[case]
     spec_path = workdir / f"{spec}.ring"
-    spec_path.write_text(SPECS[spec], encoding="utf-8")
+    spec_path.write_text(ALL_SPECS[spec], encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, str(spec_path)] + options)
@@ -100,9 +114,11 @@ def test_manifest_lists_every_case():
     assert sorted(manifest) == sorted(CASES)
     # every statement passes somewhere and every refusal is a bad-input exit
     assert {entry["exit"] for entry in manifest.values()} == {0, 2}
-    for theorem in ("rees", "3.1", "3.3", "4.1", "4.2", "2.6"):
+    for theorem in ("rees", "3.1", "3.3", "4.1", "4.2", "2.5", "2.6", "2.7"):
         assert any(manifest[case]["exit"] == 0 for case in CASES
                    if case.endswith(f"-verify-{theorem}"))
+    assert manifest["x2-xy63-stabilize"]["exit"] == 0
+    assert manifest["x2-xy64-stabilize"]["exit"] == 2
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

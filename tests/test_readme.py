@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import test_golden_cli
 from test_golden_grid import GOLDEN, SPECS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -44,7 +45,8 @@ def test_ci_smoke_runs_the_installed_console_script():
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["install-smoke"]["steps"]
-    install, spec, run, diff = (step["run"] for step in steps[-4:])
+    install, spec, run, diff, stab_spec, stab_run, stab_diff = (
+        step["run"] for step in steps[-7:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -53,3 +55,10 @@ def test_ci_smoke_runs_the_installed_console_script():
     assert diff == f"diff grid.out tests/golden/grid/{case}.out"
     manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
     assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}
+    # stabilize on the last ring of (x^2, xy^m) under the stabilization cap
+    text = re.fullmatch(r"printf '([^']*)' > x2-xy63\.ring", stab_spec).group(1)
+    assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["x2-xy63"]
+    assert stab_run == "homdecomp stabilize x2-xy63.ring > stabilize.out"
+    case = "x2-xy63-stabilize"
+    assert stab_diff == f"diff stabilize.out tests/golden/cli/{case}.out"
+    assert test_golden_cli.load_case(case)["exit"] == 0
