@@ -20,6 +20,7 @@ True
 from __future__ import annotations
 
 import sys
+from functools import reduce
 from itertools import combinations
 from itertools import product as _cartesian
 from operator import le
@@ -28,10 +29,8 @@ from typing import Iterable
 Monomial = tuple[int, ...]
 
 MAX_AMBIENT = 8
-# Resource caps, read at call time: the most standard monomials one
-# enumeration may hold, and the most colon steps one saturation may take.
+# The most standard monomials one enumeration may hold, read at call time.
 LENGTH_CAP = 10**6
-SATURATION_CAP = 1000
 
 
 class CapExceeded(RuntimeError):
@@ -96,8 +95,6 @@ class MonomialIdeal:
     >>> I = MonomialIdeal(2, [(2, 0), (1, 2)])       # (x^2, xy^2)
     >>> I.colon_monomial((0, 1)).gens                # (I : y)
     ((2, 0), (1, 1))
-    >>> I.saturation(MonomialIdeal(2, [(1, 0), (0, 1)])).gens
-    ((1, 0),)
     """
 
     __slots__ = ("ambient", "gens")
@@ -231,15 +228,24 @@ class MonomialIdeal:
         return MonomialIdeal(self.ambient, self.gens + tuple(common))
 
     def saturation(self, J: "MonomialIdeal") -> "MonomialIdeal":
-        """(I : J^infinity), computed by iterating the colon to a fixpoint."""
-        current = self
-        for _ in range(SATURATION_CAP):
-            step = current.colon(J)
-            if step == current:
-                return current
-            current = step
-        raise CapExceeded(
-            f"saturation did not stabilize within the iteration cap {SATURATION_CAP}")
+        """(I : J^infinity) = ⋂ (I : g^M) over g in J.gens, for M the top exponent of I.
+
+        (h) : g^k = h / gcd(h, g^k) is h with its supp(g) exponents set to 0
+        once k >= M, and the colon by a monomial distributes over sums, so
+        (I : g^k) = (I : g^M) for k >= M.  Each g^k is in J^k, and if every
+        u g_i^M is in I, so is u J^N for N = len(J.gens) (M - 1) + 1: a
+        product of N generators repeats some g_i at least M times.
+
+        >>> I = MonomialIdeal(2, [(1500, 0), (1, 1)])               # (x^1500, xy)
+        >>> I.saturation(MonomialIdeal(2, [(1, 0), (0, 1)])).gens  # (1) ∩ (x)
+        ((1, 0),)
+        """
+        self._check_compatible(J)
+        if J.is_zero():
+            raise ValueError("saturation by the zero ideal is undefined")
+        top = max((e for h in self.gens for e in h), default=0)
+        return reduce(MonomialIdeal.intersect,
+                      (self.colon_monomial(mono_pow(g, top)) for g in J.gens))
 
     def radical(self) -> "MonomialIdeal":
         """Radical: generated by the squarefree parts of the generators."""

@@ -79,6 +79,24 @@ def oracle_saturation_member(I: MonomialIdeal, J: MonomialIdeal, u,
     return all(I.contains(w) for w in frontier)
 
 
+def oracle_saturation_fixpoint(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """(I : J^infinity) by iterating the colon until it stops changing.
+
+    The colon walk that MonomialIdeal.saturation replaced, kept as an
+    oracle.  After k steps the walk holds (I : J^k), which is the
+    saturation once k reaches len(J.gens) * M for M the top exponent of I
+    (see oracle_saturation_member), so one more step finds the fixpoint.
+    """
+    bound = max(1, len(J.gens) * max((max(g) for g in I.gens), default=0))
+    current = I
+    for _ in range(bound + 1):
+        step = current.colon(J)
+        if step == current:
+            return current
+        current = step
+    raise AssertionError(f"the colon walk did not settle within {bound + 1} steps")
+
+
 def brute_force_box_count(I: MonomialIdeal) -> int:
     """Count monomials outside I inside the pure-power box, by direct loops."""
     bounds = []

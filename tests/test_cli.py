@@ -384,7 +384,7 @@ class TestStabilize:
         assert report["gamma_generators"] == []
 
     @pytest.mark.parametrize("relations, message", [
-        ("x^1500 xy", "saturation did not stabilize within the iteration cap 1000"),
+        ("x^1500 xy", "stabilization index exceeded the cap 64"),
         ("x^2 xy^100", "stabilization index exceeded the cap 64"),
     ])
     def test_caps_exit_2_and_name_the_cap(self, tmp_path, capsys, relations, message):

@@ -2,7 +2,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -10,6 +10,7 @@ from conftest import (
     monomial_ideals,
     oracle_colon_member,
     oracle_monomials_between,
+    oracle_saturation_fixpoint,
     oracle_saturation_member,
     brute_force_box_count,
     random_ideal,
@@ -28,6 +29,9 @@ from homdecomp.monomials import (
     parse_ideal,
     parse_monomial,
 )
+
+
+XYZ = ("x", "y", "z")
 
 
 def ideal(text, names=("x", "y")):
@@ -206,6 +210,46 @@ def test_saturation_frozen_values():
     assert ideal("(x^2)").saturation(m) == ideal("(x^2)")
     # saturating (x) by (x, y) stays (x): no power of y falls into (x)
     assert ideal("(x)").saturation(m) == ideal("(x)")
+
+
+def test_saturation_past_a_thousand_colon_steps():
+    # the colon walk needed 1500 steps here, past the old cap of 1000
+    I, m = ideal("(x^1500, xy)"), ideal("(x, y)")
+    assert I.saturation(m) == ideal("(x)")
+    with pytest.raises(ValueError, match="zero ideal"):
+        I.saturation(MonomialIdeal.zero(2))
+
+
+@st.composite
+def saturation_pairs(draw):
+    """(I, J) on 1-3 variables with exponents up to 6.
+
+    J is the maximal ideal, the unit ideal or random (generators of
+    mixed support, and now and then the unit ideal again).  I may be the
+    zero ideal, and it gains pure powers of some variables half the time.
+    """
+    n = draw(st.integers(1, 3))
+    pure = lambda i, e: tuple(e if k == i else 0 for k in range(n))  # noqa: E731
+    I = draw(monomial_ideals(n, max_exp=6))
+    if draw(st.booleans()):
+        I += MonomialIdeal(n, [pure(i, draw(st.integers(1, 6)))
+                               for i in range(n) if draw(st.booleans())])
+    J = draw(st.one_of(st.just(MonomialIdeal(n, [pure(i, 1) for i in range(n)])),
+                       st.just(MonomialIdeal.unit(n)),
+                       monomial_ideals(n, min_gens=1)))
+    return I, J
+
+
+@settings(max_examples=300, deadline=None)
+@given(saturation_pairs())
+@example((ideal("(x^2, xy^3)"), ideal("(x, y)")))                       # J = m
+@example((ideal("(x^3y, y^4z^2, xz^5)", XYZ), ideal("(xy, yz^2)", XYZ)))  # mixed support
+@example((ideal("(x^2, xy^3)"), MonomialIdeal.unit(2)))                   # unit J
+@example((MonomialIdeal.zero(3), ideal("(x, yz)", XYZ)))                  # zero I
+@example((ideal("(x^4, y^3, xyz^2)", XYZ), ideal("(x, y, z)", XYZ)))     # pure powers
+def test_saturation_matches_colon_fixpoint(pair):
+    I, J = pair
+    assert I.saturation(J).gens == oracle_saturation_fixpoint(I, J).gens
 
 
 def test_saturation_oracle_default_bound_reaches_deep_members():

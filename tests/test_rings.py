@@ -239,6 +239,16 @@ def test_stabilization_power_chain_family(m):
     assert stabilization_oracle(R) == m + 1
 
 
+def test_saturation_takes_no_colon_step(monkeypatch):
+    def no_colon(self, J):
+        raise AssertionError("saturation took a colon step")
+
+    monkeypatch.setattr(MonomialIdeal, "colon", no_colon)
+    R = ring("(x^2, xy^63)")
+    assert R.fmt_ideal(gamma_m(R)) == "(x)"
+    assert stabilization_index(R) == 64
+
+
 def test_stabilization_cm_is_zero():
     assert stabilization_index(ring("(x^2)")) == 0
     assert stabilization_index(ring("(0)")) == 0
