@@ -8,9 +8,8 @@ grid golden specs and on two Cohen-Macaulay specs, 2.7 on the specs
 with two and three parameters, the refusals the hypotheses and the b
 validation raise, and stabilize on every spec, including the last ring
 of the family (x^2, xy^m) under the stabilization cap and the first one
-past it.  Partition indices in the
-reports follow the grlex order of the Hom basis, so the files pin that
-order too.
+past it.  Partition indices in the reports follow the grlex order of
+the Hom basis, so the files pin that order too.
 
     PYTHONPATH=src python tests/test_golden_cli.py DIR
 

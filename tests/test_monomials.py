@@ -213,7 +213,7 @@ def test_saturation_frozen_values():
 
 
 def test_saturation_past_a_thousand_colon_steps():
-    # the colon walk needed 1500 steps here, past the old cap of 1000
+    # a colon walk takes 1500 steps to reach (x) here
     I, m = ideal("(x^1500, xy)"), ideal("(x, y)")
     assert I.saturation(m) == ideal("(x)")
     with pytest.raises(ValueError, match="zero ideal"):
