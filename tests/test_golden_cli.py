@@ -8,7 +8,8 @@ grid golden specs and on two Cohen-Macaulay specs, 2.7 on the specs
 with two and three parameters, the refusals the hypotheses and the b
 validation raise, and stabilize on every spec, including the last ring
 of the family (x^2, xy^m) under the stabilization cap and the first one
-past it.  Partition indices in the reports follow the grlex order of
+past it.  2.7, 4.1 and 4.2 also run on (x^2, xy^m z^m), whose first
+non-CM parameter power is y^(m+1).  Partition indices in the reports follow the grlex order of
 the Hom basis, so the files pin that order too.
 
     PYTHONPATH=src python tests/test_golden_cli.py DIR
@@ -42,7 +43,11 @@ STABILIZE_SPECS = {
     "x2-xy63": "ring x y\nrelations x^2 xy^63\nsop y\n",
     "x2-xy64": "ring x y\nrelations x^2 xy^64\nsop y\n",
 }
-ALL_SPECS = SPECS | STABILIZE_SPECS
+# specs that only 2.7, 4.1 and 4.2 run on: the first non-CM power y^(m+1) is y^10
+NON_CM_POWER_SPECS = {
+    "x2-xy9z9": "ring x y z\nrelations x^2 xy^9z^9\nsop y z\n",
+}
+ALL_SPECS = SPECS | STABILIZE_SPECS | NON_CM_POWER_SPECS
 
 # b for analyze and verify rees, as powers and as explicit monomials
 POWERS = {"x2-xyz": "2,3", "x2-xy3": "3", "x2-xyz-y3": "2", "x2-xyzw": "2,1,3",
@@ -75,7 +80,10 @@ def _cases() -> dict:
         cases[f"{spec}-verify-2.5"] = spec, ["verify", "--theorem", "2.5", "--seed", "7"]
     for spec in ("x2-xyz", "x2-xyzw", "cm-x2"):
         cases[f"{spec}-verify-2.7"] = spec, ["verify", "--theorem", "2.7"]
-    for spec in ALL_SPECS:
+    for spec in NON_CM_POWER_SPECS:
+        for theorem in ("2.7", "4.1", "4.2"):
+            cases[f"{spec}-verify-{theorem}"] = spec, ["verify", "--theorem", theorem]
+    for spec in SPECS | STABILIZE_SPECS:
         cases[f"{spec}-stabilize"] = spec, ["stabilize"]
     # the refusals of b, which every route shares
     cases["x2-xy3-analyze-a"] = "x2-xy3", ["analyze", "--a", "(y)", "--b", "(y^3)"]
@@ -118,6 +126,8 @@ def test_manifest_lists_every_case():
                    if case.endswith(f"-verify-{theorem}"))
     assert manifest["x2-xy63-stabilize"]["exit"] == 0
     assert manifest["x2-xy64-stabilize"]["exit"] == 2
+    assert manifest["x2-xy9z9-verify-2.7"]["exit"] == 0
+    assert '"power": 10,' in load_case("x2-xy9z9-verify-2.7")["stdout"]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
