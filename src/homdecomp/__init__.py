@@ -24,7 +24,6 @@ from .rings import (
     gamma_m,
     gamma_module_generators,
     is_cohen_macaulay,
-    is_regular_sequence,
     socle_generators,
     stabilization_index,
     validate_sop,

@@ -230,16 +230,12 @@ def box_basis(in_L, bounds, a_gens) -> tuple[list[Monomial], tuple[Monomial, ...
     hom_from_ideals takes L = B and B's pure powers.  build_hom and
     classify_point take L = I and parameter_box's bounds, since B is then
     I plus pure powers: every system that validate_sop accepts is made
-    of pure powers a_i = x_{v_i}^{e_i} of distinct variables free in I.
-    As R has dimension d, some set S of d variables holds the support of
-    no generator of I.  I + 𝔞 has finite colength, so each x_j in S has
-    a pure power in I + 𝔞; a monomial dividing it is a pure power of x_j
-    and not from I, so it is some a_i.  A monomial other than 1 is a pure
-    power of at most one variable, so the a_i are pure powers of the d
-    variables of S.  A validated 𝔟 is such a system too, and none of its
-    generators lies in I, as d - 1 elements cannot cut R down to finite
-    length; so 𝔟 ⊆ 𝔞 + I makes it one pure power x_{v_i}^{f_i},
-    f_i >= e_i, of each parameter's variable (f_i = e_i t_i for powers).
+    of pure powers a_i = x_{v_i}^{e_i} of distinct variables free in I
+    (ParameterSystem.variables proves it).  A validated 𝔟 is such a
+    system too, and none of its generators lies in I, as d - 1 elements
+    cannot cut R down to finite length; so 𝔟 ⊆ 𝔞 + I makes it one pure
+    power x_{v_i}^{f_i}, f_i >= e_i, of each parameter's variable
+    (f_i = e_i t_i for powers).
 
     A bound None (B of infinite colength) raises ValueError, and a box
     of more than LENGTH_CAP cells raises CapExceeded.
@@ -286,8 +282,9 @@ def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:
     Powers need no validation: 𝔟 ⊆ 𝔞 has d non-unit generators and each
     a_i lies in its radical, so 𝔟 is a system of parameters as 𝔞 is.
     The bounds are I's pure powers and 𝔟's exponent on each parameter's
-    variable (see box_basis); parameters that are not pure powers of
-    distinct variables free in I raise ValueError naming the parameter.
+    variable, read off ParameterSystem.variables, which raises ValueError
+    naming a parameter that is not a pure power of a variable free in I
+    and in the other parameters.
     """
     ring = ps.ring
     spec = list(b_spec)
@@ -307,12 +304,7 @@ def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:
     else:
         raise ValueError("b must be all exponents or all monomials")
     bounds = ring.defining._pure_powers()
-    for i, a in enumerate(ps.params):
-        support = [v for v, e in enumerate(a) if e]
-        if len(support) != 1 or bounds[support[0]] is not None:
-            raise ValueError(f"parameter {ring.fmt(a)} is not a pure power of a variable "
-                             "free in the relations and in the other parameters")
-        v = support[0]
+    for i, (v, a) in enumerate(zip(ps.variables, ps.params)):
         # 𝔟's generator on x_v: a_i^{t_i}, or the one explicit generator that uses x_v
         bounds[v] = a[v] * spec[i] if powers else max(g[v] for g in spec)
     return bounds

@@ -10,6 +10,7 @@ ideal J alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .monomials import (
     CapExceeded,
@@ -24,7 +25,6 @@ from .monomials import (
     parse_monomial,
 )
 
-NON_CM_POWER_CAP = 10
 STABILIZATION_CAP = 64
 
 
@@ -122,6 +122,36 @@ class ParameterSystem:
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "base", LocalRing(self.ring.variables, ideal))
 
+    @cached_property
+    def variables(self) -> tuple[int, ...]:
+        """The index v_i of the variable each parameter is a pure power of.
+
+        Every system that validate_sop accepts is made of pure powers
+        a_i = x_{v_i}^{e_i} of distinct variables free in I, that is with
+        no pure power in I.  As R has dimension d, some set S of d
+        variables holds the support of no generator of I.  I + 𝔞 has
+        finite colength, so each x_j in S has a pure power in I + 𝔞; a
+        monomial dividing it is a pure power of x_j and not from I, so it
+        is some a_i.  A monomial other than 1 is a pure power of at most
+        one variable, so the a_i are pure powers of the d variables of S.
+        Parameters of a system built without validate_sop that break this
+        raise ValueError naming the first such parameter.
+
+        >>> R = LocalRing.from_text(("x", "y", "z"), "(x^2, xyz)")
+        >>> validate_sop(R, [R.parse_monomial("z^2"), R.parse_monomial("y")]).variables
+        (2, 1)
+        """
+        free = [e is None for e in self.ring.defining._pure_powers()]
+        out = []
+        for a in self.params:
+            support = [v for v, e in enumerate(a) if e]
+            if len(support) != 1 or not free[support[0]]:
+                raise ValueError(f"parameter {self.ring.fmt(a)} is not a pure power of a "
+                                 "variable free in the relations and in the other parameters")
+            free[support[0]] = False
+            out.append(support[0])
+        return tuple(out)
+
 
 def validate_sop(ring: LocalRing, params: list[Monomial]) -> ParameterSystem:
     """Check that params is a system of parameters: right count, finite colength.
@@ -145,30 +175,25 @@ def validate_sop(ring: LocalRing, params: list[Monomial]) -> ParameterSystem:
     return ps
 
 
-def is_regular_element(ring: LocalRing, u: Monomial) -> bool:
-    """u is a non-zerodivisor on the ring, decided by (I : u) = I."""
-    if ring.is_zero_element(u):
-        raise ValueError(f"element {ring.fmt(u)} is zero in the ring")
-    return ring.defining.colon_monomial(u) == ring.defining
-
-
-def is_regular_sequence(ring: LocalRing, seq: list[Monomial]) -> bool:
-    """Each element regular modulo the previous ones; empty sequences qualify."""
-    current = ring
-    for u in seq:
-        if current.is_zero_element(u):
-            raise ValueError(
-                f"element {ring.fmt(u)} becomes zero in an intermediate quotient"
-            )
-        if not is_regular_element(current, u):
-            return False
-        current = current.quotient(MonomialIdeal(ring.ambient, [u]))
-    return True
-
-
 def is_cohen_macaulay(ps: ParameterSystem) -> bool:
-    """CM iff the parameter system is a regular sequence."""
-    return is_regular_sequence(ps.ring, list(ps.params))
+    """CM iff the parameters form a regular sequence: no x_{v_i} divides a generator of I.
+
+    For monomial ideals, x_v^e is a non-zerodivisor on k[x]/I exactly
+    when x_v divides no minimal generator of I (Miller-Sturmfels,
+    Combinatorial Commutative Algebra, ch. 1): a generator g with g_v > 0
+    puts g / x_v^{min(g_v, e)}, a proper divisor of g and so outside I,
+    into (I : x_v^e), and when no generator involves x_v, one dividing
+    u x_v^e divides u.  Walk the sequence a_i = x_{v_i}^{e_i} (see
+    ParameterSystem.variables).  While no generator of I involves
+    x_{v_1}..x_{v_k}, none of them is divisible by a_1..a_k, so the
+    minimal generators of I + (a_1..a_k) are those of I and the a_j,
+    none of which involves x_{v_{k+1}}; and a_{k+1} is never zero there,
+    as x_{v_{k+1}} has no pure power in I.  So a_{k+1} is regular exactly
+    when no generator of I involves x_{v_{k+1}}, and the walk fails at
+    the first parameter whose variable occurs in a generator of I.
+    """
+    variables = ps.variables
+    return not any(g[v] for g in ps.ring.defining.gens for v in variables)
 
 
 def depth_is_zero(ring: LocalRing) -> bool:
@@ -270,22 +295,35 @@ def reduced_system(ps: ParameterSystem, index: int, power: int) -> ParameterSyst
 
 
 def find_non_cm_power(ps: ParameterSystem) -> tuple[int, int]:
-    """Find (i, s), 1-indexed, with ring/(a_i^s) not CM via the remaining parameters.
+    """The first (i, s), 1-indexed, with ring/(a_i^s) not CM via the remaining parameters.
 
-    Scans s = 1..NON_CM_POWER_CAP, inner loop over i.  When some a_i is
-    regular on the ring, (i, 1) necessarily works, so the scan finds it at
-    s = 1.  If the cap is exhausted the instance needs manual review
-    rather than a verdict.
+    First means the lexicographically least (s, i), which a scan of
+    s = 1, 2, ... with an inner loop over i would find.  Here a_i^s =
+    x_{v_i}^{s e_i} (see ParameterSystem.variables), so the minimal
+    generators of I + (a_i^s) are a_i^s and the minimal generators g of I
+    with g_{v_i} < s e_i: the others are multiples of a_i^s, and a_i^s is
+    a multiple of no generator of I, as x_{v_i} has no pure power there.
+    The remaining parameters are pure powers of the other x_{v_j}, which
+    a_i^s does not involve, so by is_cohen_macaulay the quotient is not
+    CM exactly when some g with g_{v_i} < s e_i involves another x_{v_j}.
+    Over those g, the least such s is s_i = 1 + min floor(g_{v_i} / e_i),
+    and the answer is the least (s_i, i).  It exists: a non-CM system
+    has a generator involving some x_{v_k}, and with d >= 2 some i is not k.
+
+    >>> R = LocalRing.from_text(("x", "y", "z"), "(x^2, xy^10z^10)")
+    >>> find_non_cm_power(validate_sop(R, [R.parse_monomial("y"), R.parse_monomial("z")]))
+    (1, 11)
     """
-    if ps.ring.dimension() < 2:
+    if len(ps.params) < 2:
         raise ValueError("needs a ring of dimension at least 2")
     if is_cohen_macaulay(ps):
         raise ValueError("the ring is CM; no non-CM parameter power exists")
-    for s in range(1, NON_CM_POWER_CAP + 1):
-        for i in range(1, len(ps.params) + 1):
-            if not is_cohen_macaulay(reduced_system(ps, i, s)):
-                return (i, s)
-    raise CapExceeded(
-        f"no non-CM parameter power with exponent <= {NON_CM_POWER_CAP}; "
-        "flag for manual review"
-    )
+    variables = ps.variables
+    firsts = []
+    for i, (v, a) in enumerate(zip(variables, ps.params), start=1):
+        exponents = [g[v] for g in ps.ring.defining.gens
+                     if any(g[w] for w in variables if w != v)]
+        if exponents:
+            firsts.append((1 + min(exponents) // a[v], i))
+    s, i = min(firsts)
+    return i, s

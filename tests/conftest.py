@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from homdecomp.hom import build_hom, hom_from_ideals
 from homdecomp.monomials import MonomialIdeal, grlex_key, mono_mul, mono_pow, monomials_between
-from homdecomp.rings import LocalRing, stabilization_index, validate_sop
+from homdecomp.rings import LocalRing, reduced_system, stabilization_index, validate_sop
 
 
 def enumerate_monomials(ambient: int, max_exp: int):
@@ -150,6 +150,48 @@ def colon_route(a_ideal: MonomialIdeal, B: MonomialIdeal):
     """
     C = B.colon(a_ideal)
     return C, monomials_between(C, B), sum(1 for g in C.gens if not B.contains(g))
+
+
+def is_regular_element(ring: LocalRing, u) -> bool:
+    """u is a non-zerodivisor on the ring, decided by (I : u) = I."""
+    if ring.is_zero_element(u):
+        raise ValueError(f"element {ring.fmt(u)} is zero in the ring")
+    return ring.defining.colon_monomial(u) == ring.defining
+
+
+def is_regular_sequence(ring: LocalRing, seq) -> bool:
+    """Each element regular modulo the previous ones; empty sequences qualify.
+
+    The quotient-ring walk that rings.is_cohen_macaulay replaced, kept as
+    an oracle: one colon and one quotient ring per element.
+    """
+    current = ring
+    for u in seq:
+        if current.is_zero_element(u):
+            raise ValueError(f"element {ring.fmt(u)} becomes zero in an intermediate quotient")
+        if not is_regular_element(current, u):
+            return False
+        current = current.quotient(MonomialIdeal(ring.ambient, [u]))
+    return True
+
+
+def oracle_non_cm_power(ps):
+    """The first (i, s) of the scan s = 1, 2, ..., i = 1..d with ring/(a_i^s) not CM.
+
+    The loop that rings.find_non_cm_power replaced, kept as an oracle:
+    each candidate is cut by rings.reduced_system and decided by the
+    regular-sequence walk.  The scan stops at s = M + 1, M the top
+    exponent of I: past it every generator of I escapes a_i^s, as at
+    M + 1, so the quotients differ only in a pure power of the cut
+    variable, which the walk over the other parameters never divides.
+    """
+    top = max((max(g) for g in ps.ring.defining.gens), default=0)
+    for s in range(1, top + 2):
+        for i in range(1, len(ps.params) + 1):
+            reduced = reduced_system(ps, i, s)
+            if not is_regular_sequence(reduced.ring, list(reduced.params)):
+                return i, s
+    raise AssertionError(f"no non-CM parameter power with exponent <= {top + 1}")
 
 
 def monomials_of_degree(nvars: int, deg: int):
@@ -309,3 +351,34 @@ def one_dimensional_rings(draw):
     ring_ideal = MonomialIdeal(n, gens)
     assume(ring_ideal.dimension() == 1)
     return LocalRing(tuple("xyzw"[:n]), ring_ideal)
+
+
+@st.composite
+def drawn_systems(draw):
+    """A ring on 1-4 variables and as many monomials as its dimension.
+
+    Some variables get a pure power in I and up to two random relations
+    follow.  Each candidate parameter is a pure power of a random
+    variable or a random monomial, so validate_sop accepts some draws
+    and refuses others.
+    """
+    n = draw(st.integers(1, 4))
+    pure = lambda i, e: tuple(e if k == i else 0 for k in range(n))  # noqa: E731
+    bounded = draw(st.sets(st.integers(0, n - 1)))
+    gens = [pure(i, draw(st.integers(1, 3))) for i in sorted(bounded)]
+    gens += [g for g in draw(monomial_ideals(n, max_gens=2)).gens if any(g)]
+    ring = LocalRing(tuple("xyzw"[:n]), MonomialIdeal(n, gens))
+    power = st.builds(pure, st.integers(0, n - 1), st.integers(1, 3))
+    anything = st.tuples(*[st.integers(0, 2)] * n)
+    params = draw(st.lists(st.one_of(power, anything), min_size=ring.dimension(),
+                           max_size=ring.dimension()))
+    return ring, params
+
+
+def accepted(drawn) -> bool:
+    """Whether validate_sop accepts a drawn_systems draw."""
+    try:
+        validate_sop(*drawn)
+    except ValueError:
+        return False
+    return True

@@ -43,9 +43,10 @@ STABILIZE_SPECS = {
     "x2-xy63": "ring x y\nrelations x^2 xy^63\nsop y\n",
     "x2-xy64": "ring x y\nrelations x^2 xy^64\nsop y\n",
 }
-# specs that only 2.7, 4.1 and 4.2 run on: the first non-CM power y^(m+1) is y^10
+# specs that only 2.7, 4.1 and 4.2 run on: the first non-CM power y^(m+1) is y^10 and y^11
 NON_CM_POWER_SPECS = {
     "x2-xy9z9": "ring x y z\nrelations x^2 xy^9z^9\nsop y z\n",
+    "x2-xy10z10": "ring x y z\nrelations x^2 xy^10z^10\nsop y z\n",
 }
 ALL_SPECS = SPECS | STABILIZE_SPECS | NON_CM_POWER_SPECS
 
@@ -126,8 +127,9 @@ def test_manifest_lists_every_case():
                    if case.endswith(f"-verify-{theorem}"))
     assert manifest["x2-xy63-stabilize"]["exit"] == 0
     assert manifest["x2-xy64-stabilize"]["exit"] == 2
-    assert manifest["x2-xy9z9-verify-2.7"]["exit"] == 0
-    assert '"power": 10,' in load_case("x2-xy9z9-verify-2.7")["stdout"]
+    for spec, power in (("x2-xy9z9", 10), ("x2-xy10z10", 11)):
+        assert manifest[f"{spec}-verify-2.7"]["exit"] == 0
+        assert f'"power": {power},' in load_case(f"{spec}-verify-2.7")["stdout"]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

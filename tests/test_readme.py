@@ -45,8 +45,8 @@ def test_ci_smoke_runs_the_installed_console_script():
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["install-smoke"]["steps"]
-    install, spec, run, diff, stab_spec, stab_run, stab_diff = (
-        step["run"] for step in steps[-7:])
+    (install, spec, run, diff, stab_spec, stab_run, stab_diff,
+     power_spec, power_run, power_diff) = (step["run"] for step in steps[-10:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -61,4 +61,11 @@ def test_ci_smoke_runs_the_installed_console_script():
     assert stab_run == "homdecomp stabilize x2-xy63.ring > stabilize.out"
     case = "x2-xy63-stabilize"
     assert stab_diff == f"diff stabilize.out tests/golden/cli/{case}.out"
+    assert test_golden_cli.load_case(case)["exit"] == 0
+    # 2.7 on (x^2, xy^10z^10), whose first non-CM parameter power is y^11
+    text = re.fullmatch(r"printf '([^']*)' > x2-xy10z10\.ring", power_spec).group(1)
+    assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["x2-xy10z10"]
+    assert power_run == "homdecomp verify x2-xy10z10.ring --theorem 2.7 > non-cm-power.out"
+    case = "x2-xy10z10-verify-2.7"
+    assert power_diff == f"diff non-cm-power.out tests/golden/cli/{case}.out"
     assert test_golden_cli.load_case(case)["exit"] == 0

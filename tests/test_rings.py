@@ -5,9 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    accepted,
+    drawn_systems,
     enumerate_monomials,
+    is_regular_element,
+    is_regular_sequence,
     monomial_ideals,
+    oracle_non_cm_power,
     oracle_saturation_member,
+    power_specs,
     random_proper_ideal,
     torsion_ideals,
 )
@@ -22,8 +28,6 @@ from homdecomp.rings import (
     gamma_module_generators,
     gamma_monomial_basis,
     is_cohen_macaulay,
-    is_regular_element,
-    is_regular_sequence,
     socle_generators,
     stabilization_index,
     validate_sop,
@@ -132,6 +136,38 @@ def test_cohen_macaulay():
     F = ring("(x^2, xyz)", XYZ)
     ps = validate_sop(F, [F.parse_monomial("y"), F.parse_monomial("z")])
     assert not is_cohen_macaulay(ps)
+
+
+# drawn_systems rarely yields a non-CM system with two parameters, power_specs often does
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(drawn_systems(), power_specs().map(lambda spec: (spec[0].ring, spec[0].params))))
+def test_cm_and_non_cm_power_match_the_walk_oracles(drawn):
+    if not accepted(drawn):
+        return
+    ps = validate_sop(*drawn)
+    cm = is_cohen_macaulay(ps)
+    assert cm == is_regular_sequence(ps.ring, list(ps.params))
+    if not cm and len(ps.params) >= 2:
+        assert find_non_cm_power(ps) == oracle_non_cm_power(ps)
+
+
+def test_cm_and_non_cm_power_build_no_quotient_and_take_no_colon(monkeypatch):
+    F = ring("(x^2, xyz)", XYZ)
+    ps = validate_sop(F, [F.parse_monomial("y"), F.parse_monomial("z")])
+    C = ring("(x^3)", XYZ)
+    cm = validate_sop(C, [C.parse_monomial("y"), C.parse_monomial("z^2")])
+
+    def refuse(*args):
+        raise AssertionError("the CM test built a quotient, counted a dimension or took a colon")
+
+    monkeypatch.setattr(LocalRing, "quotient", refuse)
+    monkeypatch.setattr(LocalRing, "dimension", refuse)
+    monkeypatch.setattr(MonomialIdeal, "colon_monomial", refuse)
+    assert not is_cohen_macaulay(ps)
+    assert find_non_cm_power(ps) == (1, 2)
+    assert is_cohen_macaulay(cm)
+    with pytest.raises(ValueError, match="^the ring is CM; no non-CM parameter power exists$"):
+        find_non_cm_power(cm)
 
 
 def test_cm_is_sop_independent():
@@ -354,13 +390,21 @@ def test_find_non_cm_power_regular_parameter():
     assert find_non_cm_power(ps) == (1, 1)
 
 
+@pytest.mark.parametrize("m", [1, 9, 10, 20])
+def test_find_non_cm_power_has_no_cap(m):
+    # the first non-CM power of y on (x^2, xy^m z^m) is y^(m+1)
+    R = ring(f"(x^2, xy^{m}z^{m})", XYZ)
+    ps = validate_sop(R, [R.parse_monomial("y"), R.parse_monomial("z")])
+    assert find_non_cm_power(ps) == oracle_non_cm_power(ps) == (1, m + 1)
+
+
 def test_find_non_cm_power_rejects_cm_and_low_dim():
     R = ring("(x^3)", XYZ)
     ps = validate_sop(R, [R.parse_monomial("y"), R.parse_monomial("z")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the ring is CM; no non-CM parameter power exists$"):
         find_non_cm_power(ps)
     E = ring("(x^2, xy^3)")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^needs a ring of dimension at least 2$"):
         find_non_cm_power(validate_sop(E, [E.parse_monomial("y")]))
 
 
@@ -372,4 +416,5 @@ def test_find_non_cm_power_verdict_is_checkable():
     power = tuple(e * s for e in a)
     quo = F.quotient(MonomialIdeal(3, [power]))
     rest = [p for j, p in enumerate(ps.params) if j != i - 1]
-    assert not is_cohen_macaulay(validate_sop(quo, rest))
+    validate_sop(quo, rest)
+    assert not is_regular_sequence(quo, rest)

@@ -61,5 +61,5 @@ def test_ring_spec_has_no_prime_field():
 def test_package_exports():
     assert homdecomp.CapExceeded is homdecomp.monomials.CapExceeded
     for name in ("LengthCapExceeded", "SearchCapExceeded", "commutant",
-                 "is_decomposable", "brute_force_idempotent_oracle"):
+                 "is_decomposable", "brute_force_idempotent_oracle", "is_regular_sequence"):
         assert not hasattr(homdecomp, name)

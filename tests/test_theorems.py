@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    accepted,
     colon_route,
+    drawn_systems,
     monomial_homs,
-    monomial_ideals,
     one_dimensional_rings,
     oracle_first_monomial_parameter,
     power_specs,
@@ -391,36 +392,6 @@ def test_point_matches_two_hom_points_on_monomial_homs(Q, data):
     check_point_against_homs(ps, t)
 
 
-@st.composite
-def drawn_systems(draw):
-    """A ring on 1-4 variables and as many monomials as its dimension.
-
-    Some variables get a pure power in I and up to two random relations
-    follow.  Each candidate parameter is a pure power of a random
-    variable or a random monomial, so validate_sop accepts some draws
-    and refuses others.
-    """
-    n = draw(st.integers(1, 4))
-    pure = lambda i, e: tuple(e if k == i else 0 for k in range(n))  # noqa: E731
-    bounded = draw(st.sets(st.integers(0, n - 1)))
-    gens = [pure(i, draw(st.integers(1, 3))) for i in sorted(bounded)]
-    gens += [g for g in draw(monomial_ideals(n, max_gens=2)).gens if any(g)]
-    ring = LocalRing(tuple("xyzw"[:n]), MonomialIdeal(n, gens))
-    power = st.builds(pure, st.integers(0, n - 1), st.integers(1, 3))
-    anything = st.tuples(*[st.integers(0, 2)] * n)
-    params = draw(st.lists(st.one_of(power, anything), min_size=ring.dimension(),
-                           max_size=ring.dimension()))
-    return ring, params
-
-
-def accepted(drawn) -> bool:
-    try:
-        validate_sop(*drawn)
-    except ValueError:
-        return False
-    return True
-
-
 @settings(max_examples=300, deadline=None)
 @given(drawn_systems())
 def test_accepted_systems_are_pure_powers_of_free_variables(drawn):
@@ -431,6 +402,7 @@ def test_accepted_systems_are_pure_powers_of_free_variables(drawn):
     supports = [[v for v, e in enumerate(a) if e] for a in ps.params]
     assert all(len(support) == 1 for support in supports)
     variables = [support[0] for support in supports]
+    assert ps.variables == tuple(variables)
     assert len(set(variables)) == len(variables)
     for v in variables:
         assert not any(g[v] and sum(map(bool, g)) == 1 for g in ring.defining.gens)
