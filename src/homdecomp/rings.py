@@ -192,8 +192,7 @@ def is_cohen_macaulay(ps: ParameterSystem) -> bool:
     when no generator of I involves x_{v_{k+1}}, and the walk fails at
     the first parameter whose variable occurs in a generator of I.
     """
-    variables = ps.variables
-    return not any(g[v] for g in ps.ring.defining.gens for v in variables)
+    return not any(g[v] for g in ps.ring.defining.gens for v in ps.variables)
 
 
 def depth_is_zero(ring: LocalRing) -> bool:
@@ -319,11 +318,11 @@ def find_non_cm_power(ps: ParameterSystem) -> tuple[int, int]:
     if is_cohen_macaulay(ps):
         raise ValueError("the ring is CM; no non-CM parameter power exists")
     variables = ps.variables
-    firsts = []
+    candidates = []
     for i, (v, a) in enumerate(zip(variables, ps.params), start=1):
         exponents = [g[v] for g in ps.ring.defining.gens
                      if any(g[w] for w in variables if w != v)]
         if exponents:
-            firsts.append((1 + min(exponents) // a[v], i))
-    s, i = min(firsts)
+            candidates.append((1 + min(exponents) // a[v], i))
+    s, i = min(candidates)
     return i, s

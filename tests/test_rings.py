@@ -136,6 +136,9 @@ def test_cohen_macaulay():
     F = ring("(x^2, xyz)", XYZ)
     ps = validate_sop(F, [F.parse_monomial("y"), F.parse_monomial("z")])
     assert not is_cohen_macaulay(ps)
+    # y is regular, z is not regular modulo y
+    G = ring("(x^2, xz^2)", XYZ)
+    assert not is_cohen_macaulay(validate_sop(G, [G.parse_monomial("y"), G.parse_monomial("z")]))
 
 
 # drawn_systems rarely yields a non-CM system with two parameters, power_specs often does
