@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import lt
+from operator import add, le
 
 from . import monomials
 from .gfp import PrimeFieldMatrix, is_prime
@@ -215,17 +215,34 @@ class HomSubquotient:
         return None
 
 
-def box_basis(in_L, bounds, a_gens) -> tuple[list[Monomial], tuple[Monomial, ...]]:
-    """The basis cells of C/B and the generators of C outside B, off one box.
+def box_basis(L: MonomialIdeal, bounds, a_gens) -> tuple[list[Monomial], tuple[Monomial, ...]]:
+    """The basis cells of C/B and the generators of C outside B, off one box, row by row.
 
-    Here B = L + (x_j^{bounds_j}), with in_L the membership test of the
-    monomial ideal L, and C = (B : 𝔞) for 𝔞 generated by a_gens.  The
-    box [0, bounds_j) holds every monomial outside B, the cells outside
-    L, and such a cell u is in C when, for each g in a_gens, u·g leaves
-    the box or lies in L: one comparison, u_v >= bounds_v - e, and at
-    most one shifted membership test for g = x_v^e, the full product for
-    any other g.  The cells come in product order.  A basis cell u is a
-    minimal generator of C when no u / x_v is a basis cell.
+    Here B = L + (x_j^{bounds_j}) for the monomial ideal L, and
+    C = (B : 𝔞) for 𝔞 generated by a_gens.  The box [0, bounds_j) holds
+    every monomial outside B, the cells outside L, and such a cell u is
+    in C when, for each g in a_gens, u·g leaves the box or lies in L.
+    The cells come in product order, and a basis cell u is a minimal
+    generator of C when no u / x_v is a basis cell: u / x_v in C but not
+    a basis cell would lie in B, and then so would u.
+
+    The box is read one row at a time along the last variable.  Write a
+    cell u = (p, k), with p its first n - 1 exponents, and g = (g', g_n).
+    A generator h of L divides (p, k) exactly when h' <= p and h_n <= k,
+    so row p meets L in the cells k >= r(p) = min{h_n : h in G(L),
+    h' <= p}, or in none when no h has h' <= p; with top = bounds_n, the
+    cells of the row outside B are k < f(p) = min(top, r(p)), or k < top
+    when r(p) is undefined.  For g in a_gens, pure power or not,
+    u·g = (p + g', k + g_n) leaves the box for every k when p + g'
+    leaves the box of prefixes, and otherwise lies outside B exactly
+    when k + g_n < f(p + g').  So
+    each g adds one lower bound k >= f(p + g') - g_n, and the row's
+    basis cells are the interval [lo(p), f(p)), lo(p) the largest of
+    those bounds and 0.  A pure power x_n^e gives f(p) - e, and a pure
+    power x_v^e of another variable gives f(p + e·x_v) while
+    p_v + e < bounds_v.  In a row, (p, k - 1) is a basis cell for every
+    k > lo(p), so only (p, lo(p)) can be a minimal generator, and it is
+    one unless lo(p) lies in the interval of some row p - x_v.
 
     hom_from_ideals takes L = B and B's pure powers.  build_hom and
     classify_point take L = I and parameter_box's bounds, since B is then
@@ -239,39 +256,40 @@ def box_basis(in_L, bounds, a_gens) -> tuple[list[Monomial], tuple[Monomial, ...
 
     A bound None (B of infinite colength) raises ValueError, and a box
     of more than LENGTH_CAP cells raises CapExceeded.
+
+    >>> box_basis(MonomialIdeal(2, [(2, 0), (1, 2)]), [2, 4], [(0, 2)])
+    ([(0, 2), (0, 3), (1, 0), (1, 1)], ((0, 2), (1, 0)))
     """
     if None in bounds:
         raise ValueError("quotient by b is not Artinian")
     volume = math.prod(bounds)
     if volume > monomials.LENGTH_CAP:
         raise CapExceeded(f"box volume {volume} exceeds cap {monomials.LENGTH_CAP}")
-    steps, others = [], []  # steps: (v, e, bounds_v - e) for each pure power x_v^e
-    for g in a_gens:
-        support = [v for v, e in enumerate(g) if e]
-        if len(support) == 1:
-            v = support[0]
-            steps.append((v, g[v], bounds[v] - g[v]))
-        else:
-            others.append(g)
-    basis = []
-    for u in itertools.product(*map(range, bounds)):
-        if in_L(u):
+    *head, top = bounds
+    lead = [(h[:-1], h[-1]) for h in L.gens]
+    f = {p: min([top] + [k for q, k in lead if all(map(le, q, p))])
+         for p in itertools.product(*map(range, head))}
+    shifts = [(g[:-1], g[-1]) for g in a_gens]
+    spans = {}  # row p -> (lo(p), f(p)), for the rows that hold basis cells
+    basis, generators = [], []
+    for p, hi in f.items():
+        lo = 0
+        for q, e in shifts:
+            bound = f.get(tuple(map(add, p, q)))
+            if bound is not None and bound - e > lo:
+                lo = bound - e
+        if lo >= hi:
             continue
-        for v, e, low in steps:
-            if u[v] < low and not in_L(u[:v] + (u[v] + e,) + u[v + 1:]):
-                break
-        else:
-            for g in others:
-                w = mono_mul(u, g)
-                if all(map(lt, w, bounds)) and not in_L(w):
+        spans[p] = lo, hi
+        basis += [p + (k,) for k in range(lo, hi)]
+        for v, e in enumerate(p):
+            if e:
+                span = spans.get(p[:v] + (e - 1,) + p[v + 1:])
+                if span and span[0] <= lo < span[1]:
                     break
-            else:
-                basis.append(u)
-    cells = set(basis)
-    generators = tuple(u for u in basis
-                       if not any(u[v] and u[:v] + (u[v] - 1,) + u[v + 1:] in cells
-                                  for v in range(len(u))))
-    return basis, generators
+        else:
+            generators.append(p + (lo,))
+    return basis, tuple(generators)
 
 
 def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:
@@ -290,7 +308,7 @@ def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:
     spec = list(b_spec)
     if not spec:
         raise ValueError("b must not be empty")
-    powers = all(isinstance(t, int) for t in spec)
+    powers = all(type(t) is int for t in spec)  # so a bool is no exponent
     if powers:
         if len(spec) != len(ps.params):
             raise ValueError("need one exponent per parameter")
@@ -328,7 +346,7 @@ def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialId
     if B.is_unit():
         raise ValueError("I + b is the unit ideal; the module Hom(R/a, R/(I + b)) is zero")
     return HomSubquotient(ring, a_ideal, b_ideal, B, LocalRing(ring.variables, base_ideal),
-                          *box_basis(B.contains, B._pure_powers(), a_ideal.gens))
+                          *box_basis(B, B._pure_powers(), a_ideal.gens))
 
 
 def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
@@ -353,4 +371,4 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
     b_ideal = MonomialIdeal(ring.ambient, [tuple(bounds[v] if e else 0 for v, e in enumerate(a))
                                            for a in ps.params])
     return HomSubquotient(ring, ps.a_ideal, b_ideal, ring.defining + b_ideal, ps.base,
-                          *box_basis(ring.defining.contains, bounds, ps.params))
+                          *box_basis(ring.defining, bounds, ps.params))

@@ -7,6 +7,7 @@ force linear algebra, independent of the implementation under test.
 from __future__ import annotations
 
 from itertools import product as cartesian
+from operator import lt
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -150,6 +151,46 @@ def colon_route(a_ideal: MonomialIdeal, B: MonomialIdeal):
     """
     C = B.colon(a_ideal)
     return C, monomials_between(C, B), sum(1 for g in C.gens if not B.contains(g))
+
+
+def oracle_box_basis(in_L, bounds, a_gens):
+    """The basis cells of C/B and C's generators outside B, one membership test per cell.
+
+    The per-cell scan that hom.box_basis's row scan replaced, kept as an
+    oracle.  B = L + (x_j^{bounds_j}) for the membership test in_L of L,
+    and C = (B : a) for a generated by a_gens.  Every cell of the box
+    outside L is tested: for a pure power x_v^e by one shifted
+    membership test, for any other generator by the full product.  The
+    cells come in product order; a basis cell is a minimal generator of
+    C when no u / x_v is a basis cell.
+    """
+    steps, others = [], []
+    for g in a_gens:
+        support = [v for v, e in enumerate(g) if e]
+        if len(support) == 1:
+            v = support[0]
+            steps.append((v, g[v], bounds[v] - g[v]))
+        else:
+            others.append(g)
+    basis = []
+    for u in cartesian(*map(range, bounds)):
+        if in_L(u):
+            continue
+        for v, e, low in steps:
+            if u[v] < low and not in_L(u[:v] + (u[v] + e,) + u[v + 1:]):
+                break
+        else:
+            for g in others:
+                w = mono_mul(u, g)
+                if all(map(lt, w, bounds)) and not in_L(w):
+                    break
+            else:
+                basis.append(u)
+    cells = set(basis)
+    generators = tuple(u for u in basis
+                       if not any(u[v] and u[:v] + (u[v] - 1,) + u[v + 1:] in cells
+                                  for v in range(len(u))))
+    return basis, generators
 
 
 def is_regular_element(ring: LocalRing, u) -> bool:
@@ -357,21 +398,24 @@ def one_dimensional_rings(draw):
 def drawn_systems(draw):
     """A ring on 1-4 variables and as many monomials as its dimension.
 
-    Some variables get a pure power in I and up to two random relations
-    follow.  Each candidate parameter is a pure power of a random
-    variable or a random monomial, so validate_sop accepts some draws
-    and refuses others.
+    A non-empty set of free variables is drawn first, and every other
+    variable gets a pure power in I; up to two random relations follow,
+    and may still cut the dimension.  Each candidate parameter is a pure
+    power of a free variable, a pure power of any variable or a random
+    monomial, so validate_sop accepts some draws and refuses others, and
+    most draws have at least one parameter.
     """
     n = draw(st.integers(1, 4))
     pure = lambda i, e: tuple(e if k == i else 0 for k in range(n))  # noqa: E731
-    bounded = draw(st.sets(st.integers(0, n - 1)))
-    gens = [pure(i, draw(st.integers(1, 3))) for i in sorted(bounded)]
+    free = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    gens = [pure(i, draw(st.integers(1, 3))) for i in range(n) if i not in free]
     gens += [g for g in draw(monomial_ideals(n, max_gens=2)).gens if any(g)]
     ring = LocalRing(tuple("xyzw"[:n]), MonomialIdeal(n, gens))
-    power = st.builds(pure, st.integers(0, n - 1), st.integers(1, 3))
-    anything = st.tuples(*[st.integers(0, 2)] * n)
-    params = draw(st.lists(st.one_of(power, anything), min_size=ring.dimension(),
-                           max_size=ring.dimension()))
+    exponent = st.integers(1, 3)
+    candidate = st.one_of(st.builds(pure, st.sampled_from(free), exponent),
+                          st.builds(pure, st.integers(0, n - 1), exponent),
+                          st.tuples(*[st.integers(0, 2)] * n))
+    params = draw(st.lists(candidate, min_size=ring.dimension(), max_size=ring.dimension()))
     return ring, params
 
 

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from conftest import (
     colon_route,
     monomial_homs,
+    monomial_ideals,
     nonfree_homs,
     oracle_annihilator_witness,
+    oracle_box_basis,
     oracle_monomials_between,
     power_specs,
 )
@@ -379,6 +381,31 @@ def test_kernel_matches_colon_route_on_explicit_b(case, data):
         f = data.draw(st.integers(a[v], 6 * a[v]))
         b_gens.append(tuple(f if k == v else 0 for k in range(len(a))))
     check_against_colon_route(build_hom(ps, data.draw(st.permutations(b_gens))))
+
+
+@st.composite
+def box_kernel_inputs(draw):
+    """L on 1-4 variables, finite box bounds and 1-3 generators of a.
+
+    Each generator of a is a pure power of a random variable or a random
+    monomial, which mostly mixes variables: only hom_from_ideals passes
+    the kernel such generators.
+    """
+    n = draw(st.integers(1, 4))
+    L = draw(monomial_ideals(n, min_gens=1))
+    bounds = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    pure = st.builds(lambda v, e: tuple(e if k == v else 0 for k in range(n)),
+                     st.integers(0, n - 1), st.integers(1, 3))
+    mixed = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    a_gens = draw(st.lists(st.one_of(pure, mixed), min_size=1, max_size=3))
+    return L, bounds, a_gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_kernel_inputs())
+def test_row_scan_matches_per_cell_scan(inputs):
+    L, bounds, a_gens = inputs
+    assert hom.box_basis(L, bounds, a_gens) == oracle_box_basis(L.contains, bounds, a_gens)
 
 
 class TestInvariants:

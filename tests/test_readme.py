@@ -46,7 +46,8 @@ def test_ci_smoke_runs_the_installed_console_script():
     workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["install-smoke"]["steps"]
     (install, spec, run, diff, stab_spec, stab_run, stab_diff,
-     power_spec, power_run, power_diff) = (step["run"] for step in steps[-10:])
+     power_spec, power_run, power_diff,
+     grid4_spec, grid4_run, grid4_diff) = (step["run"] for step in steps[-13:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -69,3 +70,10 @@ def test_ci_smoke_runs_the_installed_console_script():
     case = "x2-xy10z10-verify-2.7"
     assert power_diff == f"diff non-cm-power.out tests/golden/cli/{case}.out"
     assert test_golden_cli.load_case(case)["exit"] == 0
+    # a 4-variable grid, whose boxes have many rows of the last variable
+    text = re.fullmatch(r"printf '([^']*)' > x2-xyzw\.ring", grid4_spec).group(1)
+    assert text.replace("\\n", "\n") == SPECS["x2-xyzw"]
+    assert grid4_run == "homdecomp grid x2-xyzw.ring --max 3 --format json > grid4.out"
+    case = "x2-xyzw-max3-json"
+    assert grid4_diff == f"diff grid4.out tests/golden/grid/{case}.out"
+    assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}

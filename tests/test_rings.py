@@ -17,7 +17,7 @@ from conftest import (
     random_proper_ideal,
     torsion_ideals,
 )
-from homdecomp import monomials
+from homdecomp import monomials, theorems
 from homdecomp.monomials import CapExceeded, MonomialIdeal, degree, grlex_key, parse_ideal
 from homdecomp.rings import (
     LocalRing,
@@ -150,6 +150,7 @@ def test_cm_and_non_cm_power_match_the_walk_oracles(drawn):
     ps = validate_sop(*drawn)
     cm = is_cohen_macaulay(ps)
     assert cm == is_regular_sequence(ps.ring, list(ps.params))
+    assert theorems._non_regular_witness_holds(ps) is not cm
     if not cm and len(ps.params) >= 2:
         assert find_non_cm_power(ps) == oracle_non_cm_power(ps)
 

@@ -279,6 +279,18 @@ class TestNonCmPowerSearch:
         with pytest.raises(ValueError, match="CM"):
             verify_non_cm_power(sop(R, "y", "z"))
 
+    def test_quotient_check_reads_the_witness_not_the_closed_form(self, monkeypatch):
+        R = LocalRing.from_text(("x", "y", "z"), "(x^2, xy^10z^10)")
+        ps = sop(R, "y", "z")
+        # the closed form calls every quotient CM: the witness still holds
+        monkeypatch.setattr(theorems, "is_cohen_macaulay", lambda system: system is not ps)
+        assert verify_non_cm_power(ps).parameters["power"] == 11
+        # y^10 leaves (x^2, y^10), along which z is regular: no witness
+        monkeypatch.setattr(theorems, "find_non_cm_power", lambda system: (1, 10))
+        with pytest.raises(VerificationError,
+                           match="^quotient by the chosen power is not CM: failed for "):
+            verify_non_cm_power(ps)
+
 
 # class of U_t = Hom(R/(y^2), R/(y^2t)) over k[x,y]/(x^2, xy^m):
 # free cyclic while 2t <= m, one boundary point at t = (m+1)/2 for odd m,
@@ -321,8 +333,13 @@ class TestPointClasses:
 
     def test_grid_rejects_empty_box(self):
         ps = sop(THREE_VARS, "y", "z")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tmax must be at least 1$"):
             classify_grid(ps, 0)
+
+    @pytest.mark.parametrize("tmax", [True, False, 2.0, "3"])
+    def test_grid_rejects_a_box_size_that_is_no_integer(self, tmax):
+        with pytest.raises(ValueError, match="^tmax must be an integer$"):
+            classify_grid(sop(THREE_VARS, "y", "z"), tmax)
 
 
 def two_hom_point(ps, t):
@@ -368,7 +385,7 @@ def monomial_hom_system(Q):
 def check_point_against_homs(ps, t):
     """classify_point against build_hom + decide, and its box basis against the colon route."""
     assert classify_point(ps, t) == two_hom_point(ps, t)
-    basis, generators = box_basis(ps.ring.defining.contains, parameter_box(ps, t), ps.params)
+    basis, generators = box_basis(ps.ring.defining, parameter_box(ps, t), ps.params)
     b_gens = [mono_pow(a, k) for a, k in zip(ps.params, t)]
     B = ps.ring.defining + MonomialIdeal(ps.ring.ambient, b_gens)
     _, oracle_basis, count = colon_route(ps.a_ideal, B)
@@ -439,8 +456,12 @@ def test_point_errors_match_build_hom(monkeypatch):
             build_hom(system, t)
         with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
             classify_point(system, t)
-    with pytest.raises(ValueError, match="^a lattice point is a list of integer exponents$"):
-        classify_point(ps, [1.5, 1])
+    # a bool is an int to isinstance, but no exponent
+    for t in ([1.5, 1], [True, 1], [1, True], [False, 2]):
+        with pytest.raises(ValueError, match="^a lattice point is a list of integer exponents$"):
+            classify_point(ps, t)
+        with pytest.raises(ValueError, match="^b must be all exponents or all monomials$"):
+            build_hom(ps, t)
     for t in [(1000, 1000), [1000, 1000]]:
         with pytest.raises(CapExceeded, match="^box volume 2000000 exceeds cap 1000000$"):
             classify_point(ps, t)
