@@ -9,7 +9,6 @@ from .monomials import (
     format_ideal,
     format_monomial,
     grlex_key,
-    mono_gcd,
     mono_lcm,
     mono_mul,
     mono_quot,

@@ -12,6 +12,7 @@ resource cap, 1 defect.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -116,7 +117,10 @@ def parse_ring_file(text: str) -> RingSpec:
 
     Blank lines and `#` comments are skipped.  Keys may appear once,
     `ring` must come before any monomials, and every monomial must use
-    declared variables only.
+    declared variables only.  No variable name may begin with another
+    one: monomials are stored as text and parsed again by longest match,
+    which would read `x^1y` of `ring x y xy`, stored as `xy`, as the
+    variable `xy`.
     """
     variables: tuple[str, ...] | None = None
     sections: dict[str, tuple] = {}
@@ -135,6 +139,10 @@ def parse_ring_file(text: str) -> RingSpec:
                     raise RingSpecError(f"line {lineno}: bad variable name {name!r}")
             if len(set(rest)) != len(rest):
                 raise RingSpecError(f"line {lineno}: duplicate variable")
+            for name, other in itertools.permutations(rest, 2):
+                if name.startswith(other):
+                    raise RingSpecError(f"line {lineno}: variable name {name!r} begins "
+                                        f"with the variable name {other!r}")
             variables = tuple(rest)
             continue
         if key in ("relations", "sop"):

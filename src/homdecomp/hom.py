@@ -10,14 +10,11 @@ action graph the decomposition verdict reads) reads off its answers.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
-from operator import add, le
+from operator import add
 
-from . import monomials
 from .gfp import PrimeFieldMatrix, is_prime
-from .monomials import CapExceeded, Monomial, MonomialIdeal, grlex_key, mono_mul
+from .monomials import Monomial, MonomialIdeal, grlex_key, mono_mul, row_thresholds
 from .rings import LocalRing, ParameterSystem, validate_sop
 
 PRESENTATION_CAP = 512
@@ -227,22 +224,19 @@ def box_basis(L: MonomialIdeal, bounds, a_gens) -> tuple[list[Monomial], tuple[M
     a basis cell would lie in B, and then so would u.
 
     The box is read one row at a time along the last variable.  Write a
-    cell u = (p, k), with p its first n - 1 exponents, and g = (g', g_n).
-    A generator h of L divides (p, k) exactly when h' <= p and h_n <= k,
-    so row p meets L in the cells k >= r(p) = min{h_n : h in G(L),
-    h' <= p}, or in none when no h has h' <= p; with top = bounds_n, the
-    cells of the row outside B are k < f(p) = min(top, r(p)), or k < top
-    when r(p) is undefined.  For g in a_gens, pure power or not,
-    u·g = (p + g', k + g_n) leaves the box for every k when p + g'
-    leaves the box of prefixes, and otherwise lies outside B exactly
-    when k + g_n < f(p + g').  So
-    each g adds one lower bound k >= f(p + g') - g_n, and the row's
-    basis cells are the interval [lo(p), f(p)), lo(p) the largest of
-    those bounds and 0.  A pure power x_n^e gives f(p) - e, and a pure
-    power x_v^e of another variable gives f(p + e·x_v) while
-    p_v + e < bounds_v.  In a row, (p, k - 1) is a basis cell for every
-    k > lo(p), so only (p, lo(p)) can be a minimal generator, and it is
-    one unless lo(p) lies in the interval of some row p - x_v.
+    cell u = (p, k), with p its first n - 1 exponents, and g = (g', g_n);
+    monomials.row_thresholds gives each row's bound f(p) for L, so the
+    cells of row p outside B are k < f(p).  For g in a_gens, pure power
+    or not, u·g = (p + g', k + g_n) leaves the box for every k when
+    p + g' leaves the box of prefixes, and otherwise lies outside B
+    exactly when k + g_n < f(p + g').  So each g adds one lower bound
+    k >= f(p + g') - g_n, and the row's basis cells are the interval
+    [lo(p), f(p)), lo(p) the largest of those bounds and 0.  A pure
+    power x_n^e gives f(p) - e, and a pure power x_v^e of another
+    variable gives f(p + e·x_v) while p_v + e < bounds_v.  In a row,
+    (p, k - 1) is a basis cell for every k > lo(p), so only (p, lo(p))
+    can be a minimal generator, and it is one unless lo(p) lies in the
+    interval of some row p - x_v.
 
     hom_from_ideals takes L = B and B's pure powers.  build_hom and
     classify_point take L = I and parameter_box's bounds, since B is then
@@ -262,13 +256,7 @@ def box_basis(L: MonomialIdeal, bounds, a_gens) -> tuple[list[Monomial], tuple[M
     """
     if None in bounds:
         raise ValueError("quotient by b is not Artinian")
-    volume = math.prod(bounds)
-    if volume > monomials.LENGTH_CAP:
-        raise CapExceeded(f"box volume {volume} exceeds cap {monomials.LENGTH_CAP}")
-    *head, top = bounds
-    lead = [(h[:-1], h[-1]) for h in L.gens]
-    f = {p: min([top] + [k for q, k in lead if all(map(le, q, p))])
-         for p in itertools.product(*map(range, head))}
+    f = row_thresholds(L, bounds)
     shifts = [(g[:-1], g[-1]) for g in a_gens]
     spans = {}  # row p -> (lo(p), f(p)), for the rows that hold basis cells
     basis, generators = [], []

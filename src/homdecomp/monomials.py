@@ -19,6 +19,7 @@ True
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import reduce
 from itertools import combinations
@@ -56,10 +57,6 @@ def mono_pow(u: Monomial, k: int) -> Monomial:
 
 def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
     return tuple(max(a, b) for a, b in zip(u, v))
-
-
-def mono_gcd(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(min(a, b) for a, b in zip(u, v))
 
 
 def mono_quot(u: Monomial, v: Monomial) -> Monomial:
@@ -178,14 +175,6 @@ class MonomialIdeal:
             self.ambient, [mono_mul(g, h) for g in self.gens for h in other.gens]
         )
 
-    def power(self, k: int) -> "MonomialIdeal":
-        if k < 0:
-            raise ValueError("negative ideal power")
-        out = MonomialIdeal.unit(self.ambient)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection via pairwise lcms of the generators."""
         self._check_compatible(other)
@@ -292,40 +281,65 @@ class MonomialIdeal:
         """True iff k[x]/I is finite dimensional: every variable has a pure power in I."""
         return None not in self._pure_powers()
 
-    def box_bounds(self) -> list[int]:
-        """Least pure-power exponent of each variable; requires finite colength.
-
-        The box they span holds every standard monomial; the unit ideal
-        has the empty box, all bounds 0.  Raises CapExceeded when the box
-        has more than LENGTH_CAP cells.
-
-        >>> MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)]).box_bounds()
-        [2, 3]
-        """
+    def _finite_bounds(self) -> list[int]:
+        """Least pure-power exponent of each variable: the box of every standard monomial."""
         bounds = self._pure_powers()
         if None in bounds:
             raise ValueError("ideal does not have finite colength")
-        volume = 1
-        for b in bounds:
-            volume *= b
-        if volume > LENGTH_CAP:
-            raise CapExceeded(f"box volume {volume} exceeds cap {LENGTH_CAP}")
         return bounds
 
     def standard_monomials(self) -> list[Monomial]:
         """All monomials not in I, in graded-lex order; requires finite colength.
 
+        One membership test per cell of the pure-power box, kept as the
+        plain reading that row_thresholds is tested against.
+
         >>> MonomialIdeal(2, [(2, 0), (0, 2)]).standard_monomials()
         [(0, 0), (1, 0), (0, 1), (1, 1)]
         """
-        bounds = self.box_bounds()
-        out = [u for u in _cartesian(*(range(b) for b in bounds)) if not self.contains(u)]
+        bounds = _capped(self._finite_bounds())
+        out = [u for u in _cartesian(*map(range, bounds)) if not self.contains(u)]
         out.sort(key=grlex_key)
         return out
 
     def length(self) -> int:
-        """dim_k of k[x]/I; requires finite colength."""
-        return len(self.standard_monomials())
+        """dim_k of k[x]/I, the sum of I's row thresholds over its own box.
+
+        Requires finite colength.
+
+        >>> MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)]).length()
+        4
+        """
+        return sum(row_thresholds(self, self._finite_bounds()).values())
+
+
+def _capped(bounds: list[int]) -> list[int]:
+    """bounds, once the box [0, bounds_j) they span is known to hold at most LENGTH_CAP cells."""
+    volume = math.prod(bounds)
+    if volume > LENGTH_CAP:
+        raise CapExceeded(f"box volume {volume} exceeds cap {LENGTH_CAP}")
+    return bounds
+
+
+def row_thresholds(L: MonomialIdeal, bounds: list[int]) -> dict[Monomial, int]:
+    """Where each row of the box [0, bounds_j) enters L, read along the last variable.
+
+    Write a cell u = (p, k), with p its first n - 1 exponents.  A
+    generator h = (h', h_n) of L divides (p, k) exactly when h' <= p and
+    h_n <= k, so row p meets L in the cells k >= r(p) = min{h_n : h in
+    G(L), h' <= p}, or in none when no h has h' <= p.  The row's cells
+    outside L are then k < f(p) = min(bounds_n, r(p)), or k < bounds_n
+    when r(p) is undefined.  Returns f(p) for every row p, in product
+    order, so the cells of the box outside L number the sum of the
+    f(p).  A box of more than LENGTH_CAP cells raises CapExceeded.
+
+    >>> row_thresholds(MonomialIdeal(2, [(2, 0), (1, 2)]), [2, 4])   # (x^2, xy^2)
+    {(0,): 4, (1,): 2}
+    """
+    *head, top = _capped(bounds)
+    lead = [(h[:-1], h[-1]) for h in L.gens]
+    return {p: min([top] + [k for q, k in lead if all(map(le, q, p))])
+            for p in _cartesian(*map(range, head))}
 
 
 def monomials_between(upper: MonomialIdeal, lower: MonomialIdeal) -> list[Monomial]:

@@ -494,7 +494,12 @@ def verify_non_cm_power(ps: ParameterSystem) -> TheoremReport:
 
 
 class PointClass(str, Enum):
-    """Verdict for one exponent vector t: the type of Hom(R/a, R/(a_i^{t_i}))."""
+    """Verdict for one exponent vector t: the type of Hom(R/a, R/(a_i^{t_i})).
+
+    CYCLIC_NONFREE cannot occur on a validated system: classify_point
+    proves that such a Hom is free exactly when it is cyclic.  The value
+    stays, as the grid legend prints its glyph.
+    """
 
     FREE_CYCLIC = "FREE_CYCLIC"
     CYCLIC_NONFREE = "CYCLIC_NONFREE"
@@ -502,32 +507,78 @@ class PointClass(str, Enum):
     DECOMPOSABLE = "DECOMPOSABLE"
 
 
-def classify_point(ps: ParameterSystem, powers) -> tuple[PointClass, bool]:
-    """Class of Hom(R/a, R/bR) at one lattice point t, and whether it is free.
+def classify_point(ps: ParameterSystem, powers) -> PointClass:
+    """Class of Hom(R/a, R/bR) at one lattice point t, for b = (a_i^{t_i}).
 
-    Here b = (a_i^{t_i}).  hom.box_basis reads C/B off the box that
-    hom.parameter_box gives, as build_hom does, but keeps the product
-    order, and no ideal, colon or Hom object is built.  The module is
-    free when its length is the generator count times length(S).
-    Cyclic modules over the Artinian local base are indecomposable, and
-    otherwise hom.action_blocks finds the summands, as in decide().
+    hom.box_basis reads C/B off the box that hom.parameter_box gives, as
+    build_hom does, but keeps the product order, and no ideal, colon or
+    Hom object is built.  A cyclic module is free, by the theorem below,
+    and indecomposable, as it is a quotient of the local base.
+    Otherwise hom.action_blocks finds the summands, as in decide(), and
+    a non-cyclic module is not free.
+
+    Theorem.  Let a_i = x_{v_i}^{e_i} be a system that validate_sop
+    accepts and b = (x_{v_i}^{f_i}) with f >= e, as every b that
+    parameter_box accepts is (see hom.box_basis).  Then H = Hom(R/a, R/b)
+    = C/B has length at least length(S), S = R/(I + a), and H is free
+    over S exactly when it is cyclic.
+
+    Proof.  Write a monomial (y, z), y its exponents on the x_{v_i} and
+    z the others, and y = r + e∘k with 0 <= r < e.  B is I plus the pure
+    powers, so (y, z) is outside B exactly when y < f and (y, z) is
+    outside I.  For each (r, z) let D(r, z) be the set of k with
+    (r + e∘k, z) outside B.  B is an ideal, so D(r, z) is a down-set,
+    finite as y < f, and it holds k = 0 exactly when (r, z) is outside I
+    (r < e <= f), that is when (r, z) is a basis monomial of S.  A cell
+    (r + e∘k, z) outside B lies in C = (B : a) exactly when each
+    k + 1_i leaves D(r, z), as (r + e∘k, z)·a_i = (r + e∘(k + 1_i), z).
+    So the basis cells of H of class (r, z) are the maximal elements of
+    D(r, z).  Each of the length(S) basis monomials (r, z) of S gives a
+    non-empty finite down-set, which has a maximal element, so
+    length(H) >= length(S).
+
+    Cyclic implies free.  I + a kills H, so a cyclic H is R/J for an
+    ideal J ⊇ I + a, a quotient of S.  Its length is at least
+    length(S), so the surjection S -> H is an isomorphism and H is free
+    of rank one.
+
+    Free implies cyclic.  No generator of I has its support among the
+    x_{v_i} (ParameterSystem.variables), so w0 = (f - e, 0) lies
+    outside B.  It lies in C, as w0·a_i has y_i = f_i, and w0 / x_{v_i}
+    does not, as (w0 / x_{v_i})·a_i is (f - e + (e_i - 1)·1_i, 0),
+    outside B; so w0 is a minimal generator of C outside B.  If H is
+    free of rank mu, the mu minimal generators of C outside B map S^mu
+    onto H, an isomorphism as both have length mu·length(S), so they
+    form a basis.  Then the annihilator of w0 is I + a, and
+    (f - e + s, z) = (s, z)·w0 lies outside B for every basis monomial
+    (s, z) of S.  For fixed z, the s with (s, z) a basis monomial of S
+    form a down-set Σ_z of the box [0, e).  The map s -> (f - e + s)
+    mod e, a cyclic shift in each coordinate, is injective and maps Σ_z
+    into itself, as (its value, z) divides (f - e + s, z), which is
+    outside I; so it permutes Σ_z.  And f - e + s lies in [f - e, f),
+    where it is the largest y < f of its residue r.  So for each basis
+    monomial (r, z) of S, D(r, z) holds the k of that y, the largest k
+    with r + e∘k < f, and has one maximal element.  Then length(H) =
+    length(S) = mu·length(S), and mu = 1.
+
+    classify_point therefore reads neither S nor a length: one
+    generator is FREE_CYCLIC, and CYCLIC_NONFREE never arises.
     """
     t = list(powers)
     if not all(type(e) is int for e in t):  # bool is an int subclass and is refused
         raise ValueError("a lattice point is a list of integer exponents")
-    bounds = parameter_box(ps, t)
-    basis, generators = box_basis(ps.ring.defining, bounds, ps.params)
-    free = len(basis) == len(generators) * ps.base.length()
+    basis, generators = box_basis(ps.ring.defining, parameter_box(ps, t), ps.params)
     if len(generators) == 1:
-        return (PointClass.FREE_CYCLIC if free else PointClass.CYCLIC_NONFREE), free
+        return PointClass.FREE_CYCLIC
     if len(action_blocks(basis)) >= 2:
-        return PointClass.DECOMPOSABLE, free
-    return PointClass.INDECOMPOSABLE_NONCYCLIC, free
+        return PointClass.DECOMPOSABLE
+    return PointClass.INDECOMPOSABLE_NONCYCLIC
 
 
-_CLASS_CODE = {cls: 2 * i for i, cls in enumerate(PointClass)}
-_CLASS_OF_CODE = tuple(cls for cls in PointClass for _ in (False, True))
-_FREE_OF_CODE = (False, True) * len(PointClass)
+_CLASSES = tuple(PointClass)
+_CLASS_INDEX = {cls: i for i, cls in enumerate(_CLASSES)}
+# classify_point's theorem: a grid point is free exactly when it is FREE_CYCLIC
+_FREE_OF_CLASS = tuple(cls is PointClass.FREE_CYCLIC for cls in _CLASSES)
 
 
 class BoxMap(Mapping):
@@ -570,9 +621,9 @@ class BoxMap(Mapping):
 class GridClassification:
     """Point classes and freeness over the full exponent box [1, tmax]^d.
 
-    codes holds one byte per point in itertools.product order,
-    2 * (index of the class in PointClass) + free; classes and free are
-    views that decode it.
+    codes holds one byte per point in itertools.product order, the index
+    of its class in PointClass; classes and free are views that decode
+    it, free being true exactly at FREE_CYCLIC (see classify_point).
     """
 
     ps: ParameterSystem
@@ -581,11 +632,11 @@ class GridClassification:
 
     @property
     def classes(self) -> BoxMap:
-        return BoxMap(self.tmax, len(self.ps.params), self.codes, _CLASS_OF_CODE)
+        return BoxMap(self.tmax, len(self.ps.params), self.codes, _CLASSES)
 
     @property
     def free(self) -> BoxMap:
-        return BoxMap(self.tmax, len(self.ps.params), self.codes, _FREE_OF_CODE)
+        return BoxMap(self.tmax, len(self.ps.params), self.codes, _FREE_OF_CLASS)
 
     def lattice(self) -> list:
         return list(self.classes)
@@ -598,8 +649,7 @@ def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
     if tmax < 1:
         raise ValueError("tmax must be at least 1")
     points = itertools.product(range(1, tmax + 1), repeat=len(ps.params))
-    codes = bytes(_CLASS_CODE[cls] + free
-                  for cls, free in (classify_point(ps, t) for t in points))
+    codes = bytes(_CLASS_INDEX[classify_point(ps, t)] for t in points)
     return GridClassification(ps, tmax, codes)
 
 

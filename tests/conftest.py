@@ -98,6 +98,14 @@ def oracle_saturation_fixpoint(I: MonomialIdeal, J: MonomialIdeal) -> MonomialId
     raise AssertionError(f"the colon walk did not settle within {bound + 1} steps")
 
 
+def ideal_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
+    """I^k by repeated products, for the m^n stabilization oracles; I^0 is the unit ideal."""
+    out = MonomialIdeal.unit(I.ambient)
+    for _ in range(k):
+        out = out * I
+    return out
+
+
 def brute_force_box_count(I: MonomialIdeal) -> int:
     """Count monomials outside I inside the pure-power box, by direct loops."""
     bounds = []

@@ -86,7 +86,7 @@ def test_criterion_02_power_family_strips():
         ps = power_sop(m)
         for t in range(1, m + 4):
             points += 1
-            got, _ = classify_point(ps, [t])
+            got = classify_point(ps, [t])
             if got is not expected_strip_class(m, t):
                 mistakes.append((m, t, got))
     elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 """Ring-spec grammar, report schemas, grid renderings, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -90,6 +91,18 @@ class TestRingSpecParsing:
     def test_bad_variable_name(self):
         with pytest.raises(RingSpecError, match="bad variable name"):
             parse_ring_file("ring x 2y\n")
+
+    @pytest.mark.parametrize("names, longer, shorter", [
+        ("x y xy", "xy", "x"), ("ab a", "ab", "a"), ("y xyz xy", "xyz", "xy")])
+    def test_variable_name_beginning_with_another(self, tmp_path, capsys, names, longer, shorter):
+        # under `ring x y xy`, x^1y would be stored as xy and read back as the variable xy
+        message = (f"line 2: variable name '{longer}' begins with the variable name "
+                   f"'{shorter}'")
+        text = f"# names\nring {names}\nrelations x^1y x^2 y^2\nsop xy\n"
+        with pytest.raises(RingSpecError, match=f"^{re.escape(message)}$"):
+            parse_ring_file(text)
+        path = write(tmp_path, "prefix.ring", text)
+        assert run(capsys, "stabilize", path) == (2, "", f"error: {message}\n")
 
     def test_bad_integer_key(self):
         with pytest.raises(RingSpecError, match="one integer"):
@@ -182,13 +195,13 @@ class TestAnalyze:
 
     def test_report_enumerates_the_base_once(self, monkeypatch):
         scans = []
-        original = MonomialIdeal.standard_monomials
+        original = MonomialIdeal.length
 
         def counting(self, *args, **kwargs):
             scans.append(self)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(MonomialIdeal, "standard_monomials", counting)
+        monkeypatch.setattr(MonomialIdeal, "length", counting)
         spec = parse_ring_file("ring x y\nrelations x^4 x^3y^9\nsop y^5\n")
         report = cli.analysis_report(spec, None, None, [3])
         assert report["hom"]["non_free_witness"] == "x^3"

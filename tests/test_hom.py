@@ -429,26 +429,27 @@ class TestInvariants:
             HomSubquotient(ring, a, b, B, base, basis, ((0,) * ring.ambient,))
 
 
-def test_grid_scans_base_once_and_never_revalidates(monkeypatch):
+def test_grid_reads_no_length_and_never_revalidates(monkeypatch):
+    # classify_point's theorem: a point is free exactly when it is cyclic, so S is not counted
     R = make_ring(("x", "y", "z"), "(x^2, xyz)")
     ps = validate_sop(R, [R.parse_monomial("y"), R.parse_monomial("z")])
-    scans = []
+    reads = []
     validations = []
-    original_scan = MonomialIdeal.standard_monomials
+    original_length = MonomialIdeal.length
 
-    def counting_scan(self, *args, **kwargs):
-        scans.append(self)
-        return original_scan(self, *args, **kwargs)
+    def counting_length(self, *args, **kwargs):
+        reads.append(self)
+        return original_length(self, *args, **kwargs)
 
     def counting_validate(*args, **kwargs):
         validations.append(args)
         return validate_sop(*args, **kwargs)
 
-    monkeypatch.setattr(MonomialIdeal, "standard_monomials", counting_scan)
+    monkeypatch.setattr(MonomialIdeal, "length", counting_length)
     monkeypatch.setattr(hom, "validate_sop", counting_validate)
     grid = theorems.classify_grid(ps, 4)
     assert len(grid.classes) == 16
-    assert scans == [ps.ideal]
+    assert reads == []
     assert validations == []
 
 
@@ -541,6 +542,20 @@ class TestFromIdeals:
         assert Q.numerator.is_unit()
         assert Q.length() == 9
         assert Q.is_cyclic()
+
+    # a and b below are no nested parameter systems, so theorems.classify_point's
+    # theorem does not apply, and is_free_over_base's length test is the answer
+    def test_cyclic_and_not_free(self):
+        R = make_ring(("x", "y"), "(y^2)")
+        Q = hom_from_ideals(R, ideal_of(R, "(x^2, xy^2)"), ideal_of(R, "(x^2, xy)"))
+        assert (Q.length(), Q.base_length(), Q.minimal_generator_count()) == (3, 4, 1)
+        assert Q.is_cyclic() and not Q.is_free_over_base()
+
+    def test_free_and_not_cyclic(self):
+        R = make_ring(("x", "y"), "(x^3)")
+        Q = hom_from_ideals(R, ideal_of(R, "(x, y)"), ideal_of(R, "(x^2y, y^3)"))
+        assert (Q.length(), Q.base_length(), Q.minimal_generator_count()) == (2, 1, 2)
+        assert not Q.is_cyclic() and Q.is_free_over_base()
 
     def test_zero_a_rejected(self):
         R = make_ring(("x", "y"), "(x^2)")

@@ -45,9 +45,9 @@ def test_ci_smoke_runs_the_installed_console_script():
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["install-smoke"]["steps"]
-    (install, spec, run, diff, stab_spec, stab_run, stab_diff,
+    (install, spec, run, diff, analyze_run, analyze_diff, stab_spec, stab_run, stab_diff,
      power_spec, power_run, power_diff,
-     grid4_spec, grid4_run, grid4_diff) = (step["run"] for step in steps[-13:])
+     grid4_spec, grid4_run, grid4_diff) = (step["run"] for step in steps[-15:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -56,6 +56,12 @@ def test_ci_smoke_runs_the_installed_console_script():
     assert diff == f"diff grid.out tests/golden/grid/{case}.out"
     manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
     assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}
+    # the one report that prints cyclic and free_over_base side by side
+    assert analyze_run == "homdecomp analyze x2-xy3.ring --powers 3 > analyze.out"
+    case = "x2-xy3-analyze-powers"
+    assert test_golden_cli.CASES[case] == ("x2-xy3", ["analyze", "--powers", "3"])
+    assert analyze_diff == f"diff analyze.out tests/golden/cli/{case}.out"
+    assert test_golden_cli.load_case(case)["exit"] == 0
     # stabilize on the last ring of (x^2, xy^m) under the stabilization cap
     text = re.fullmatch(r"printf '([^']*)' > x2-xy63\.ring", stab_spec).group(1)
     assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["x2-xy63"]

@@ -61,5 +61,7 @@ def test_ring_spec_has_no_prime_field():
 def test_package_exports():
     assert homdecomp.CapExceeded is homdecomp.monomials.CapExceeded
     for name in ("LengthCapExceeded", "SearchCapExceeded", "commutant",
-                 "is_decomposable", "brute_force_idempotent_oracle", "is_regular_sequence"):
+                 "is_decomposable", "brute_force_idempotent_oracle", "is_regular_sequence",
+                 "mono_gcd"):
         assert not hasattr(homdecomp, name)
+    assert not hasattr(homdecomp.MonomialIdeal, "power")

@@ -116,8 +116,7 @@ class TestDim1Splitting:
         assert rep.parameters["b"] == "z^4"
         # any deeper power of z keeps the conclusion
         ps = sop(R, "z")
-        cls, _ = classify_point(ps, [5])
-        assert cls is PointClass.DECOMPOSABLE
+        assert classify_point(ps, [5]) is PointClass.DECOMPOSABLE
 
     def test_scaling_by_c(self):
         R = ring2("(x^2, xy^3)")
@@ -309,16 +308,15 @@ class TestPointClasses:
         R = power_family_ring(m)
         ps = sop(R, "y^2")
         for t in range(1, m + 4):
-            cls, _ = classify_point(ps, [t])
-            assert cls is expected_power_family_class(m, t), (m, t)
+            assert classify_point(ps, [t]) is expected_power_family_class(m, t), (m, t)
 
     def test_two_parameter_grid_corners(self):
         ps = sop(THREE_VARS, "y", "z")
-        assert classify_point(ps, [1, 1]) == (PointClass.FREE_CYCLIC, True)
-        assert classify_point(ps, [1, 3]) == (PointClass.FREE_CYCLIC, True)
-        assert classify_point(ps, [3, 1]) == (PointClass.FREE_CYCLIC, True)
-        assert classify_point(ps, [2, 2]) == (PointClass.DECOMPOSABLE, False)
-        assert classify_point(ps, [3, 2]) == (PointClass.DECOMPOSABLE, False)
+        assert classify_point(ps, [1, 1]) is PointClass.FREE_CYCLIC
+        assert classify_point(ps, [1, 3]) is PointClass.FREE_CYCLIC
+        assert classify_point(ps, [3, 1]) is PointClass.FREE_CYCLIC
+        assert classify_point(ps, [2, 2]) is PointClass.DECOMPOSABLE
+        assert classify_point(ps, [3, 2]) is PointClass.DECOMPOSABLE
 
     def test_grid_matches_pointwise(self):
         ps = sop(THREE_VARS, "y", "z")
@@ -326,10 +324,10 @@ class TestPointClasses:
         assert isinstance(grid, GridClassification)
         assert len(grid.classes) == 9
         for t in grid.lattice():
-            cls, free = classify_point(ps, t)
+            cls = classify_point(ps, t)
             assert grid.classes[t] is cls
-            assert grid.free[t] is free
-            assert free == (1 in t)
+            assert grid.free[t] is (1 in t)
+            assert (cls is PointClass.FREE_CYCLIC) is (1 in t)
 
     def test_grid_rejects_empty_box(self):
         ps = sop(THREE_VARS, "y", "z")
@@ -384,7 +382,9 @@ def monomial_hom_system(Q):
 
 def check_point_against_homs(ps, t):
     """classify_point against build_hom + decide, and its box basis against the colon route."""
-    assert classify_point(ps, t) == two_hom_point(ps, t)
+    cls, free = two_hom_point(ps, t)
+    assert classify_point(ps, t) is cls
+    assert free is (cls is PointClass.FREE_CYCLIC)  # classify_point's theorem
     basis, generators = box_basis(ps.ring.defining, parameter_box(ps, t), ps.params)
     b_gens = [mono_pow(a, k) for a, k in zip(ps.params, t)]
     B = ps.ring.defining + MonomialIdeal(ps.ring.ambient, b_gens)
@@ -407,6 +407,20 @@ def test_point_matches_two_hom_points_on_monomial_homs(Q, data):
     ps = monomial_hom_system(Q)
     t = data.draw(st.lists(st.integers(1, 6), min_size=len(ps.params), max_size=len(ps.params)))
     check_point_against_homs(ps, t)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(drawn_systems(), power_specs().map(lambda spec: (spec[0].ring, spec[0].params))),
+       st.data())
+def test_validated_hom_is_free_exactly_when_cyclic(drawn, data):
+    """classify_point's theorem on build_hom, for b = (x_{v_i}^{f_i}) with any f_i >= e_i."""
+    if not drawn[1] or not accepted(drawn):
+        return
+    ps = validate_sop(*drawn)
+    b = [tuple(e + data.draw(st.integers(0, 4)) if e else 0 for e in a) for a in ps.params]
+    Q = build_hom(ps, b)
+    assert Q.is_cyclic() == Q.is_free_over_base()
+    assert Q.length() >= Q.base_length()
 
 
 @settings(max_examples=300, deadline=None)
@@ -470,7 +484,7 @@ def test_point_errors_match_build_hom(monkeypatch):
     for build in (classify_point, build_hom):
         with pytest.raises(CapExceeded, match="^box volume 32 exceeds cap 31$"):
             build(ps, [4, 4])
-    assert classify_point(ps, [4, 3]) == (PointClass.DECOMPOSABLE, False)
+    assert classify_point(ps, [4, 3]) is PointClass.DECOMPOSABLE
 
 
 def test_grid_builds_no_hom(monkeypatch):
@@ -539,7 +553,7 @@ def test_grid_views_refuse_malformed_keys():
 
 def test_grid_result_is_dense():
     ps = sop(THREE_VARS, "y", "z")
-    classify_grid(ps, 1)  # the base ring counts its length on first use
+    classify_grid(ps, 1)  # the system caches its parameter variables on first use
     gc.collect()
     tracemalloc.start()
     try:
