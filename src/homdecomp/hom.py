@@ -212,51 +212,49 @@ class HomSubquotient:
         return None
 
 
-def box_basis(L: MonomialIdeal, bounds, a_gens) -> tuple[list[Monomial], tuple[Monomial, ...]]:
-    """The basis cells of C/B and the generators of C outside B, off one box, row by row.
+def box_basis(f: dict[Monomial, int], a_gens) -> tuple[list[Monomial], tuple[Monomial, ...]]:
+    """The basis cells of C/B and the generators of C outside B, off one box's row table.
 
-    Here B = L + (x_j^{bounds_j}) for the monomial ideal L, and
-    C = (B : 𝔞) for 𝔞 generated by a_gens.  The box [0, bounds_j) holds
-    every monomial outside B, the cells outside L, and such a cell u is
-    in C when, for each g in a_gens, u·g leaves the box or lies in L.
-    The cells come in product order, and a basis cell u is a minimal
+    f is monomials.row_thresholds(L, bounds) for a monomial ideal L and
+    a box [0, bounds_j): for each row p of the box, in product order, the
+    cells (p, k) outside L are k < f(p).  Here B = L + (x_j^{bounds_j})
+    and C = (B : 𝔞) for 𝔞 generated by a_gens.  The box holds every
+    monomial outside B, the cells outside L, and such a cell u is in C
+    when, for each g in a_gens, u·g leaves the box or lies in L.  The
+    cells come in product order, and a basis cell u is a minimal
     generator of C when no u / x_v is a basis cell: u / x_v in C but not
     a basis cell would lie in B, and then so would u.
 
     The box is read one row at a time along the last variable.  Write a
-    cell u = (p, k), with p its first n - 1 exponents, and g = (g', g_n);
-    monomials.row_thresholds gives each row's bound f(p) for L, so the
-    cells of row p outside B are k < f(p).  For g in a_gens, pure power
-    or not, u·g = (p + g', k + g_n) leaves the box for every k when
-    p + g' leaves the box of prefixes, and otherwise lies outside B
-    exactly when k + g_n < f(p + g').  So each g adds one lower bound
-    k >= f(p + g') - g_n, and the row's basis cells are the interval
-    [lo(p), f(p)), lo(p) the largest of those bounds and 0.  A pure
-    power x_n^e gives f(p) - e, and a pure power x_v^e of another
+    cell u = (p, k), with p its first n - 1 exponents, and g = (g', g_n).
+    For g in a_gens, pure power or not, u·g = (p + g', k + g_n) leaves
+    the box for every k when p + g' is no row of f, and otherwise lies
+    outside B exactly when k + g_n < f(p + g').  So each g adds one lower
+    bound k >= f(p + g') - g_n, and the row's basis cells are the
+    interval [lo(p), f(p)), lo(p) the largest of those bounds and 0.  A
+    pure power x_n^e gives f(p) - e, and a pure power x_v^e of another
     variable gives f(p + e·x_v) while p_v + e < bounds_v.  In a row,
     (p, k - 1) is a basis cell for every k > lo(p), so only (p, lo(p))
     can be a minimal generator, and it is one unless lo(p) lies in the
     interval of some row p - x_v.
 
-    hom_from_ideals takes L = B and B's pure powers.  build_hom and
-    classify_point take L = I and parameter_box's bounds, since B is then
-    I plus pure powers: every system that validate_sop accepts is made
-    of pure powers a_i = x_{v_i}^{e_i} of distinct variables free in I
-    (ParameterSystem.variables proves it).  A validated 𝔟 is such a
-    system too, and none of its generators lies in I, as d - 1 elements
-    cannot cut R down to finite length; so 𝔟 ⊆ 𝔞 + I makes it one pure
-    power x_{v_i}^{f_i}, f_i >= e_i, of each parameter's variable
-    (f_i = e_i t_i for powers).
+    hom_from_ideals passes the table of L = B over B's pure powers.
+    build_hom and classify_point pass L = I over parameter_box's bounds,
+    since B is then I plus pure powers: every system that validate_sop
+    accepts is made of pure powers a_i = x_{v_i}^{e_i} of distinct
+    variables free in I (ParameterSystem.variables proves it).  A
+    validated 𝔟 is such a system too, and none of its generators lies in
+    I, as d - 1 elements cannot cut R down to finite length; so 𝔟 ⊆ 𝔞 + I
+    makes it one pure power x_{v_i}^{f_i}, f_i >= e_i, of each
+    parameter's variable (f_i = e_i t_i for powers).  theorems.classify_grid
+    passes a slice of one table built for the whole grid.
 
-    A bound None (B of infinite colength) raises ValueError, and a box
-    of more than LENGTH_CAP cells raises CapExceeded.
-
-    >>> box_basis(MonomialIdeal(2, [(2, 0), (1, 2)]), [2, 4], [(0, 2)])
+    >>> f = row_thresholds(MonomialIdeal(2, [(2, 0), (1, 2)]), [2, 4])   # (x^2, xy^2)
+    >>> f
+    {(0,): 4, (1,): 2}
+    >>> box_basis(f, [(0, 2)])
     ([(0, 2), (0, 3), (1, 0), (1, 1)], ((0, 2), (1, 0)))
     """
-    if None in bounds:
-        raise ValueError("quotient by b is not Artinian")
-    f = row_thresholds(L, bounds)
     shifts = [(g[:-1], g[-1]) for g in a_gens]
     spans = {}  # row p -> (lo(p), f(p)), for the rows that hold basis cells
     basis, generators = [], []
@@ -290,7 +288,8 @@ def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:
     The bounds are I's pure powers and 𝔟's exponent on each parameter's
     variable, read off ParameterSystem.variables, which raises ValueError
     naming a parameter that is not a pure power of a variable free in I
-    and in the other parameters.
+    and in the other parameters.  A variable left without a bound (B of
+    infinite colength) raises ValueError.
     """
     ring = ps.ring
     spec = list(b_spec)
@@ -313,6 +312,8 @@ def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:
     for i, (v, a) in enumerate(zip(ps.variables, ps.params)):
         # 𝔟's generator on x_v: a_i^{t_i}, or the one explicit generator that uses x_v
         bounds[v] = a[v] * spec[i] if powers else max(g[v] for g in spec)
+    if None in bounds:
+        raise ValueError("quotient by b is not Artinian")
     return bounds
 
 
@@ -333,16 +334,20 @@ def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialId
     B = ring.defining + b_ideal
     if B.is_unit():
         raise ValueError("I + b is the unit ideal; the module Hom(R/a, R/(I + b)) is zero")
+    bounds = B._pure_powers()
+    if None in bounds:
+        raise ValueError("quotient by b is not Artinian")
     return HomSubquotient(ring, a_ideal, b_ideal, B, LocalRing(ring.variables, base_ideal),
-                          *box_basis(B, B._pure_powers(), a_ideal.gens))
+                          *box_basis(row_thresholds(B, bounds), a_ideal.gens))
 
 
 def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
     """Hom_R(R/𝔞, R/𝔟R) for 𝔞 = ps and 𝔟 given as powers or monomials.
 
-    box_basis reads the module off parameter_box's box with L = I.  𝔞 and
-    the base ring S come from ps, and S stores its length, so neither is
-    rebuilt and S is not recounted for each module.
+    box_basis reads the module off the row table of L = I over
+    parameter_box's box.  𝔞 and the base ring S come from ps, and S
+    stores its length, so neither is rebuilt and S is not recounted for
+    each module.
 
     >>> from .rings import LocalRing, validate_sop
     >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^2)")
@@ -359,4 +364,4 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
     b_ideal = MonomialIdeal(ring.ambient, [tuple(bounds[v] if e else 0 for v, e in enumerate(a))
                                            for a in ps.params])
     return HomSubquotient(ring, ps.a_ideal, b_ideal, ring.defining + b_ideal, ps.base,
-                          *box_basis(ring.defining, bounds, ps.params))
+                          *box_basis(row_thresholds(ring.defining, bounds), ps.params))

@@ -24,10 +24,12 @@ from .monomials import (
     CapExceeded,
     Monomial,
     MonomialIdeal,
+    _capped,
     grlex_key,
     mono_mul,
     mono_pow,
     monomials_between,
+    row_thresholds,
 )
 from .rings import (
     LocalRing,
@@ -510,10 +512,11 @@ class PointClass(str, Enum):
 def classify_point(ps: ParameterSystem, powers) -> PointClass:
     """Class of Hom(R/a, R/bR) at one lattice point t, for b = (a_i^{t_i}).
 
-    hom.box_basis reads C/B off the box that hom.parameter_box gives, as
-    build_hom does, but keeps the product order, and no ideal, colon or
-    Hom object is built.  A cyclic module is free, by the theorem below,
-    and indecomposable, as it is a quotient of the local base.
+    hom.box_basis reads C/B off the row table of the box that
+    hom.parameter_box gives, as build_hom does, but keeps the product
+    order, and no ideal, colon or Hom object is built.  A cyclic module
+    is free, by the theorem below, and indecomposable, as it is a
+    quotient of the local base.
     Otherwise hom.action_blocks finds the summands, as in decide(), and
     a non-cyclic module is not free.
 
@@ -567,7 +570,12 @@ def classify_point(ps: ParameterSystem, powers) -> PointClass:
     t = list(powers)
     if not all(type(e) is int for e in t):  # bool is an int subclass and is refused
         raise ValueError("a lattice point is a list of integer exponents")
-    basis, generators = box_basis(ps.ring.defining, parameter_box(ps, t), ps.params)
+    f = row_thresholds(ps.ring.defining, parameter_box(ps, t))
+    return _point_class(*box_basis(f, ps.params))
+
+
+def _point_class(basis, generators) -> PointClass:
+    """A point's class off box_basis's answers, by classify_point's theorem."""
     if len(generators) == 1:
         return PointClass.FREE_CYCLIC
     if len(action_blocks(basis)) >= 2:
@@ -643,14 +651,45 @@ class GridClassification:
 
 
 def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
-    """classify_point at every point of [1, tmax]^d."""
+    """classify_point at every point of [1, tmax]^d, off one row table for the grid.
+
+    monomials.row_thresholds runs once, at the far corner T = (tmax, ...,
+    tmax), and each point t reads the slice f_t(p) = min(top_t, f_T(p))
+    for p in its own box of rows, top_t being its bound on the last
+    variable.  Each point's box still comes from hom.parameter_box and is
+    held to LENGTH_CAP.  T's box is the largest, so when it is over the
+    cap some point is; the points are then scanned in product order and
+    the first one over the cap raises its own error, and no table is
+    built.
+
+    Proof that the slice is t's own table.  row_thresholds gives
+    f_t(p) = min(top_t, r(p)), with r(p) the least last exponent of a
+    generator of I whose other exponents are at most p (no bound when
+    there is none), which depends on p alone and not on the box.
+    parameter_box's bounds grow with t: a parameter's variable x_{v_i}
+    gets e_i t_i <= e_i tmax, and every other variable I's pure power at
+    every t.  So top_t <= top_T, and t's box of rows lies inside T's, so
+    f_T(p) = min(top_T, r(p)) is defined at each row p of t, and
+    min(top_t, f_T(p)) = min(top_t, top_T, r(p)) = min(top_t, r(p)) =
+    f_t(p).
+    """
     if type(tmax) is not int:
         raise ValueError("tmax must be an integer")
     if tmax < 1:
         raise ValueError("tmax must be at least 1")
     points = itertools.product(range(1, tmax + 1), repeat=len(ps.params))
-    codes = bytes(_CLASS_INDEX[classify_point(ps, t)] for t in points)
-    return GridClassification(ps, tmax, codes)
+    try:
+        far = row_thresholds(ps.ring.defining, parameter_box(ps, [tmax] * len(ps.params)))
+    except CapExceeded:
+        for t in points:
+            _capped(parameter_box(ps, t))
+        raise
+    codes = bytearray()
+    for t in points:
+        *head, top = _capped(parameter_box(ps, t))
+        f = {p: min(top, far[p]) for p in itertools.product(*map(range, head))}
+        codes.append(_CLASS_INDEX[_point_class(*box_basis(f, ps.params))])
+    return GridClassification(ps, tmax, bytes(codes))
 
 
 # ------------------------------------------------------------------- corpora

@@ -4,7 +4,8 @@ bench/tracing.py wraps package functions and methods by module and
 attribute name, so a rename inside the package would break
 `bench/run.py --trace 1`.  The tracer file is loaded by path; the lookup
 below is the one its Tracer.patch does.  A traced grid run then pins the
-grid counts the tracer reports.
+grid counts the tracer reports: one row table per grid, read at the far
+corner, and no classify_point call, Hom or ideal per point.
 """
 
 import importlib
@@ -39,7 +40,7 @@ def test_traced_name_resolves(name, module, path):
     assert callable(target)
 
 
-def test_traced_grid_builds_no_hom():
+def test_traced_grid_builds_no_hom(monkeypatch):
     # Tracer.install patches the homdecomp modules it finds in sys.modules
     package = importlib.import_module(tracing.PACKAGE)
     for info in pkgutil.iter_modules(package.__path__):
@@ -48,6 +49,14 @@ def test_traced_grid_builds_no_hom():
     theorems = importlib.import_module(f"{tracing.PACKAGE}.theorems")
     ring = rings.LocalRing.from_text(("x", "y", "z"), "(x^2, xyz)")
     ps = rings.validate_sop(ring, [ring.parse_monomial(v) for v in "yz"])
+    tables = []
+    row_thresholds = theorems.row_thresholds
+
+    def counting_table(L, bounds):
+        tables.append(list(bounds))
+        return row_thresholds(L, bounds)
+
+    monkeypatch.setattr(theorems, "row_thresholds", counting_table)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -55,9 +64,11 @@ def test_traced_grid_builds_no_hom():
     finally:
         tracer.uninstall()
     summary = tracing.summarize(tracer)
+    assert tables == [[2, 3, 3]]
+    assert summary["theorems.classify_grid.calls"] == (1, "count")
     assert summary["theorems.homs_per_point"] == (0.0, "ratio")
-    assert summary["theorems.classify_point.calls"] == (9, "count")
-    # each point is read off the box: no Hom, ideal, colon or decide call
+    assert summary["theorems.classify_point.calls"] == (0, "count")
+    # each point is read off a slice of that table: no Hom, ideal, colon or decide call
     for name in ("hom.build_hom", "hom.hom_from_ideals", "hom.basis",
                  "monomials.ideal_init", "decomp.decide"):
         assert summary[f"{name}.calls"] == (0, "count"), name

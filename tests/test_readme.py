@@ -47,7 +47,8 @@ def test_ci_smoke_runs_the_installed_console_script():
     steps = workflow["jobs"]["install-smoke"]["steps"]
     (install, spec, run, diff, analyze_run, analyze_diff, stab_spec, stab_run, stab_diff,
      power_spec, power_run, power_diff,
-     grid4_spec, grid4_run, grid4_diff) = (step["run"] for step in steps[-15:])
+     grid4_spec, grid4_run, grid4_diff,
+     grid3_spec, grid3_run, grid3_diff) = (step["run"] for step in steps[-18:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -82,4 +83,11 @@ def test_ci_smoke_runs_the_installed_console_script():
     assert grid4_run == "homdecomp grid x2-xyzw.ring --max 3 --format json > grid4.out"
     case = "x2-xyzw-max3-json"
     assert grid4_diff == f"diff grid4.out tests/golden/grid/{case}.out"
+    assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}
+    # a grid whose parameter y sits among the row variables, so each point's rows move
+    text = re.fullmatch(r"printf '([^']*)' > x2-xyz\.ring", grid3_spec).group(1)
+    assert text.replace("\\n", "\n") == SPECS["x2-xyz"]
+    assert grid3_run == "homdecomp grid x2-xyz.ring --max 6 --format json > grid3.out"
+    case = "x2-xyz-max6-json"
+    assert grid3_diff == f"diff grid3.out tests/golden/grid/{case}.out"
     assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}

@@ -28,7 +28,7 @@ from homdecomp import hom, monomials, theorems
 from homdecomp.decomp import decide
 from homdecomp.hom import HomSubquotient, box_basis, build_hom, parameter_box
 from homdecomp.monomials import (CapExceeded, MonomialIdeal, grlex_key, mono_pow,
-                                 monomials_between)
+                                 monomials_between, row_thresholds)
 from homdecomp.rings import LocalRing, ParameterSystem, validate_sop
 from homdecomp.theorems import (
     GridClassification,
@@ -370,6 +370,26 @@ def test_grid_matches_two_hom_points(spec):
             assert bad not in view
 
 
+def grid_systems():
+    """Accepted drawn_systems draws with a parameter, and power_specs systems.
+
+    Both put a parameter's variable last (the top bound moves with t) or
+    among the first variables (the box of rows moves with t).
+    """
+    drawn = drawn_systems().filter(lambda drawn: drawn[1] and accepted(drawn))
+    return st.one_of(drawn.map(lambda drawn: validate_sop(*drawn)),
+                     power_specs().map(lambda spec: spec[0]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_systems(), st.integers(1, 4))
+def test_grid_codes_match_classify_point(ps, tmax):
+    # the grid slices one far-corner table; classify_point builds each point's own
+    grid = classify_grid(ps, tmax)
+    points = itertools.product(range(1, tmax + 1), repeat=len(ps.params))
+    assert grid.codes == bytes(theorems._CLASS_INDEX[classify_point(ps, list(t))] for t in points)
+
+
 def monomial_hom_system(Q):
     """The parameter system of a monomial_homs draw: a's pure powers of y and z.
 
@@ -385,7 +405,8 @@ def check_point_against_homs(ps, t):
     cls, free = two_hom_point(ps, t)
     assert classify_point(ps, t) is cls
     assert free is (cls is PointClass.FREE_CYCLIC)  # classify_point's theorem
-    basis, generators = box_basis(ps.ring.defining, parameter_box(ps, t), ps.params)
+    basis, generators = box_basis(row_thresholds(ps.ring.defining, parameter_box(ps, t)),
+                                  ps.params)
     b_gens = [mono_pow(a, k) for a, k in zip(ps.params, t)]
     B = ps.ring.defining + MonomialIdeal(ps.ring.ambient, b_gens)
     _, oracle_basis, count = colon_route(ps.a_ideal, B)
@@ -487,10 +508,17 @@ def test_point_errors_match_build_hom(monkeypatch):
     assert classify_point(ps, [4, 3]) is PointClass.DECOMPOSABLE
 
 
+def test_grid_cap_names_the_first_point_over_it(monkeypatch):
+    # the boxes have volume 2·t1·t2; (2, 4) is the first in product order past 15,
+    # and the far corner (4, 4), at 32, must not be the one reported
+    monkeypatch.setattr(monomials, "LENGTH_CAP", 15)
+    with pytest.raises(CapExceeded, match="^box volume 16 exceeds cap 15$"):
+        classify_grid(sop(THREE_VARS, "y", "z"), 4)
+
+
 def test_grid_builds_no_hom(monkeypatch):
-    ps = sop(THREE_VARS, "y", "z")
-    homs = []
-    points = []
+    # one row table per grid, at the far corner, sliced per point
+    homs, tables, points = [], [], []
     original_post_init = HomSubquotient.__post_init__
 
     def counting_build(*args):
@@ -501,6 +529,10 @@ def test_grid_builds_no_hom(monkeypatch):
         homs.append(self)
         original_post_init(self)
 
+    def counting_table(L, bounds):
+        tables.append(list(bounds))
+        return row_thresholds(L, bounds)
+
     def counting_point(*args):
         points.append(tuple(args[1]))
         return classify_point(*args)
@@ -508,11 +540,17 @@ def test_grid_builds_no_hom(monkeypatch):
     monkeypatch.setattr(theorems, "build_hom", counting_build)
     monkeypatch.setattr(hom, "build_hom", counting_build)
     monkeypatch.setattr(HomSubquotient, "__post_init__", counting_post_init)
+    monkeypatch.setattr(theorems, "row_thresholds", counting_table)
+    monkeypatch.setattr(hom, "row_thresholds", counting_table)
     monkeypatch.setattr(theorems, "classify_point", counting_point)
-    grid = classify_grid(ps, 4)
+    for ring, texts, tmax in [(THREE_VARS, ("y", "z"), 4), (FOUR_VARS, ("y", "z", "w"), 3)]:
+        ps = sop(ring, *texts)
+        tables.clear()
+        grid = classify_grid(ps, tmax)
+        assert len(grid.classes) == tmax ** len(texts)
+        assert tables == [parameter_box(ps, [tmax] * len(texts))]
     assert homs == []
-    assert points == grid.lattice()
-    assert len(points) == 16
+    assert points == []
 
 
 @pytest.mark.parametrize("ring, texts, tmax", [
