@@ -4,7 +4,8 @@ Each case runs the CLI in-process on one ring spec, at one --max and in
 one mode (ascii, json, or ascii with --out SVG), and compares stdout,
 stderr, the exit code and the SVG file with tests/golden/grid.  The
 golden files hold the output of the grid route that built one Hom per
-point; a faster route must reproduce it exactly.
+point, and the multi-row cases that of the route that listed every
+point's basis cells; a faster route must reproduce them exactly.
 
     PYTHONPATH=src python tests/test_golden_grid.py DIR
 
@@ -29,9 +30,15 @@ SPECS = {
     "x2-xy3": "ring x y\nrelations x^2 xy^3\nsop y^2\n",
     "x2-xyz-y3": "ring x y z\nrelations x^2 xyz y^3\nsop z\n",
     "x2-xyzw": "ring x y z w\nrelations x^2 xyzw\nsop y z w\n",
+    "x4-x3y3-x2y7": "ring x y\nrelations x^4 x^3y^3 x^2y^7\nsop y^2\n",
+    "x3-x2y2z3": "ring x y z\nrelations x^3 x^2y^2z^3\nsop y^2 z\n",
 }
 MODES = {"ascii": [], "json": ["--format", "json"], "svg": ["--out"]}
-CASES = [f"{spec}-max{tmax}-{mode}" for spec in SPECS for tmax in (1, 3, 6) for mode in MODES]
+CASES = [f"{spec}-max{tmax}-{mode}" for spec in list(SPECS)[:4] for tmax in (1, 3, 6)
+         for mode in MODES]
+# boxes of several rows per point: x4-x3y3-x2y7 has 4 rows and all three classes
+CASES += [f"{spec}-{mode}" for spec in ("x4-x3y3-x2y7-max8", "x3-x2y2z3-max5")
+          for mode in ("ascii", "json")]
 
 
 def run_case(case: str, workdir: Path) -> dict:

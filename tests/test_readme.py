@@ -48,7 +48,8 @@ def test_ci_smoke_runs_the_installed_console_script():
     (install, spec, run, diff, analyze_run, analyze_diff, stab_spec, stab_run, stab_diff,
      power_spec, power_run, power_diff,
      grid4_spec, grid4_run, grid4_diff,
-     grid3_spec, grid3_run, grid3_diff) = (step["run"] for step in steps[-18:])
+     grid3_spec, grid3_run, grid3_diff,
+     rows_spec, rows_run, rows_diff) = (step["run"] for step in steps[-21:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -90,4 +91,11 @@ def test_ci_smoke_runs_the_installed_console_script():
     assert grid3_run == "homdecomp grid x2-xyz.ring --max 6 --format json > grid3.out"
     case = "x2-xyz-max6-json"
     assert grid3_diff == f"diff grid3.out tests/golden/grid/{case}.out"
+    assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}
+    # a grid whose boxes hold 4 rows of y each, with all three classes along t1
+    text = re.fullmatch(r"printf '([^']*)' > x4-x3y3-x2y7\.ring", rows_spec).group(1)
+    assert text.replace("\\n", "\n") == SPECS["x4-x3y3-x2y7"]
+    assert rows_run == "homdecomp grid x4-x3y3-x2y7.ring --max 8 --format json > grid-rows.out"
+    case = "x4-x3y3-x2y7-max8-json"
+    assert rows_diff == f"diff grid-rows.out tests/golden/grid/{case}.out"
     assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}
