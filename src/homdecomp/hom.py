@@ -4,8 +4,11 @@ For a ring R = k[x]/I, a parameter ideal 𝔞 = (a_1..a_d), and 𝔟 ⊆ 𝔞, t
 module Hom_R(R/𝔞, R/𝔟R) is the annihilator of 𝔞 inside R/(I+𝔟), that is
 C/B for B = I + 𝔟 and C = (B : 𝔞).  build_hom, hom_from_ideals and the
 grid's classify_point all read it off B's pure-power box with one kernel,
-box_basis, and everything downstream (length, generators, freeness, the
-action graph the decomposition verdict reads) reads off its answers.
+row_intervals: each row's basis cells form one interval, and a row holds
+at most one generator of C.  box_basis lists those intervals' cells for
+the Hom builders, and everything downstream (length, generators,
+freeness, the action graph the decomposition verdict reads) reads off
+its answers; the grid reads the intervals alone (row_components).
 """
 
 from __future__ import annotations
@@ -36,14 +39,16 @@ class UnionFind:
             a = parent[a]
         return a
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of a and b; True when they were two sets."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return
+            return False
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
+        return True
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The sets as sorted tuples, ordered by their first element."""
@@ -57,9 +62,10 @@ def action_blocks(basis) -> tuple[tuple[int, ...], ...]:
     """Connected components of the one-step action graph on a monomial basis.
 
     Cells u and u*x_i of basis are joined.  Blocks are sorted tuples of
-    indices into basis, ordered by their first index.  This is the one
-    union-find behind both HomSubquotient.components and the grid's
-    classify_point.
+    indices into basis, ordered by their first index.  This is the
+    union-find behind HomSubquotient.components, and so decide(), which
+    reports the blocks; the grid counts the same components off the row
+    intervals (row_components).
 
     >>> action_blocks([(0, 1), (1, 0), (1, 1), (0, 3)])
     ((0, 1, 2), (3,))
@@ -212,31 +218,34 @@ class HomSubquotient:
         return None
 
 
-def box_basis(f: dict[Monomial, int], a_gens) -> tuple[list[Monomial], tuple[Monomial, ...]]:
-    """The basis cells of C/B and the generators of C outside B, off one box's row table.
+def row_intervals(f: dict[Monomial, int], a_gens) -> tuple[dict[Monomial, tuple[int, int]],
+                                                             list[Monomial]]:
+    """Each row's interval of basis cells of C/B, and the rows that hold a generator of C.
 
     f is monomials.row_thresholds(L, bounds) for a monomial ideal L and
     a box [0, bounds_j): for each row p of the box, in product order, the
     cells (p, k) outside L are k < f(p).  Here B = L + (x_j^{bounds_j})
     and C = (B : 𝔞) for 𝔞 generated by a_gens.  The box holds every
     monomial outside B, the cells outside L, and such a cell u is in C
-    when, for each g in a_gens, u·g leaves the box or lies in L.  The
-    cells come in product order, and a basis cell u is a minimal
-    generator of C when no u / x_v is a basis cell: u / x_v in C but not
-    a basis cell would lie in B, and then so would u.
+    when, for each g in a_gens, u·g leaves the box or lies in L.
 
-    The box is read one row at a time along the last variable.  Write a
-    cell u = (p, k), with p its first n - 1 exponents, and g = (g', g_n).
-    For g in a_gens, pure power or not, u·g = (p + g', k + g_n) leaves
-    the box for every k when p + g' is no row of f, and otherwise lies
-    outside B exactly when k + g_n < f(p + g').  So each g adds one lower
-    bound k >= f(p + g') - g_n, and the row's basis cells are the
-    interval [lo(p), f(p)), lo(p) the largest of those bounds and 0.  A
-    pure power x_n^e gives f(p) - e, and a pure power x_v^e of another
-    variable gives f(p + e·x_v) while p_v + e < bounds_v.  In a row,
-    (p, k - 1) is a basis cell for every k > lo(p), so only (p, lo(p))
-    can be a minimal generator, and it is one unless lo(p) lies in the
-    interval of some row p - x_v.
+    Returns spans, which maps each row p holding basis cells to
+    (lo(p), f(p)), in product order, and heads, the rows p, in product
+    order, whose cell (p, lo(p)) is a minimal generator of C outside B.
+
+    Write a cell u = (p, k), with p its first n - 1 exponents, and
+    g = (g', g_n).  For g in a_gens, pure power or not, u·g =
+    (p + g', k + g_n) leaves the box for every k when p + g' is no row of
+    f, and otherwise lies outside B exactly when k + g_n < f(p + g').  So
+    each g adds one lower bound k >= f(p + g') - g_n, and the row's basis
+    cells are the interval [lo(p), f(p)), lo(p) the largest of those
+    bounds and 0.  A pure power x_n^e gives f(p) - e, and a pure power
+    x_v^e of another variable gives f(p + e·x_v) while p_v + e <
+    bounds_v.  A basis cell u is a minimal generator of C when no u / x_v
+    is a basis cell: u / x_v in C but not a basis cell would lie in B,
+    and then so would u.  In a row, (p, k - 1) is a basis cell for every
+    k > lo(p), so only (p, lo(p)) can be a minimal generator, and it is
+    one unless lo(p) lies in the interval of some row p - x_v.
 
     hom_from_ideals passes the table of L = B over B's pure powers.
     build_hom and classify_point pass L = I over parameter_box's bounds,
@@ -252,12 +261,12 @@ def box_basis(f: dict[Monomial, int], a_gens) -> tuple[list[Monomial], tuple[Mon
     >>> f = row_thresholds(MonomialIdeal(2, [(2, 0), (1, 2)]), [2, 4])   # (x^2, xy^2)
     >>> f
     {(0,): 4, (1,): 2}
-    >>> box_basis(f, [(0, 2)])
-    ([(0, 2), (0, 3), (1, 0), (1, 1)], ((0, 2), (1, 0)))
+    >>> row_intervals(f, [(0, 2)])
+    ({(0,): (2, 4), (1,): (0, 2)}, [(0,), (1,)])
     """
     shifts = [(g[:-1], g[-1]) for g in a_gens]
-    spans = {}  # row p -> (lo(p), f(p)), for the rows that hold basis cells
-    basis, generators = [], []
+    spans = {}
+    heads = []
     for p, hi in f.items():
         lo = 0
         for q, e in shifts:
@@ -267,15 +276,57 @@ def box_basis(f: dict[Monomial, int], a_gens) -> tuple[list[Monomial], tuple[Mon
         if lo >= hi:
             continue
         spans[p] = lo, hi
-        basis += [p + (k,) for k in range(lo, hi)]
         for v, e in enumerate(p):
             if e:
                 span = spans.get(p[:v] + (e - 1,) + p[v + 1:])
                 if span and span[0] <= lo < span[1]:
                     break
         else:
-            generators.append(p + (lo,))
-    return basis, tuple(generators)
+            heads.append(p)
+    return spans, heads
+
+
+def box_basis(f: dict[Monomial, int], a_gens) -> tuple[list[Monomial], tuple[Monomial, ...]]:
+    """The basis cells of C/B, in product order, and the generators of C outside B.
+
+    The cells of row_intervals(f, a_gens), row by row, and the first cell
+    of each head row.
+
+    >>> box_basis(row_thresholds(MonomialIdeal(2, [(2, 0), (1, 2)]), [2, 4]), [(0, 2)])
+    ([(0, 2), (0, 3), (1, 0), (1, 1)], ((0, 2), (1, 0)))
+    """
+    spans, heads = row_intervals(f, a_gens)
+    basis = [p + (k,) for p, (lo, hi) in spans.items() for k in range(lo, hi)]
+    return basis, tuple(p + (spans[p][0],) for p in heads)
+
+
+def row_components(spans: dict[Monomial, tuple[int, int]]) -> int:
+    """The number of components of C/B's one-step action graph, off row_intervals' spans.
+
+    action_blocks joins basis cells u and u·x_v.  For v the last
+    variable these are neighbours in one row's interval, so each row's
+    cells are connected.  For another v, (p, k) and (p + x_v, k) are both
+    basis cells exactly when k lies in both rows' intervals.  So the
+    components of the cells are those of the graph on rows that joins p
+    and p + x_v when their intervals overlap, and each row is joined to
+    its neighbours p - x_v, which come before it in product order.
+
+    >>> row_components({(0,): (2, 4), (1,): (0, 2)})
+    2
+    >>> row_components({(0,): (1, 4), (1,): (0, 2)})
+    1
+    """
+    index = {p: i for i, p in enumerate(spans)}
+    uf = UnionFind(len(index))
+    count = len(index)
+    for i, (p, (lo, hi)) in enumerate(spans.items()):
+        for v, e in enumerate(p):
+            if e:
+                q = p[:v] + (e - 1,) + p[v + 1:]
+                span = spans.get(q)
+                if span and span[0] < hi and lo < span[1] and uf.union(i, index[q]):
+                    count -= 1
+    return count
 
 
 def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:

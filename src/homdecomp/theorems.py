@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .decomp import DecompositionReport, decide
-from .hom import (HomSubquotient, action_blocks, box_basis, build_hom, hom_from_ideals,
-                  parameter_box)
+from .hom import (HomSubquotient, build_hom, hom_from_ideals, parameter_box, row_components,
+                  row_intervals)
 from .monomials import (
     CapExceeded,
     Monomial,
@@ -512,17 +512,18 @@ class PointClass(str, Enum):
 def classify_point(ps: ParameterSystem, powers) -> PointClass:
     """Class of Hom(R/a, R/bR) at one lattice point t, for b = (a_i^{t_i}).
 
-    hom.box_basis reads C/B off the row table of the box that
-    hom.parameter_box gives, as build_hom does, but keeps the product
-    order, and no ideal, colon or Hom object is built.  A cyclic module
-    is free, by the theorem below, and indecomposable, as it is a
-    quotient of the local base.
-    Otherwise hom.action_blocks finds the summands, as in decide(), and
-    a non-cyclic module is not free.
+    hom.row_intervals reads C/B off the row table of the box that
+    hom.parameter_box gives, as build_hom does: each row's interval of
+    basis cells, and the rows that hold a generator of C.  No cell,
+    ideal, colon or Hom object is built.  A cyclic module is free, by
+    the theorem below, and indecomposable, as it is a quotient of the
+    local base.  Otherwise hom.row_components counts the components of
+    the one-step action graph off the intervals, which are the summands
+    decide() reports, and a non-cyclic module is not free.
 
     Theorem.  Let a_i = x_{v_i}^{e_i} be a system that validate_sop
     accepts and b = (x_{v_i}^{f_i}) with f >= e, as every b that
-    parameter_box accepts is (see hom.box_basis).  Then H = Hom(R/a, R/b)
+    parameter_box accepts is (see hom.row_intervals).  Then H = Hom(R/a, R/b)
     = C/B has length at least length(S), S = R/(I + a), and H is free
     over S exactly when it is cyclic.
 
@@ -570,15 +571,15 @@ def classify_point(ps: ParameterSystem, powers) -> PointClass:
     t = list(powers)
     if not all(type(e) is int for e in t):  # bool is an int subclass and is refused
         raise ValueError("a lattice point is a list of integer exponents")
-    f = row_thresholds(ps.ring.defining, parameter_box(ps, t))
-    return _point_class(*box_basis(f, ps.params))
+    return _row_class(row_thresholds(ps.ring.defining, parameter_box(ps, t)), ps.params)
 
 
-def _point_class(basis, generators) -> PointClass:
-    """A point's class off box_basis's answers, by classify_point's theorem."""
-    if len(generators) == 1:
+def _row_class(f, a_gens) -> PointClass:
+    """A point's class off its row table f, by classify_point's theorem."""
+    spans, heads = row_intervals(f, a_gens)
+    if len(heads) == 1:
         return PointClass.FREE_CYCLIC
-    if len(action_blocks(basis)) >= 2:
+    if row_components(spans) >= 2:
         return PointClass.DECOMPOSABLE
     return PointClass.INDECOMPOSABLE_NONCYCLIC
 
@@ -595,7 +596,8 @@ class BoxMap(Mapping):
     The points' codes sit in one bytes object in itertools.product order,
     which is sorted order, and a value is decoded through a table, so no
     point is stored as a key.  A key that is not a length-d tuple of ints
-    in [1, tmax] raises KeyError, so ``in`` answers False for it.
+    in [1, tmax] raises KeyError, so ``in`` answers False for it; a bool
+    is no int here, as it is no exponent to classify_point.
     """
 
     __slots__ = ("tmax", "dim", "_codes", "_table")
@@ -608,7 +610,7 @@ class BoxMap(Mapping):
 
     def __getitem__(self, t):
         if not (isinstance(t, tuple) and len(t) == self.dim
-                and all(isinstance(e, int) and 1 <= e <= self.tmax for e in t)):
+                and all(type(e) is int and 1 <= e <= self.tmax for e in t)):
             raise KeyError(t)
         pos = 0
         for e in t:
@@ -651,24 +653,32 @@ class GridClassification:
 
 
 def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
-    """classify_point at every point of [1, tmax]^d, off one row table for the grid.
+    """classify_point at every point of [1, tmax]^d, off one box and one row table for the grid.
 
-    monomials.row_thresholds runs once, at the far corner T = (tmax, ...,
-    tmax), and each point t reads the slice f_t(p) = min(top_t, f_T(p))
-    for p in its own box of rows, top_t being its bound on the last
-    variable.  Each point's box still comes from hom.parameter_box and is
-    held to LENGTH_CAP.  T's box is the largest, so when it is over the
-    cap some point is; the points are then scanned in product order and
+    hom.parameter_box runs once, at the far corner T = (tmax, ...,
+    tmax), and so does monomials.row_thresholds, which holds T's box to
+    LENGTH_CAP.  Each point t then sets the bound of each parameter's
+    variable x_{v_i} to e_i t_i, for a_i = x_{v_i}^{e_i}, and reads the
+    slice f_t(p) = min(top_t, f_T(p)) of T's table for p in its own box
+    of rows, top_t being its bound on the last variable.  When T's box
+    is over the cap, the points' boxes are checked in product order and
     the first one over the cap raises its own error, and no table is
     built.
+
+    Proof that these are t's own bounds, checked.  parameter_box gives
+    every variable but the x_{v_i} I's pure power, at every point, and
+    x_{v_i} the exponent e_i t_i of a_i^{t_i}; so t's bounds are T's with
+    those d entries reset.  Its checks pass at t once they pass at T: t
+    is d integers >= 1, the parameters and their variables are T's, and
+    the variables left without a bound are T's.  Each bound at t is at
+    most T's, as e_i t_i <= e_i tmax, so t's box lies inside T's and
+    holds no more cells; T's box is within LENGTH_CAP, so t's is too.
 
     Proof that the slice is t's own table.  row_thresholds gives
     f_t(p) = min(top_t, r(p)), with r(p) the least last exponent of a
     generator of I whose other exponents are at most p (no bound when
-    there is none), which depends on p alone and not on the box.
-    parameter_box's bounds grow with t: a parameter's variable x_{v_i}
-    gets e_i t_i <= e_i tmax, and every other variable I's pure power at
-    every t.  So top_t <= top_T, and t's box of rows lies inside T's, so
+    there is none), which depends on p alone and not on the box.  So
+    top_t <= top_T, and t's box of rows lies inside T's, so
     f_T(p) = min(top_T, r(p)) is defined at each row p of t, and
     min(top_t, f_T(p)) = min(top_t, top_T, r(p)) = min(top_t, r(p)) =
     f_t(p).
@@ -677,18 +687,26 @@ def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
         raise ValueError("tmax must be an integer")
     if tmax < 1:
         raise ValueError("tmax must be at least 1")
-    points = itertools.product(range(1, tmax + 1), repeat=len(ps.params))
+    d = len(ps.params)
+    bounds = parameter_box(ps, [tmax] * d)
+    steps = [(v, a[v]) for v, a in zip(ps.variables, ps.params)]
+
+    def point_bounds():
+        for t in itertools.product(range(1, tmax + 1), repeat=d):
+            for (v, e), k in zip(steps, t):
+                bounds[v] = e * k
+            yield bounds
+
     try:
-        far = row_thresholds(ps.ring.defining, parameter_box(ps, [tmax] * len(ps.params)))
+        far = row_thresholds(ps.ring.defining, bounds)
     except CapExceeded:
-        for t in points:
-            _capped(parameter_box(ps, t))
+        for box in point_bounds():
+            _capped(box)
         raise
     codes = bytearray()
-    for t in points:
-        *head, top = _capped(parameter_box(ps, t))
+    for *head, top in point_bounds():
         f = {p: min(top, far[p]) for p in itertools.product(*map(range, head))}
-        codes.append(_CLASS_INDEX[_point_class(*box_basis(f, ps.params))])
+        codes.append(_CLASS_INDEX[_row_class(f, ps.params)])
     return GridClassification(ps, tmax, bytes(codes))
 
 

@@ -24,7 +24,7 @@ from conftest import (
 from homdecomp import hom, theorems
 from homdecomp.decomp import connected_components
 from homdecomp.gfp import PrimeFieldMatrix
-from homdecomp.hom import HomSubquotient, build_hom, hom_from_ideals
+from homdecomp.hom import HomSubquotient, action_blocks, build_hom, hom_from_ideals
 from homdecomp.monomials import MonomialIdeal, mono_mul, monomials_between, row_thresholds
 from homdecomp.rings import LocalRing, validate_sop
 
@@ -405,8 +405,12 @@ def box_kernel_inputs(draw):
 @given(box_kernel_inputs())
 def test_row_scan_matches_per_cell_scan(inputs):
     L, bounds, a_gens = inputs
-    got = hom.box_basis(row_thresholds(L, bounds), a_gens)
-    assert got == oracle_box_basis(L.contains, bounds, a_gens)
+    f = row_thresholds(L, bounds)
+    cells, generators = oracle_box_basis(L.contains, bounds, a_gens)
+    assert hom.box_basis(f, a_gens) == (cells, generators)
+    # the grid's route reads the same counts off the intervals alone
+    spans, heads = hom.row_intervals(f, a_gens)
+    assert (len(heads), hom.row_components(spans)) == (len(generators), len(action_blocks(cells)))
 
 
 class TestInvariants:

@@ -517,8 +517,8 @@ def test_grid_cap_names_the_first_point_over_it(monkeypatch):
 
 
 def test_grid_builds_no_hom(monkeypatch):
-    # one row table per grid, at the far corner, sliced per point
-    homs, tables, points = [], [], []
+    # one box and one row table per grid, at the far corner, sliced per point
+    homs, tables, points, boxes = [], [], [], []
     original_post_init = HomSubquotient.__post_init__
 
     def counting_build(*args):
@@ -537,17 +537,24 @@ def test_grid_builds_no_hom(monkeypatch):
         points.append(tuple(args[1]))
         return classify_point(*args)
 
+    def counting_box(ps, t):
+        boxes.append(list(t))
+        return parameter_box(ps, t)
+
     monkeypatch.setattr(theorems, "build_hom", counting_build)
     monkeypatch.setattr(hom, "build_hom", counting_build)
     monkeypatch.setattr(HomSubquotient, "__post_init__", counting_post_init)
     monkeypatch.setattr(theorems, "row_thresholds", counting_table)
     monkeypatch.setattr(hom, "row_thresholds", counting_table)
     monkeypatch.setattr(theorems, "classify_point", counting_point)
+    monkeypatch.setattr(theorems, "parameter_box", counting_box)
     for ring, texts, tmax in [(THREE_VARS, ("y", "z"), 4), (FOUR_VARS, ("y", "z", "w"), 3)]:
         ps = sop(ring, *texts)
         tables.clear()
+        boxes.clear()
         grid = classify_grid(ps, tmax)
         assert len(grid.classes) == tmax ** len(texts)
+        assert boxes == [[tmax] * len(texts)]
         assert tables == [parameter_box(ps, [tmax] * len(texts))]
     assert homs == []
     assert points == []
@@ -582,11 +589,11 @@ def test_grid_builds_no_ideal_per_point(monkeypatch, ring, texts, tmax):
 def test_grid_views_refuse_malformed_keys():
     grid = classify_grid(sop(ring2("(x^2, xy^3)"), "y^2"), 3)
     for view in (grid.classes, grid.free):
-        for bad in [(1.5,), 5, ("a",)]:
+        for bad in [(1.5,), 5, ("a",), (True,), (False,)]:
             with pytest.raises(KeyError):
                 view[bad]
             assert bad not in view
-        assert (1,) in view and view.get((1.5,)) is None
+        assert (1,) in view and view.get((1.5,)) is None and view.get((True,)) is None
 
 
 def test_grid_result_is_dense():
