@@ -157,7 +157,8 @@ def parse_ring_file(text: str) -> RingSpec:
             sections[key] = tuple(monos)
             continue
         if key == "seed":
-            if len(rest) != 1 or not rest[0].isdigit():
+            # isdigit alone accepts digits such as '²' that int() refuses
+            if len(rest) != 1 or not (rest[0].isascii() and rest[0].isdigit()):
                 raise RingSpecError(f"line {lineno}: {key} takes one integer")
             sections[key] = (int(rest[0]),)
             continue

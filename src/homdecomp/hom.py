@@ -3,18 +3,20 @@
 For a ring R = k[x]/I, a parameter ideal 𝔞 = (a_1..a_d), and 𝔟 ⊆ 𝔞, the
 module Hom_R(R/𝔞, R/𝔟R) is the annihilator of 𝔞 inside R/(I+𝔟), that is
 C/B for B = I + 𝔟 and C = (B : 𝔞).  build_hom, hom_from_ideals and the
-grid's classify_point all read it off B's pure-power box with one kernel,
-row_intervals: each row's basis cells form one interval, and a row holds
-at most one generator of C.  box_basis lists those intervals' cells for
-the Hom builders, and everything downstream (length, generators,
-freeness, the action graph the decomposition verdict reads) reads off
-its answers; the grid reads the intervals alone (row_components).
+grid's classify_point all read it off B's pure-power box with one pass,
+row_intervals: each row's basis cells form one interval, a row holds at
+most one generator of C, and rows whose intervals overlap lie in one
+component of the action graph.  HomSubquotient derives its basis,
+generators and blocks from that pass, and everything downstream (length,
+generators, freeness, the decomposition verdict) reads off them; the
+grid reads the pass's counts alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add
+from typing import NamedTuple
 
 from .gfp import PrimeFieldMatrix, is_prime
 from .monomials import Monomial, MonomialIdeal, grlex_key, mono_mul, row_thresholds
@@ -58,28 +60,6 @@ class UnionFind:
         return tuple(sorted(tuple(g) for g in groups.values()))
 
 
-def action_blocks(basis) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the one-step action graph on a monomial basis.
-
-    Cells u and u*x_i of basis are joined.  Blocks are sorted tuples of
-    indices into basis, ordered by their first index.  This is the
-    union-find behind HomSubquotient.components, and so decide(), which
-    reports the blocks; the grid counts the same components off the row
-    intervals (row_components).
-
-    >>> action_blocks([(0, 1), (1, 0), (1, 1), (0, 3)])
-    ((0, 1, 2), (3,))
-    """
-    index = {u: i for i, u in enumerate(basis)}
-    uf = UnionFind(len(basis))
-    for i, u in enumerate(basis):
-        for v in range(len(u)):
-            j = index.get(u[:v] + (u[v] + 1,) + u[v + 1:])
-            if j is not None:
-                uf.union(i, j)
-    return uf.blocks()
-
-
 @dataclass(frozen=True)
 class FinitePresentation:
     """A finite-length module as commuting 0/1 action matrices over F_p.
@@ -99,17 +79,35 @@ class FinitePresentation:
         return len(self.basis)
 
 
+class RowScan(NamedTuple):
+    """row_intervals' answer for one box.
+
+    spans maps each row p holding basis cells, in product order, to
+    (lo(p), f(p), i): its interval of basis cells (p, k), lo(p) <= k <
+    f(p), and i, the row's index in blocks.  heads are the rows, in
+    product order, whose cell (p, lo(p)) is a minimal generator of C
+    outside B.  blocks joins the rows of one component of the one-step
+    action graph, and count is the number of components.
+    """
+
+    spans: dict[Monomial, tuple[int, int, int]]
+    heads: list[Monomial]
+    blocks: UnionFind
+    count: int
+
+
 @dataclass(frozen=True)
 class HomSubquotient:
     """Hom_R(R/𝔞, R/𝔟R) presented as C/B with its Artinian base ring.
 
     denominator is B = I + 𝔟, numerator is C = (B : 𝔞), and base is
     S = k[x]/(I + 𝔞), which stores its own length.  The builders pass
-    box_basis's answers: the basis cells of C/B, which construction sorts
-    into graded-lex order, and C's generators outside B.  C is B plus
-    those generators, so B ⊆ C by construction, and C·𝔞 ⊆ B is checked
-    on them alone, as B is an ideal; construction raises AssertionError,
-    also under ``python -O``, when it fails.
+    row_intervals' answer for B's box, rows.  Construction lists its
+    intervals' cells, sorted into graded-lex order, as the basis of C/B,
+    and the first cell of each head row as C's generators outside B.  C
+    is B plus those generators, so B ⊆ C by construction, and C·𝔞 ⊆ B is
+    checked on them alone, as B is an ideal; construction raises
+    AssertionError, also under ``python -O``, when it fails.
     """
 
     ring: LocalRing
@@ -117,15 +115,19 @@ class HomSubquotient:
     b_ideal: MonomialIdeal
     denominator: MonomialIdeal
     base: LocalRing
-    _basis: tuple[Monomial, ...] = field(repr=False, compare=False)
-    _generators: tuple[Monomial, ...] = field(repr=False, compare=False)
+    rows: RowScan = field(repr=False, compare=False)
     numerator: MonomialIdeal = field(init=False)
+    _basis: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
+    _generators: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        B, gens = self.denominator, self._generators
+        B, spans = self.denominator, self.rows.spans
+        gens = tuple(p + (spans[p][0],) for p in self.rows.heads)
         if not all(B.contains(mono_mul(g, h)) for g in gens for h in self.a_ideal.gens):
             raise AssertionError("the numerator times a is not inside the denominator")
-        object.__setattr__(self, "_basis", tuple(sorted(self._basis, key=grlex_key)))
+        basis = [p + (k,) for p, (lo, hi, _) in spans.items() for k in range(lo, hi)]
+        object.__setattr__(self, "_basis", tuple(sorted(basis, key=grlex_key)))
+        object.__setattr__(self, "_generators", gens)
         object.__setattr__(self, "numerator", MonomialIdeal(B.ambient, B.gens + gens))
 
     def basis(self) -> tuple[Monomial, ...]:
@@ -141,7 +143,10 @@ class HomSubquotient:
         Basis cells u and u*x_i are joined whenever u*x_i is not in B.
         Blocks are sorted tuples of basis indices, ordered by their first
         index.  C is an ideal, so u*x_i lies in C and is either a basis
-        cell or in B; so action_blocks on the basis finds them.
+        cell or in B.  row_intervals joined the rows of each component,
+        so a cell's block is its row's.  Reading the graded-lex basis in
+        order lists each block's indices in order, and the blocks by their
+        first index.
 
         >>> from .rings import LocalRing, validate_sop
         >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^3)")
@@ -149,7 +154,11 @@ class HomSubquotient:
         >>> build_hom(ps, [3]).components()
         ((0, 1), (2, 3))
         """
-        return action_blocks(self._basis)
+        spans, find = self.rows.spans, self.rows.blocks.find
+        blocks: dict[int, list[int]] = {}
+        for i, u in enumerate(self._basis):
+            blocks.setdefault(find(spans[u[:-1]][2]), []).append(i)
+        return tuple(map(tuple, blocks.values()))
 
     def minimal_generator_count(self) -> int:
         """dim_k of C/(𝔪C + B), which is the number of C's generators outside B.
@@ -218,34 +227,45 @@ class HomSubquotient:
         return None
 
 
-def row_intervals(f: dict[Monomial, int], a_gens) -> tuple[dict[Monomial, tuple[int, int]],
-                                                             list[Monomial]]:
-    """Each row's interval of basis cells of C/B, and the rows that hold a generator of C.
+def row_intervals(f: dict[Monomial, int], a_gens) -> RowScan:
+    """The one pass over the rows of a box that reads C/B: intervals, generators, components.
 
     f is monomials.row_thresholds(L, bounds) for a monomial ideal L and
     a box [0, bounds_j): for each row p of the box, in product order, the
     cells (p, k) outside L are k < f(p).  Here B = L + (x_j^{bounds_j})
     and C = (B : 𝔞) for 𝔞 generated by a_gens.  The box holds every
     monomial outside B, the cells outside L, and such a cell u is in C
-    when, for each g in a_gens, u·g leaves the box or lies in L.
+    when, for each g in a_gens, u·g leaves the box or lies in L.  The
+    answer is a RowScan.
 
-    Returns spans, which maps each row p holding basis cells to
-    (lo(p), f(p)), in product order, and heads, the rows p, in product
-    order, whose cell (p, lo(p)) is a minimal generator of C outside B.
-
-    Write a cell u = (p, k), with p its first n - 1 exponents, and
-    g = (g', g_n).  For g in a_gens, pure power or not, u·g =
-    (p + g', k + g_n) leaves the box for every k when p + g' is no row of
-    f, and otherwise lies outside B exactly when k + g_n < f(p + g').  So
-    each g adds one lower bound k >= f(p + g') - g_n, and the row's basis
-    cells are the interval [lo(p), f(p)), lo(p) the largest of those
-    bounds and 0.  A pure power x_n^e gives f(p) - e, and a pure power
+    Intervals.  Write a cell u = (p, k), with p its first n - 1
+    exponents, and g = (g', g_n).  For g in a_gens, pure power or not,
+    u·g = (p + g', k + g_n) leaves the box for every k when p + g' is no
+    row of f, and otherwise lies outside B exactly when k + g_n <
+    f(p + g').  So each g adds one lower bound k >= f(p + g') - g_n, and
+    the row's basis cells are the interval [lo(p), f(p)), lo(p) the
+    largest of those bounds and 0.  A power x_n^e of the last variable
+    has g' = 0 and gives f(p) - e, read off the row itself; a pure power
     x_v^e of another variable gives f(p + e·x_v) while p_v + e <
-    bounds_v.  A basis cell u is a minimal generator of C when no u / x_v
-    is a basis cell: u / x_v in C but not a basis cell would lie in B,
-    and then so would u.  In a row, (p, k - 1) is a basis cell for every
-    k > lo(p), so only (p, lo(p)) can be a minimal generator, and it is
-    one unless lo(p) lies in the interval of some row p - x_v.
+    bounds_v.  f does not rise along a variable, as L is an ideal, and
+    every row p + g' gives q + g' for q = p - x_v, so lo(p) <= lo(q) <
+    f(q) whenever q holds basis cells.
+
+    Generators.  A basis cell u is a minimal generator of C when no
+    u / x_v is a basis cell: u / x_v in C but not a basis cell would lie
+    in B, and then so would u.  In a row, (p, k - 1) is a basis cell for
+    every k > lo(p), so only (p, lo(p)) can be a minimal generator, and
+    it is one unless lo(p) lies in the interval of some row q = p - x_v,
+    that is, as lo(p) < f(q), unless lo(q) <= lo(p).
+
+    Components.  The one-step action graph joins basis cells u and u·x_v.
+    For v the last variable these are neighbours in one row's interval,
+    so each row's cells are connected.  For another v, (q, k) and
+    (p, k) are both basis cells exactly when k lies in both rows'
+    intervals, which, as lo(p) < f(q), overlap exactly when lo(q) < f(p).
+    So the components of the cells are those of the graph on rows that
+    joins q and p when lo(q) < f(p), and the pass joins each row to its
+    neighbours q, which come before it in product order.
 
     hom_from_ideals passes the table of L = B over B's pure powers.
     build_hom and classify_point pass L = I over parameter_box's bounds,
@@ -261,72 +281,40 @@ def row_intervals(f: dict[Monomial, int], a_gens) -> tuple[dict[Monomial, tuple[
     >>> f = row_thresholds(MonomialIdeal(2, [(2, 0), (1, 2)]), [2, 4])   # (x^2, xy^2)
     >>> f
     {(0,): 4, (1,): 2}
-    >>> row_intervals(f, [(0, 2)])
-    ({(0,): (2, 4), (1,): (0, 2)}, [(0,), (1,)])
+    >>> rows = row_intervals(f, [(0, 2)])
+    >>> rows.spans, rows.heads, rows.count
+    ({(0,): (2, 4, 0), (1,): (0, 2, 1)}, [(0,), (1,)], 2)
+    >>> row_intervals(f, [(0, 3)]).count
+    1
     """
-    shifts = [(g[:-1], g[-1]) for g in a_gens]
+    shifts = [(g[:-1], g[-1]) for g in a_gens if any(g[:-1])]
+    top = min((g[-1] for g in a_gens if not any(g[:-1])), default=None)
     spans = {}
     heads = []
-    for p, hi in f.items():
-        lo = 0
+    blocks = UnionFind(len(f))
+    count = 0
+    for i, (p, hi) in enumerate(f.items()):
+        lo = hi - top if top is not None and hi > top else 0
         for q, e in shifts:
             bound = f.get(tuple(map(add, p, q)))
             if bound is not None and bound - e > lo:
                 lo = bound - e
         if lo >= hi:
             continue
-        spans[p] = lo, hi
+        spans[p] = lo, hi, i
+        count += 1
+        head = True
         for v, e in enumerate(p):
             if e:
                 span = spans.get(p[:v] + (e - 1,) + p[v + 1:])
-                if span and span[0] <= lo < span[1]:
-                    break
-        else:
+                if span and span[0] < hi:
+                    if span[0] <= lo:
+                        head = False
+                    if blocks.union(i, span[2]):
+                        count -= 1
+        if head:
             heads.append(p)
-    return spans, heads
-
-
-def box_basis(f: dict[Monomial, int], a_gens) -> tuple[list[Monomial], tuple[Monomial, ...]]:
-    """The basis cells of C/B, in product order, and the generators of C outside B.
-
-    The cells of row_intervals(f, a_gens), row by row, and the first cell
-    of each head row.
-
-    >>> box_basis(row_thresholds(MonomialIdeal(2, [(2, 0), (1, 2)]), [2, 4]), [(0, 2)])
-    ([(0, 2), (0, 3), (1, 0), (1, 1)], ((0, 2), (1, 0)))
-    """
-    spans, heads = row_intervals(f, a_gens)
-    basis = [p + (k,) for p, (lo, hi) in spans.items() for k in range(lo, hi)]
-    return basis, tuple(p + (spans[p][0],) for p in heads)
-
-
-def row_components(spans: dict[Monomial, tuple[int, int]]) -> int:
-    """The number of components of C/B's one-step action graph, off row_intervals' spans.
-
-    action_blocks joins basis cells u and u·x_v.  For v the last
-    variable these are neighbours in one row's interval, so each row's
-    cells are connected.  For another v, (p, k) and (p + x_v, k) are both
-    basis cells exactly when k lies in both rows' intervals.  So the
-    components of the cells are those of the graph on rows that joins p
-    and p + x_v when their intervals overlap, and each row is joined to
-    its neighbours p - x_v, which come before it in product order.
-
-    >>> row_components({(0,): (2, 4), (1,): (0, 2)})
-    2
-    >>> row_components({(0,): (1, 4), (1,): (0, 2)})
-    1
-    """
-    index = {p: i for i, p in enumerate(spans)}
-    uf = UnionFind(len(index))
-    count = len(index)
-    for i, (p, (lo, hi)) in enumerate(spans.items()):
-        for v, e in enumerate(p):
-            if e:
-                q = p[:v] + (e - 1,) + p[v + 1:]
-                span = spans.get(q)
-                if span and span[0] < hi and lo < span[1] and uf.union(i, index[q]):
-                    count -= 1
-    return count
+    return RowScan(spans, heads, blocks, count)
 
 
 def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:
@@ -389,13 +377,13 @@ def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialId
     if None in bounds:
         raise ValueError("quotient by b is not Artinian")
     return HomSubquotient(ring, a_ideal, b_ideal, B, LocalRing(ring.variables, base_ideal),
-                          *box_basis(row_thresholds(B, bounds), a_ideal.gens))
+                          row_intervals(row_thresholds(B, bounds), a_ideal.gens))
 
 
 def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
     """Hom_R(R/𝔞, R/𝔟R) for 𝔞 = ps and 𝔟 given as powers or monomials.
 
-    box_basis reads the module off the row table of L = I over
+    row_intervals reads the module off the row table of L = I over
     parameter_box's box.  𝔞 and the base ring S come from ps, and S
     stores its length, so neither is rebuilt and S is not recounted for
     each module.
@@ -415,4 +403,4 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
     b_ideal = MonomialIdeal(ring.ambient, [tuple(bounds[v] if e else 0 for v, e in enumerate(a))
                                            for a in ps.params])
     return HomSubquotient(ring, ps.a_ideal, b_ideal, ring.defining + b_ideal, ps.base,
-                          *box_basis(row_thresholds(ring.defining, bounds), ps.params))
+                          row_intervals(row_thresholds(ring.defining, bounds), ps.params))

@@ -410,7 +410,7 @@ def parse_monomial(text: str, names: tuple[str, ...]) -> Monomial:
         if pos < len(text) and text[pos] == "^":
             pos += 1
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and "0" <= text[pos] <= "9":  # not isdigit: int() refuses '²'
                 pos += 1
             if start == pos:
                 raise ValueError(f"missing exponent after '^' in {text!r}")

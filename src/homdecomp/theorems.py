@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .decomp import DecompositionReport, decide
-from .hom import (HomSubquotient, build_hom, hom_from_ideals, parameter_box, row_components,
-                  row_intervals)
+from .hom import HomSubquotient, build_hom, hom_from_ideals, parameter_box, row_intervals
 from .monomials import (
     CapExceeded,
     Monomial,
@@ -514,12 +513,12 @@ def classify_point(ps: ParameterSystem, powers) -> PointClass:
 
     hom.row_intervals reads C/B off the row table of the box that
     hom.parameter_box gives, as build_hom does: each row's interval of
-    basis cells, and the rows that hold a generator of C.  No cell,
-    ideal, colon or Hom object is built.  A cyclic module is free, by
-    the theorem below, and indecomposable, as it is a quotient of the
-    local base.  Otherwise hom.row_components counts the components of
-    the one-step action graph off the intervals, which are the summands
-    decide() reports, and a non-cyclic module is not free.
+    basis cells, the rows that hold a generator of C, and the number of
+    components of the one-step action graph.  No cell, ideal, colon or
+    Hom object is built.  A cyclic module is free, by the theorem below,
+    and indecomposable, as it is a quotient of the local base.  Otherwise
+    the components are the summands decide() reports, and a non-cyclic
+    module is not free.
 
     Theorem.  Let a_i = x_{v_i}^{e_i} be a system that validate_sop
     accepts and b = (x_{v_i}^{f_i}) with f >= e, as every b that
@@ -576,10 +575,10 @@ def classify_point(ps: ParameterSystem, powers) -> PointClass:
 
 def _row_class(f, a_gens) -> PointClass:
     """A point's class off its row table f, by classify_point's theorem."""
-    spans, heads = row_intervals(f, a_gens)
-    if len(heads) == 1:
+    rows = row_intervals(f, a_gens)
+    if len(rows.heads) == 1:
         return PointClass.FREE_CYCLIC
-    if row_components(spans) >= 2:
+    if rows.count >= 2:
         return PointClass.DECOMPOSABLE
     return PointClass.INDECOMPOSABLE_NONCYCLIC
 

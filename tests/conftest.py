@@ -164,8 +164,8 @@ def colon_route(a_ideal: MonomialIdeal, B: MonomialIdeal):
 def oracle_box_basis(in_L, bounds, a_gens):
     """The basis cells of C/B and C's generators outside B, one membership test per cell.
 
-    The per-cell scan that hom.box_basis's row scan replaced, kept as an
-    oracle.  B = L + (x_j^{bounds_j}) for the membership test in_L of L,
+    The per-cell scan that hom.row_intervals' row scan replaced, kept as
+    an oracle.  B = L + (x_j^{bounds_j}) for the membership test in_L of L,
     and C = (B : a) for a generated by a_gens.  Every cell of the box
     outside L is tested: for a pure power x_v^e by one shifted
     membership test, for any other generator by the full product.  The
@@ -199,6 +199,49 @@ def oracle_box_basis(in_L, bounds, a_gens):
                        if not any(u[v] and u[:v] + (u[v] - 1,) + u[v + 1:] in cells
                                   for v in range(len(u))))
     return basis, generators
+
+
+def box_basis(rows):
+    """The basis cells of a hom.row_intervals answer, in product order, and C's generators outside B.
+
+    The cell listing that hom.box_basis did before HomSubquotient read the
+    row scan itself: each row's interval of cells, row by row, and the
+    first cell of each head row.
+    """
+    spans = rows.spans
+    cells = [p + (k,) for p, (lo, hi, _) in spans.items() for k in range(lo, hi)]
+    return cells, tuple(p + (spans[p][0],) for p in rows.heads)
+
+
+def action_blocks(basis):
+    """Connected components of the one-step action graph on a monomial basis, one cell at a time.
+
+    Cells u and u*x_i of basis are joined.  Blocks are sorted tuples of
+    indices into basis, ordered by their first index.  The per-cell
+    search that hom.row_intervals' row components replaced, kept as an
+    oracle; it walks the graph from each unseen cell and shares no code
+    with hom.UnionFind.
+    """
+    index = {u: i for i, u in enumerate(basis)}
+    seen = [False] * len(basis)
+    blocks = []
+    for start in range(len(basis)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, block = [start], []
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            u = basis[i]
+            for v in range(len(u)):
+                for step in (1, -1):
+                    j = index.get(u[:v] + (u[v] + step,) + u[v + 1:])
+                    if j is not None and not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
 
 
 def is_regular_element(ring: LocalRing, u) -> bool:

@@ -108,6 +108,18 @@ class TestRingSpecParsing:
         with pytest.raises(RingSpecError, match="one integer"):
             parse_ring_file("ring x y\nseed seven\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed ²", "line 2: seed takes one integer"),
+        ("seed ٣", "line 2: seed takes one integer"),
+        ("relations x^²", "line 2: missing exponent after '^' in 'x^²'")])
+    def test_non_ascii_digits_name_their_line(self, tmp_path, capsys, line, message):
+        # str.isdigit accepts '²', which int() refuses without a line number
+        text = f"ring x y\n{line}\nsop y\n"
+        with pytest.raises(RingSpecError, match=f"^{re.escape(message)}$"):
+            parse_ring_file(text)
+        path = write(tmp_path, "digits.ring", text)
+        assert run(capsys, "stabilize", path) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("text", [E51, E52_M3, FIG1, CM,
                                       "ring a b c\nrelations a^2 abc\nsop b c\nseed 5"])
     def test_round_trip(self, text):

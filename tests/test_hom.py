@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    action_blocks,
+    box_basis,
     colon_route,
     monomial_homs,
     monomial_ideals,
@@ -24,7 +26,7 @@ from conftest import (
 from homdecomp import hom, theorems
 from homdecomp.decomp import connected_components
 from homdecomp.gfp import PrimeFieldMatrix
-from homdecomp.hom import HomSubquotient, action_blocks, build_hom, hom_from_ideals
+from homdecomp.hom import HomSubquotient, RowScan, UnionFind, build_hom, hom_from_ideals
 from homdecomp.monomials import MonomialIdeal, mono_mul, monomials_between, row_thresholds
 from homdecomp.rings import LocalRing, validate_sop
 
@@ -405,33 +407,58 @@ def box_kernel_inputs(draw):
 @given(box_kernel_inputs())
 def test_row_scan_matches_per_cell_scan(inputs):
     L, bounds, a_gens = inputs
-    f = row_thresholds(L, bounds)
+    rows = hom.row_intervals(row_thresholds(L, bounds), a_gens)
     cells, generators = oracle_box_basis(L.contains, bounds, a_gens)
-    assert hom.box_basis(f, a_gens) == (cells, generators)
-    # the grid's route reads the same counts off the intervals alone
-    spans, heads = hom.row_intervals(f, a_gens)
-    assert (len(heads), hom.row_components(spans)) == (len(generators), len(action_blocks(cells)))
+    assert box_basis(rows) == (cells, generators)
+    assert (len(rows.heads), rows.count) == (len(generators), len(action_blocks(cells)))
+
+
+def test_row_scan_lists_cells_and_blocks_of_a_small_box():
+    # (x^2, xy^2) in the box [0, 2) x [0, 4), a = (y^2): rows x^0 and x^1 do not overlap
+    rows = hom.row_intervals(row_thresholds(MonomialIdeal(2, [(2, 0), (1, 2)]), [2, 4]), [(0, 2)])
+    assert box_basis(rows) == ([(0, 2), (0, 3), (1, 0), (1, 1)], ((0, 2), (1, 0)))
+    assert rows.count == 2
+    assert action_blocks([(0, 1), (1, 0), (1, 1), (0, 3)]) == ((0, 1, 2), (3,))
+
+
+def check_blocks_against_cells(Q):
+    """Q's blocks, read off its rows, against the per-cell search on its grlex basis."""
+    assert Q.components() == action_blocks(Q.basis())
+    assert len(Q.components()) == Q.rows.count
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(monomial_homs())
+def test_row_blocks_match_cell_blocks_on_monomial_homs(Q):
+    check_blocks_against_cells(Q)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(power_specs())
+def test_row_blocks_match_cell_blocks_on_powers(case):
+    check_blocks_against_cells(build_hom(*case))
 
 
 class TestInvariants:
-    """HomSubquotient derives C from B and the generators outside B, and checks C·a ⊆ B."""
+    """HomSubquotient derives its basis and C from a row scan, and checks C·a ⊆ B."""
 
     def parts(self):
         Q = make_hom(make_ring(("x", "y", "z"), "(x^2, xyz)"), "y z", [2, 2])
-        B = Q.denominator
-        outside = tuple(g for g in Q.numerator.gens if not B.contains(g))
-        return Q.ring, Q.a_ideal, Q.b_ideal, B, Q.base, Q.basis(), outside
+        return Q.ring, Q.a_ideal, Q.b_ideal, Q.denominator, Q.base, Q.rows
 
     def test_valid_parts_construct(self):
-        ring, a, b, B, base, basis, outside = self.parts()
-        Q = HomSubquotient(ring, a, b, B, base, basis, outside)
+        ring, a, b, B, base, rows = self.parts()
+        Q = HomSubquotient(ring, a, b, B, base, rows)
         assert Q.length() == 3
         assert Q.numerator == B.colon(a)
+        assert Q.components() == action_blocks(Q.basis())
 
     def test_unit_numerator_is_refused(self):
-        ring, a, b, B, base, basis, outside = self.parts()
+        ring, a, b, B, base, _ = self.parts()
+        # one row, (0, 0), whose interval starts at the unit cell and which holds a generator
+        unit = RowScan({(0, 0): (0, 1, 0)}, [(0, 0)], UnionFind(1), 1)
         with pytest.raises(AssertionError, match="times a"):
-            HomSubquotient(ring, a, b, B, base, basis, ((0,) * ring.ambient,))
+            HomSubquotient(ring, a, b, B, base, unit)
 
 
 def test_grid_reads_no_length_and_never_revalidates(monkeypatch):

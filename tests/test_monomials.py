@@ -484,6 +484,9 @@ def test_parse_monomial():
         parse_monomial("xw", names)
     with pytest.raises(ValueError):
         parse_monomial("x^", names)
+    for text in ("x^²", "y^٣"):  # digits that str.isdigit accepts and int() refuses or reads
+        with pytest.raises(ValueError, match="missing exponent"):
+            parse_monomial(text, names)
     with pytest.raises(ValueError):
         parse_monomial("", names)
 

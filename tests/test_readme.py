@@ -49,7 +49,8 @@ def test_ci_smoke_runs_the_installed_console_script():
      power_spec, power_run, power_diff,
      grid4_spec, grid4_run, grid4_diff,
      grid3_spec, grid3_run, grid3_diff,
-     rows_spec, rows_run, rows_diff) = (step["run"] for step in steps[-21:])
+     rows_spec, rows_run, rows_diff,
+     blocks_spec, blocks_run, blocks_diff) = (step["run"] for step in steps[-24:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -99,3 +100,13 @@ def test_ci_smoke_runs_the_installed_console_script():
     case = "x4-x3y3-x2y7-max8-json"
     assert rows_diff == f"diff grid-rows.out tests/golden/grid/{case}.out"
     assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}
+    # the one golden report whose blocks interleave in graded-lex order
+    text = re.fullmatch(r"printf '([^']*)' > x2-xyz-y3\.ring", blocks_spec).group(1)
+    assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["x2-xyz-y3"]
+    assert blocks_run == "homdecomp analyze x2-xyz-y3.ring --powers 2 > analyze-blocks.out"
+    case = "x2-xyz-y3-analyze-powers"
+    assert test_golden_cli.CASES[case] == ("x2-xyz-y3", ["analyze", "--powers", "2"])
+    assert blocks_diff == f"diff analyze-blocks.out tests/golden/cli/{case}.out"
+    assert test_golden_cli.load_case(case)["exit"] == 0
+    report = json.loads(test_golden_cli.load_case(case)["stdout"])
+    assert report["hom"]["decomposition"]["partition"] == [[0, 2, 3, 5], [1, 4]]

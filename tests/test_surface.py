@@ -65,3 +65,9 @@ def test_package_exports():
                  "mono_gcd"):
         assert not hasattr(homdecomp, name)
     assert not hasattr(homdecomp.MonomialIdeal, "power")
+
+
+def test_hom_reads_every_module_off_one_row_pass():
+    # the cell listing and the cell and row union-finds folded into hom.row_intervals
+    for name in ("box_basis", "action_blocks", "row_components"):
+        assert not hasattr(homdecomp.hom, name)

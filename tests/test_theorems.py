@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     accepted,
+    box_basis,
     colon_route,
     drawn_systems,
     monomial_homs,
@@ -26,7 +27,7 @@ from conftest import (
 )
 from homdecomp import hom, monomials, theorems
 from homdecomp.decomp import decide
-from homdecomp.hom import HomSubquotient, box_basis, build_hom, parameter_box
+from homdecomp.hom import HomSubquotient, build_hom, parameter_box, row_intervals
 from homdecomp.monomials import (CapExceeded, MonomialIdeal, grlex_key, mono_pow,
                                  monomials_between, row_thresholds)
 from homdecomp.rings import LocalRing, ParameterSystem, validate_sop
@@ -405,8 +406,8 @@ def check_point_against_homs(ps, t):
     cls, free = two_hom_point(ps, t)
     assert classify_point(ps, t) is cls
     assert free is (cls is PointClass.FREE_CYCLIC)  # classify_point's theorem
-    basis, generators = box_basis(row_thresholds(ps.ring.defining, parameter_box(ps, t)),
-                                  ps.params)
+    basis, generators = box_basis(row_intervals(
+        row_thresholds(ps.ring.defining, parameter_box(ps, t)), ps.params))
     b_gens = [mono_pow(a, k) for a, k in zip(ps.params, t)]
     B = ps.ring.defining + MonomialIdeal(ps.ring.ambient, b_gens)
     _, oracle_basis, count = colon_route(ps.a_ideal, B)
