@@ -85,6 +85,15 @@ def _require_figure_grid(d: int) -> None:
         raise ValueError("figure rendering needs exactly two parameters")
 
 
+def _is_ascii_int(text: str) -> bool:
+    """The spec's rule for seed and exponents: ASCII digits only.
+
+    int() also reads '1_0' as 10, '٣' as 3, and ' 3' and '-5', and
+    str.isdigit alone accepts '²', which int() refuses.
+    """
+    return text.isascii() and text.isdigit()
+
+
 class RingSpecError(ValueError):
     """Malformed ring-spec text; the message carries the line number."""
 
@@ -157,8 +166,7 @@ def parse_ring_file(text: str) -> RingSpec:
             sections[key] = tuple(monos)
             continue
         if key == "seed":
-            # isdigit alone accepts digits such as '²' that int() refuses
-            if len(rest) != 1 or not (rest[0].isascii() and rest[0].isdigit()):
+            if len(rest) != 1 or not _is_ascii_int(rest[0]):
                 raise RingSpecError(f"line {lineno}: {key} takes one integer")
             sections[key] = (int(rest[0]),)
             continue
@@ -340,14 +348,19 @@ def _load_spec(path: str) -> RingSpec:
         return parse_ring_file(fh.read())
 
 
+def _ascii_int(text: str) -> int:
+    """argparse type for --max and --seed, read by the spec's rule."""
+    if not _is_ascii_int(text):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_powers(text: str) -> list:
-    try:
-        vals = [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad --powers value {text!r}: comma-separated integers") from exc
-    if not vals:
-        raise ValueError("--powers must list at least one exponent")
-    return vals
+    entries = text.split(",")
+    if not all(map(_is_ascii_int, entries)):
+        raise ValueError(
+            f"bad --powers value {text!r}: comma-separated integers in ASCII digits")
+    return [int(v) for v in entries]
 
 
 def cmd_analyze(args) -> int:
@@ -358,18 +371,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    spec = _load_spec(args.spec)
+    ps = _load_spec(args.spec).parameter_system()
+    if args.format == "ascii":
+        _require_ascii_grid(len(ps.params))
+    if args.out:
+        _require_figure_grid(len(ps.params))
     if args.max == 0:
         if args.format == "json":
             _emit({"max": 0, "points": []})
         else:
             sys.stdout.write("empty grid\n")
         return 0
-    ps = spec.parameter_system()
-    if args.format == "ascii":
-        _require_ascii_grid(len(ps.params))
-    if args.out:
-        _require_figure_grid(len(ps.params))
     grid = classify_grid(ps, args.max)
     if args.format == "json":
         _emit(grid_report(grid))
@@ -463,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("grid", help="classify the exponent lattice")
     pg.add_argument("spec", help="ring-spec file; must declare a sop")
-    pg.add_argument("--max", type=int, default=5, help="box size T (default 5)")
+    pg.add_argument("--max", type=_ascii_int, default=5, help="box size T (default 5)")
     pg.add_argument("--out", help="write an SVG figure here (two parameters only)")
     pg.add_argument("--format", choices=("ascii", "json"), default="ascii")
     pg.set_defaults(run=cmd_grid)
@@ -478,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--a", help="principal ideal, used by 3.1")
     pv.add_argument("--b", help="ideal text, used by rees and 2.6")
     pv.add_argument("--powers", help="exponent list, used by rees and 2.6")
-    pv.add_argument("--seed", type=int, help="seed for the random 2.5 instances")
+    pv.add_argument("--seed", type=_ascii_int, help="seed for the random 2.5 instances")
     pv.set_defaults(run=cmd_verify)
     return p
 

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .gfp import PrimeFieldMatrix, is_prime
 from .monomials import Monomial, MonomialIdeal, grlex_key, mono_mul, row_thresholds
 from .rings import LocalRing, ParameterSystem, validate_sop
+
+if TYPE_CHECKING:
+    from .oracle import FinitePresentation
 
 PRESENTATION_CAP = 512
 
@@ -58,25 +60,6 @@ class UnionFind:
         for v in range(len(self.parent)):
             groups.setdefault(self.find(v), []).append(v)
         return tuple(sorted(tuple(g) for g in groups.values()))
-
-
-@dataclass(frozen=True)
-class FinitePresentation:
-    """A finite-length module as commuting 0/1 action matrices over F_p.
-
-    basis[j] * x_i equals basis[row] exactly when actions[i][row][j] is 1;
-    otherwise the product falls into the denominator ideal and the entry
-    column is zero.
-    """
-
-    basis: tuple[Monomial, ...]
-    actions: tuple[PrimeFieldMatrix, ...]
-    prime: int
-    variables: tuple[str, ...]
-
-    @property
-    def module_dim(self) -> int:
-        return len(self.basis)
 
 
 class RowScan(NamedTuple):
@@ -188,6 +171,14 @@ class HomSubquotient:
         return self.length() == len(self._generators) * self.base_length()
 
     def presentation(self, prime: int) -> FinitePresentation:
+        """The module as 0/1 action matrices over F_prime, for homdecomp.oracle.
+
+        No runtime route needs a field, so gfp and oracle are imported
+        here, when called, and not when this module loads.
+        """
+        from .gfp import PrimeFieldMatrix, is_prime
+        from .oracle import FinitePresentation
+
         if not is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         basis = self._basis

@@ -10,8 +10,9 @@ import time
 import pytest
 
 from homdecomp.cli import RingSpec, analysis_report
-from homdecomp.decomp import algebra_decide, brute_force_idempotent_oracle, commutant, decide
+from homdecomp.decomp import decide
 from homdecomp.hom import build_hom
+from homdecomp.oracle import algebra_decide, brute_force_idempotent_oracle, commutant
 from homdecomp.rings import LocalRing, stabilization_index, validate_sop
 from homdecomp.theorems import (
     PointClass,

@@ -247,6 +247,27 @@ class TestAnalyze:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (("analyze", "--powers", "1_0"), "--powers"),
+        (("analyze", "--powers", "٣"), "--powers"),
+        (("verify", "--theorem", "rees", "--powers", "2,²"), "--powers"),
+        (("grid", "--max", "٣"), "--max"),
+        (("grid", "--max", "1_0"), "--max"),
+        (("grid", "--max", "-1"), "--max"),
+        (("verify", "--theorem", "2.5", "--seed", "-5"), "--seed"),
+        (("verify", "--theorem", "2.5", "--seed", "٣"), "--seed"),
+    ])
+    def test_cli_integers_take_ascii_digits_only(self, tmp_path, capsys, argv, option):
+        # the spec's rule for seed and exponents; int() reads all of these
+        path = write(tmp_path, "e52.ring", E52_M3)
+        try:
+            code = main([argv[0], path, *argv[1:]])
+        except SystemExit as exc:  # argparse refuses a bad --max or --seed
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert option in captured.err
+
 
 FIG1_T4 = """\
 t2 4 | F D D D
@@ -322,18 +343,20 @@ class TestGrid:
 
     def test_missing_sop_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "nosop.ring", "ring x y\nrelations x^2\n")
-        code, _, err = run(capsys, "grid", path, "--max", "2")
-        assert code == 2
-        assert "sop" in err
+        for tmax in ("2", "0"):  # an empty grid checks its spec too
+            code, _, err = run(capsys, "grid", path, "--max", tmax)
+            assert code == 2
+            assert "sop" in err
 
     def test_three_parameters_need_json(self, tmp_path, capsys):
         path = write(tmp_path, "big.ring", "ring x y z w\nrelations x^2 xyzw\nsop y z w\n")
-        code, _, err = run(capsys, "grid", path, "--max", "2")
-        assert code == 2
-        assert "json" in err
-        code, out, _ = run(capsys, "grid", path, "--max", "2", "--format", "json")
-        assert code == 0
-        assert len(json.loads(out)["points"]) == 8
+        for tmax in (2, 0):
+            code, _, err = run(capsys, "grid", path, "--max", str(tmax))
+            assert code == 2
+            assert "json" in err
+            code, out, _ = run(capsys, "grid", path, "--max", str(tmax), "--format", "json")
+            assert code == 0
+            assert len(json.loads(out)["points"]) == tmax ** 3
 
     @pytest.fixture
     def no_classify(self, monkeypatch):
@@ -353,10 +376,11 @@ class TestGrid:
                                                                no_classify):
         path = write(tmp_path, "m3.ring", E52_M3)
         svg = tmp_path / "f.svg"
-        code, out, err = run(capsys, "grid", path, "--max", "2", "--format", "json",
-                             "--out", str(svg))
-        assert (code, out) == (2, "")
-        assert "two parameters" in err
+        for tmax in ("2", "0"):
+            code, out, err = run(capsys, "grid", path, "--max", tmax, "--format", "json",
+                                 "--out", str(svg))
+            assert (code, out) == (2, "")
+            assert "two parameters" in err
         assert no_classify == []
         assert not svg.exists()
 

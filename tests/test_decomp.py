@@ -9,11 +9,22 @@ own checks come from a generic kernel solve for the commutant dimension
 hand-derived endomorphism rings for the small frozen cases.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import monomial_homs
-from homdecomp.decomp import (
+from homdecomp import decomp
+from homdecomp.decomp import decide
+from homdecomp.gfp import PrimeFieldMatrix, next_prime
+from homdecomp.hom import build_hom
+from homdecomp.oracle import (
+    FinitePresentation,
     QuotientAlgebra,
     _algebra_report,
     algebra_decide,
@@ -22,12 +33,9 @@ from homdecomp.decomp import (
     commutant,
     connected_components,
     count_field_factors,
-    decide,
     fitting_split,
     is_decomposable,
 )
-from homdecomp.gfp import PrimeFieldMatrix, next_prime
-from homdecomp.hom import FinitePresentation, build_hom
 from homdecomp.rings import LocalRing, validate_sop
 
 
@@ -195,7 +203,7 @@ class TestFieldFactors:
         assert count_field_factors(product_f3_cubed()) == 3
 
     def test_idempotent_found_exactly_when_split(self):
-        from homdecomp.decomp import _nontrivial_idempotent
+        from homdecomp.oracle import _nontrivial_idempotent
 
         assert _nontrivial_idempotent(field_f4()) is None
         assert _nontrivial_idempotent(field_f9()) is None
@@ -425,3 +433,33 @@ def test_components_route_matches_algebra_oracle(Q):
     assert (report.verdict, report.summand_count) == (oracle.verdict, oracle.summand_count)
     if dim <= 12:
         assert report.decomposable is brute_force_idempotent_oracle(pres)
+
+
+def fresh_modules(code: str) -> list[str]:
+    """The homdecomp modules loaded after code runs in a new interpreter."""
+    src = str(Path(decomp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    script = code + ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
+                     "if m.split('.')[0] == 'homdecomp')))")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_runtime_imports_leave_the_oracle_out():
+    loaded = fresh_modules("import homdecomp.cli")
+    assert "homdecomp.cli" in loaded
+    assert "homdecomp.oracle" not in loaded
+    assert "homdecomp.gfp" not in loaded
+
+
+def test_decomp_forwards_to_the_oracle_only_when_called():
+    # looking the names up, as the benchmark's tracer does, loads nothing
+    loaded = fresh_modules("from homdecomp import decomp\n"
+                           "decomp.is_decomposable, decomp.commutant, decomp.connected_components")
+    assert "homdecomp.decomp" in loaded
+    assert "homdecomp.oracle" not in loaded
+    pres = hom_module("xy", "(x^2, xy^3)", "y^2", [3]).presentation(5)
+    assert decomp.connected_components(pres) == connected_components(pres) == ((0, 1), (2, 3))
+    assert decomp.commutant(pres).basis == commutant(pres).basis
+    assert decomp.is_decomposable(pres, 3) == is_decomposable(pres, 3)

@@ -24,10 +24,10 @@ from conftest import (
     power_specs,
 )
 from homdecomp import hom, theorems
-from homdecomp.decomp import connected_components
 from homdecomp.gfp import PrimeFieldMatrix
 from homdecomp.hom import HomSubquotient, RowScan, UnionFind, build_hom, hom_from_ideals
 from homdecomp.monomials import MonomialIdeal, mono_mul, monomials_between, row_thresholds
+from homdecomp.oracle import connected_components
 from homdecomp.rings import LocalRing, validate_sop
 
 

@@ -35,7 +35,12 @@ def test_ci_smoke_runs_every_benchmark_workload():
     workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
     job = workflow["jobs"]["bench-smoke"]
     assert job["strategy"]["matrix"]["workload"] == ["grid", "analyze", "verify"]
-    run, check = (step["run"] for step in job["steps"][-2:])
+    traced_run, traced_check, run, check = (step["run"] for step in job["steps"][-4:])
+    # a traced run first, so a name the tracer wraps that stops resolving fails CI
+    assert traced_run == ("python3 bench/run.py --workload ${{ matrix.workload }} "
+                          "--seed 1 --seconds 2 --trace 1 > trace.out")
+    assert traced_check.startswith("tail -n 1 trace.out | ")
+    assert '["correct"] is not True' in traced_check
     assert run.startswith("python3 bench/run.py --workload ${{ matrix.workload }} "
                           "--seed 1 --seconds 2 --trace 0")
     assert '["correct"] is not True' in check
