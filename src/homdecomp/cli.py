@@ -181,17 +181,6 @@ def parse_ring_file(text: str) -> RingSpec:
     )
 
 
-def serialize_ring_spec(spec: RingSpec) -> str:
-    lines = ["ring " + " ".join(spec.variables)]
-    if spec.relations:
-        lines.append("relations " + " ".join(spec.relations))
-    if spec.sop:
-        lines.append("sop " + " ".join(spec.sop))
-    if spec.seed is not None:
-        lines.append(f"seed {spec.seed}")
-    return "\n".join(lines) + "\n"
-
-
 def _fmt_gens(ring: LocalRing, gens) -> tuple:
     return tuple(ring.fmt(u) for u in sorted(gens, key=grlex_key))
 

@@ -20,7 +20,6 @@ from .monomials import (
     format_monomial,
     mono_mul,
     mono_pow,
-    monomials_between,
     parse_ideal,
     parse_monomial,
 )
@@ -73,9 +72,6 @@ class LocalRing:
         if bigger.is_unit():
             raise ValueError("quotient by the unit ideal")
         return LocalRing(self.variables, bigger)
-
-    def is_zero_element(self, u: Monomial) -> bool:
-        return self.defining.contains(u)
 
     def length(self) -> int:
         if self._length is None:
@@ -221,16 +217,6 @@ def gamma_module_generators(ring: LocalRing) -> list[Monomial]:
     """Generators of the torsion module: saturation generators outside I."""
     I = ring.defining
     return [g for g in gamma_m(ring).gens if not I.contains(g)]
-
-
-def gamma_monomial_basis(ring: LocalRing) -> list[Monomial]:
-    """All monomials in the saturation but not in I; a k-basis of the torsion.
-
-    The torsion module has finite length, so the walk up from the
-    saturation generators terminates; past LENGTH_CAP monomials it raises
-    CapExceeded.
-    """
-    return monomials_between(gamma_m(ring), ring.defining)
 
 
 def stabilization_index(ring: LocalRing) -> int:

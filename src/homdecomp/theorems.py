@@ -11,6 +11,7 @@ always means a defect in this library.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections.abc import Mapping
@@ -726,32 +727,58 @@ def socle_family_ring(n1: int) -> LocalRing:
     return LocalRing.from_text(("x", "y", "z"), f"(x^2, xyz, y^{n1})")
 
 
+@functools.cache
+def _accepted_ring(variables: tuple[str, ...], relations: str) -> LocalRing | None:
+    """The ring k[variables]/(relations) if a random corpus may hold it, else None.
+
+    A corpus ring has dimension one, depth zero and stabilization index
+    at most 5.  The test reads nothing but the text, so it runs once per
+    text; random_depth_zero_ring draws from 46 texts, so the memo holds
+    at most 46 entries.
+    """
+    ring = LocalRing.from_text(variables, relations)
+    if ring.dimension() == 1 and depth_is_zero(ring) and stabilization_index(ring) <= 5:
+        return ring
+    return None
+
+
 def random_depth_zero_ring(rng: random.Random) -> LocalRing:
     """One random monomial ring of dimension one and depth zero.
 
-    The stabilization index is capped so that suite modules built from
-    the draw stay small; structured families cover the deeper cases.
+    A draw is one of 46 relation texts: 30 of the form (x^e, x^f y^g) and
+    16 of the form (x^e, x y^g z^h, y^k).  Draws repeat until one passes
+    the acceptance test of _accepted_ring, which caps the stabilization
+    index so that suite modules built from the draw stay small;
+    structured families cover the deeper cases.  The test is memoized
+    per text and takes nothing from rng, so the memo changes neither the
+    draws nor the ring that a given rng state yields.
     """
     for _ in range(DEPTH_ZERO_DRAWS):
         if rng.random() < 0.5:
             e = rng.randint(2, 4)
             f = rng.randint(1, e - 1)
             g = rng.randint(1, 5)
-            ring = LocalRing.from_text(("x", "y"), f"(x^{e}, x^{f}y^{g})")
+            ring = _accepted_ring(("x", "y"), f"(x^{e}, x^{f}y^{g})")
         else:
             e = rng.randint(2, 3)
             g = rng.randint(1, 2)
             h = rng.randint(1, 2)
             k = rng.randint(2, 3)
-            ring = LocalRing.from_text(("x", "y", "z"), f"(x^{e}, xy^{g}z^{h}, y^{k})")
-        if (ring.dimension() == 1 and depth_is_zero(ring)
-                and stabilization_index(ring) <= 5):
+            ring = _accepted_ring(("x", "y", "z"), f"(x^{e}, xy^{g}z^{h}, y^{k})")
+        if ring is not None:
             return ring
     raise CapExceeded(f"no depth-zero draw in {DEPTH_ZERO_DRAWS} tries")
 
 
 def dim1_corpus(extra: int = 24, seed: int = 2026) -> list[LocalRing]:
-    """Structured families plus `extra` random rings, all dim 1 and depth 0."""
+    """Structured families plus `extra` random rings, all dim 1 and depth 0.
+
+    The random rings come from random_depth_zero_ring, whose draws range
+    over 46 relation texts; a text drawn again gives the memoized ring
+    object rather than a new, equal one.  The acceptance test uses no
+    randomness, so the memo leaves the list unchanged: it depends on
+    seed and extra alone.
+    """
     rings = [power_family_ring(m) for m in range(2, 7)]
     rings += [socle_family_ring(n) for n in range(2, 7)]
     rng = random.Random(seed)
@@ -770,16 +797,3 @@ def cm_corpus() -> list[ParameterSystem]:
     R = LocalRing.from_text(("x", "y", "z"), "(x^3)")
     out.append(validate_sop(R, [R.parse_monomial("y"), R.parse_monomial("z")]))
     return out
-
-
-def cm_power_pairs() -> list:
-    """(parameter system, exponent vector) pairs for the free-cyclic suite."""
-    pairs = []
-    for ps in cm_corpus():
-        d = len(ps.params)
-        for t in itertools.product(range(1, 4), repeat=d):
-            pairs.append((ps, list(t)))
-        squared = validate_sop(ps.ring, [mono_pow(p, 2) for p in ps.params])
-        for t in itertools.product(range(1, 3), repeat=d):
-            pairs.append((squared, list(t)))
-    return pairs

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from homdecomp.hom import build_hom, hom_from_ideals
 from homdecomp.monomials import MonomialIdeal, grlex_key, mono_mul, mono_pow, monomials_between
-from homdecomp.rings import LocalRing, reduced_system, stabilization_index, validate_sop
+from homdecomp.rings import LocalRing, gamma_m, reduced_system, stabilization_index, validate_sop
+from homdecomp.theorems import cm_corpus
 
 
 def enumerate_monomials(ambient: int, max_exp: int):
@@ -244,9 +245,49 @@ def action_blocks(basis):
     return tuple(blocks)
 
 
+def is_zero_element(ring: LocalRing, u) -> bool:
+    """u is zero in the ring: the defining ideal contains it."""
+    return ring.defining.contains(u)
+
+
+def gamma_monomial_basis(ring: LocalRing):
+    """All monomials in the saturation but not in I; a k-basis of the torsion.
+
+    The torsion module has finite length, so the walk up from the
+    saturation generators terminates; past LENGTH_CAP monomials it raises
+    CapExceeded.
+    """
+    return monomials_between(gamma_m(ring), ring.defining)
+
+
+def serialize_ring_spec(spec) -> str:
+    """The ring-spec text of a cli.RingSpec, which parse_ring_file reads back as spec."""
+    lines = ["ring " + " ".join(spec.variables)]
+    if spec.relations:
+        lines.append("relations " + " ".join(spec.relations))
+    if spec.sop:
+        lines.append("sop " + " ".join(spec.sop))
+    if spec.seed is not None:
+        lines.append(f"seed {spec.seed}")
+    return "\n".join(lines) + "\n"
+
+
+def cm_power_pairs() -> list:
+    """(parameter system, exponent vector) pairs for the free-cyclic suite."""
+    pairs = []
+    for ps in cm_corpus():
+        d = len(ps.params)
+        for t in cartesian(range(1, 4), repeat=d):
+            pairs.append((ps, list(t)))
+        squared = validate_sop(ps.ring, [mono_pow(p, 2) for p in ps.params])
+        for t in cartesian(range(1, 3), repeat=d):
+            pairs.append((squared, list(t)))
+    return pairs
+
+
 def is_regular_element(ring: LocalRing, u) -> bool:
     """u is a non-zerodivisor on the ring, decided by (I : u) = I."""
-    if ring.is_zero_element(u):
+    if is_zero_element(ring, u):
         raise ValueError(f"element {ring.fmt(u)} is zero in the ring")
     return ring.defining.colon_monomial(u) == ring.defining
 
@@ -259,7 +300,7 @@ def is_regular_sequence(ring: LocalRing, seq) -> bool:
     """
     current = ring
     for u in seq:
-        if current.is_zero_element(u):
+        if is_zero_element(current, u):
             raise ValueError(f"element {ring.fmt(u)} becomes zero in an intermediate quotient")
         if not is_regular_element(current, u):
             return False
@@ -304,7 +345,7 @@ def oracle_first_monomial_parameter(ring: LocalRing, max_degree: int = 8):
     """
     for deg in range(1, max_degree + 1):
         for u in sorted(monomials_of_degree(ring.ambient, deg), key=grlex_key):
-            if ring.is_zero_element(u):
+            if is_zero_element(ring, u):
                 continue
             try:
                 validate_sop(ring, [u])

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from conftest import cm_power_pairs
 from homdecomp.cli import RingSpec, analysis_report
 from homdecomp.decomp import decide
 from homdecomp.hom import build_hom
@@ -18,7 +19,6 @@ from homdecomp.theorems import (
     PointClass,
     classify_grid,
     classify_point,
-    cm_power_pairs,
     dim1_corpus,
     first_monomial_parameter,
     power_family_ring,

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from conftest import serialize_ring_spec
 from homdecomp import cli
 from homdecomp.cli import (
     RingSpec,
@@ -12,7 +13,6 @@ from homdecomp.cli import (
     main,
     parse_ring_file,
     render_grid_figure,
-    serialize_ring_spec,
 )
 from homdecomp.monomials import MonomialIdeal
 from homdecomp.rings import LocalRing, validate_sop

@@ -26,7 +26,9 @@ def test_ci_runs_the_roadmap_tier1_line():
     job = workflow["jobs"]["tests"]
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", (root / "ROADMAP.md").read_text())
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12"]
-    assert job["steps"][-2]["run"] == "pip install pytest hypothesis"
+    # the test extra pyproject.toml declares, so CI installs what README names
+    assert job["steps"][-2]["run"] == "pip install '.[test]'"
+    assert "pip install -e '.[test]'" in README.read_text()
     assert job["steps"][-1]["run"] == tier1.group(1)
 
 

@@ -8,6 +8,7 @@ from conftest import (
     accepted,
     drawn_systems,
     enumerate_monomials,
+    gamma_monomial_basis,
     ideal_power,
     is_regular_element,
     is_regular_sequence,
@@ -27,7 +28,6 @@ from homdecomp.rings import (
     find_non_cm_power,
     gamma_m,
     gamma_module_generators,
-    gamma_monomial_basis,
     is_cohen_macaulay,
     socle_generators,
     stabilization_index,

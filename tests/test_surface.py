@@ -71,3 +71,11 @@ def test_hom_reads_every_module_off_one_row_pass():
     # the cell listing and the cell and row union-finds folded into hom.row_intervals
     for name in ("box_basis", "action_blocks", "row_components"):
         assert not hasattr(homdecomp.hom, name)
+
+
+def test_test_only_helpers_live_in_the_tests():
+    # no module of the package calls them; tests/conftest.py holds them
+    assert not hasattr(homdecomp.rings, "gamma_monomial_basis")
+    assert not hasattr(homdecomp.rings.LocalRing, "is_zero_element")
+    assert not hasattr(homdecomp.cli, "serialize_ring_spec")
+    assert not hasattr(homdecomp.theorems, "cm_power_pairs")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import (
     accepted,
     box_basis,
+    cm_power_pairs,
     colon_route,
     drawn_systems,
     monomial_homs,
@@ -30,7 +31,8 @@ from homdecomp.decomp import decide
 from homdecomp.hom import HomSubquotient, build_hom, parameter_box, row_intervals
 from homdecomp.monomials import (CapExceeded, MonomialIdeal, grlex_key, mono_pow,
                                  monomials_between, row_thresholds)
-from homdecomp.rings import LocalRing, ParameterSystem, validate_sop
+from homdecomp.rings import (LocalRing, ParameterSystem, depth_is_zero, stabilization_index,
+                             validate_sop)
 from homdecomp.theorems import (
     GridClassification,
     PointClass,
@@ -40,7 +42,6 @@ from homdecomp.theorems import (
     classify_grid,
     classify_point,
     cm_corpus,
-    cm_power_pairs,
     dim1_corpus,
     first_monomial_parameter,
     power_family_ring,
@@ -616,7 +617,6 @@ class TestCorpora:
     def test_dim1_corpus_shape(self):
         corpus = dim1_corpus()
         assert len(corpus) >= 20
-        from homdecomp.rings import depth_is_zero
         for ring in corpus:
             assert ring.dimension() == 1
             assert depth_is_zero(ring)
@@ -625,6 +625,24 @@ class TestCorpora:
         a = [repr(r) for r in dim1_corpus()]
         b = [repr(r) for r in dim1_corpus()]
         assert a == b
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_memoized_draws_pass_the_acceptance_test_afresh(self, seed):
+        # each ring rebuilt from its text and retested with no memo in between
+        corpus = dim1_corpus(extra=240, seed=seed)
+        for i, ring in enumerate(corpus):
+            fresh = LocalRing.from_text(ring.variables, ring.fmt_ideal(ring.defining))
+            assert fresh == ring
+            assert fresh.dimension() == 1
+            assert depth_is_zero(fresh)
+            # the structured families are not drawn, and go deeper
+            assert i < 10 or stabilization_index(fresh) <= 5
+
+    def test_acceptance_memo_holds_at_most_the_draw_space(self):
+        for seed in range(50):
+            dim1_corpus(extra=24, seed=seed)
+        # 30 texts (x^e, x^f y^g) and 16 texts (x^e, x y^g z^h, y^k)
+        assert theorems._accepted_ring.cache_info().currsize <= 46
 
     def test_first_parameter_of_families(self):
         assert power_family_ring(3).fmt(first_monomial_parameter(power_family_ring(3))) == "y"
