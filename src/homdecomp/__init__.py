@@ -23,7 +23,6 @@ from .rings import (
     gamma_m,
     gamma_module_generators,
     is_cohen_macaulay,
-    socle_generators,
     stabilization_index,
     validate_sop,
 )

@@ -52,6 +52,8 @@ from .theorems import (
 )
 
 THEOREMS = ("rees", "3.1", "3.3", "4.1", "4.2", "2.5", "2.6", "2.7")
+# the options of verify that each statement reads; it refuses any other
+VERIFY_FLAGS = {"rees": ("b", "powers"), "3.1": ("a",), "2.5": ("seed",), "2.6": ("powers", "b")}
 
 GLYPHS = {
     PointClass.FREE_CYCLIC: "F",
@@ -238,11 +240,11 @@ def analysis_report(spec: RingSpec, a_text: str | None, b_text: str | None,
 def grid_report(grid: GridClassification) -> dict:
     ring = grid.ps.ring
     points = []
-    for t in grid.lattice():
+    for t, cls in grid.classes.items():
         points.append({
             "t": list(t),
-            "class": grid.classes[t].value,
-            "free": grid.free[t],
+            "class": cls.value,
+            "free": cls is PointClass.FREE_CYCLIC,
         })
     return {
         "ring": {
@@ -297,10 +299,10 @@ def render_grid_figure(grid: GridClassification) -> str:
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for (t1, t2) in grid.lattice():
+    for (t1, t2), cls in grid.classes.items():
         x = MARGIN_LEFT + (t1 - 1) * CELL
         y = MARGIN_TOP + (T - t2) * CELL
-        fill = FILLS[grid.classes[(t1, t2)]]
+        fill = FILLS[cls]
         out.append(
             f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
             f'fill="{fill}" stroke="#555555" stroke-width="1"/>')
@@ -354,7 +356,7 @@ def _parse_powers(text: str) -> list:
 
 def cmd_analyze(args) -> int:
     spec = _load_spec(args.spec)
-    powers = _parse_powers(args.powers) if args.powers else None
+    powers = _parse_powers(args.powers) if args.powers is not None else None
     _emit(analysis_report(spec, args.a, args.b, powers))
     return 0
 
@@ -365,6 +367,8 @@ def cmd_grid(args) -> int:
         _require_ascii_grid(len(ps.params))
     if args.out:
         _require_figure_grid(len(ps.params))
+        if args.max == 0:
+            raise ValueError("--out needs --max 1 or more: an empty grid has no figure")
     if args.max == 0:
         if args.format == "json":
             _emit({"max": 0, "points": []})
@@ -410,15 +414,20 @@ def _single_parameter(spec: RingSpec, ring: LocalRing, a_text: str | None):
 
 
 def cmd_verify(args) -> int:
+    name = args.theorem
+    for flag in ("a", "b", "powers", "seed"):
+        if getattr(args, flag) is not None and flag not in VERIFY_FLAGS.get(name, ()):
+            raise ValueError(f"--theorem {name} does not read --{flag}")
+    if name == "rees" and args.b is not None and args.powers is not None:
+        raise ValueError("--theorem rees takes --b or --powers, not both")
     spec = _load_spec(args.spec)
     ring = spec.ring()
     seed = args.seed if args.seed is not None else spec.seed
-    name = args.theorem
     if name == "rees":
         ps = spec.parameter_system()
         if args.b is not None:
             b_spec = list(ring.parse_ideal(args.b).gens)
-        elif args.powers:
+        elif args.powers is not None:
             b_spec = _parse_powers(args.powers)
         else:
             b_spec = [2] * len(ps.params)
@@ -458,8 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="classify one Hom module")
     pa.add_argument("spec", help="ring-spec file")
     pa.add_argument("--a", help="ideal text, e.g. \"(y)\"; default: the spec's sop")
-    pa.add_argument("--b", help="ideal text for b")
-    pa.add_argument("--powers", help="b as parameter powers, e.g. \"2,3\"")
+    b_opts = pa.add_mutually_exclusive_group()
+    b_opts.add_argument("--b", help="ideal text for b")
+    b_opts.add_argument("--powers", help="b as parameter powers, e.g. \"2,3\"")
     pa.set_defaults(run=cmd_analyze)
 
     pg = sub.add_parser("grid", help="classify the exponent lattice")

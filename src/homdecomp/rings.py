@@ -197,12 +197,6 @@ def depth_is_zero(ring: LocalRing) -> bool:
     return I.colon(ring.maximal_ideal) != I
 
 
-def socle_generators(ring: LocalRing) -> list[Monomial]:
-    """Monomial generators of the socle: in (I : m) but not in I."""
-    I = ring.defining
-    return [g for g in I.colon(ring.maximal_ideal).gens if not I.contains(g)]
-
-
 def gamma_m(ring: LocalRing) -> MonomialIdeal:
     """The ideal whose quotient by I is the m-power-torsion submodule.
 

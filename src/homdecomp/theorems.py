@@ -24,7 +24,6 @@ from .monomials import (
     CapExceeded,
     Monomial,
     MonomialIdeal,
-    _capped,
     grlex_key,
     mono_mul,
     mono_pow,
@@ -586,27 +585,24 @@ def _row_class(f, a_gens) -> PointClass:
 
 _CLASSES = tuple(PointClass)
 _CLASS_INDEX = {cls: i for i, cls in enumerate(_CLASSES)}
-# classify_point's theorem: a grid point is free exactly when it is FREE_CYCLIC
-_FREE_OF_CLASS = tuple(cls is PointClass.FREE_CYCLIC for cls in _CLASSES)
 
 
 class BoxMap(Mapping):
-    """Read-only map from the points of the box [1, tmax]^d to one value each.
+    """Read-only map from the points of the box [1, tmax]^d to their PointClass.
 
     The points' codes sit in one bytes object in itertools.product order,
-    which is sorted order, and a value is decoded through a table, so no
+    which is sorted order, each the index of a class in PointClass, so no
     point is stored as a key.  A key that is not a length-d tuple of ints
     in [1, tmax] raises KeyError, so ``in`` answers False for it; a bool
     is no int here, as it is no exponent to classify_point.
     """
 
-    __slots__ = ("tmax", "dim", "_codes", "_table")
+    __slots__ = ("tmax", "dim", "_codes")
 
-    def __init__(self, tmax: int, dim: int, codes: bytes, table: tuple):
+    def __init__(self, tmax: int, dim: int, codes: bytes):
         self.tmax = tmax
         self.dim = dim
         self._codes = codes
-        self._table = table
 
     def __getitem__(self, t):
         if not (isinstance(t, tuple) and len(t) == self.dim
@@ -615,7 +611,7 @@ class BoxMap(Mapping):
         pos = 0
         for e in t:
             pos = pos * self.tmax + e - 1
-        return self._table[self._codes[pos]]
+        return _CLASSES[self._codes[pos]]
 
     def __iter__(self):
         return itertools.product(range(1, self.tmax + 1), repeat=self.dim)
@@ -629,11 +625,12 @@ class BoxMap(Mapping):
 
 @dataclass(frozen=True, slots=True)
 class GridClassification:
-    """Point classes and freeness over the full exponent box [1, tmax]^d.
+    """Point classes over the full exponent box [1, tmax]^d.
 
     codes holds one byte per point in itertools.product order, the index
-    of its class in PointClass; classes and free are views that decode
-    it, free being true exactly at FREE_CYCLIC (see classify_point).
+    of its class in PointClass; classes is the view that decodes it.  A
+    point is free over the base exactly when it is FREE_CYCLIC (see
+    classify_point).
     """
 
     ps: ParameterSystem
@@ -642,14 +639,7 @@ class GridClassification:
 
     @property
     def classes(self) -> BoxMap:
-        return BoxMap(self.tmax, len(self.ps.params), self.codes, _CLASSES)
-
-    @property
-    def free(self) -> BoxMap:
-        return BoxMap(self.tmax, len(self.ps.params), self.codes, _FREE_OF_CLASS)
-
-    def lattice(self) -> list:
-        return list(self.classes)
+        return BoxMap(self.tmax, len(self.ps.params), self.codes)
 
 
 def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
@@ -657,13 +647,12 @@ def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
 
     hom.parameter_box runs once, at the far corner T = (tmax, ...,
     tmax), and so does monomials.row_thresholds, which holds T's box to
-    LENGTH_CAP.  Each point t then sets the bound of each parameter's
-    variable x_{v_i} to e_i t_i, for a_i = x_{v_i}^{e_i}, and reads the
-    slice f_t(p) = min(top_t, f_T(p)) of T's table for p in its own box
-    of rows, top_t being its bound on the last variable.  When T's box
-    is over the cap, the points' boxes are checked in product order and
-    the first one over the cap raises its own error, and no table is
-    built.
+    LENGTH_CAP: a grid whose far corner is over the cap raises that
+    corner's CapExceeded before any point is classified.  Each point t
+    then sets the bound of each parameter's variable x_{v_i} to e_i t_i,
+    for a_i = x_{v_i}^{e_i}, and reads the slice f_t(p) = min(top_t,
+    f_T(p)) of T's table for p in its own box of rows, top_t being its
+    bound on the last variable.
 
     Proof that these are t's own bounds, checked.  parameter_box gives
     every variable but the x_{v_i} I's pure power, at every point, and
@@ -689,22 +678,13 @@ def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
         raise ValueError("tmax must be at least 1")
     d = len(ps.params)
     bounds = parameter_box(ps, [tmax] * d)
+    far = row_thresholds(ps.ring.defining, bounds)
     steps = [(v, a[v]) for v, a in zip(ps.variables, ps.params)]
-
-    def point_bounds():
-        for t in itertools.product(range(1, tmax + 1), repeat=d):
-            for (v, e), k in zip(steps, t):
-                bounds[v] = e * k
-            yield bounds
-
-    try:
-        far = row_thresholds(ps.ring.defining, bounds)
-    except CapExceeded:
-        for box in point_bounds():
-            _capped(box)
-        raise
     codes = bytearray()
-    for *head, top in point_bounds():
+    for t in itertools.product(range(1, tmax + 1), repeat=d):
+        for (v, e), k in zip(steps, t):
+            bounds[v] = e * k
+        *head, top = bounds
         f = {p: min(top, far[p]) for p in itertools.product(*map(range, head))}
         codes.append(_CLASS_INDEX[_row_class(f, ps.params)])
     return GridClassification(ps, tmax, bytes(codes))
@@ -785,15 +765,3 @@ def dim1_corpus(extra: int = 24, seed: int = 2026) -> list[LocalRing]:
     while len(rings) < 10 + extra:
         rings.append(random_depth_zero_ring(rng))
     return rings
-
-
-def cm_corpus() -> list[ParameterSystem]:
-    """Cohen-Macaulay rings with their full parameter systems."""
-    out = []
-    R = LocalRing.from_text(("x", "y"), "(0)")
-    out.append(validate_sop(R, [R.parse_monomial("x"), R.parse_monomial("y")]))
-    R = LocalRing.from_text(("x", "y"), "(x^2)")
-    out.append(validate_sop(R, [R.parse_monomial("y")]))
-    R = LocalRing.from_text(("x", "y", "z"), "(x^3)")
-    out.append(validate_sop(R, [R.parse_monomial("y"), R.parse_monomial("z")]))
-    return out

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from homdecomp.hom import build_hom, hom_from_ideals
 from homdecomp.monomials import MonomialIdeal, grlex_key, mono_mul, mono_pow, monomials_between
 from homdecomp.rings import LocalRing, gamma_m, reduced_system, stabilization_index, validate_sop
-from homdecomp.theorems import cm_corpus
 
 
 def enumerate_monomials(ambient: int, max_exp: int):
@@ -270,6 +269,18 @@ def serialize_ring_spec(spec) -> str:
     if spec.seed is not None:
         lines.append(f"seed {spec.seed}")
     return "\n".join(lines) + "\n"
+
+
+def cm_corpus() -> list:
+    """Cohen-Macaulay rings with their full parameter systems."""
+    out = []
+    R = LocalRing.from_text(("x", "y"), "(0)")
+    out.append(validate_sop(R, [R.parse_monomial("x"), R.parse_monomial("y")]))
+    R = LocalRing.from_text(("x", "y"), "(x^2)")
+    out.append(validate_sop(R, [R.parse_monomial("y")]))
+    R = LocalRing.from_text(("x", "y", "z"), "(x^3)")
+    out.append(validate_sop(R, [R.parse_monomial("y"), R.parse_monomial("z")]))
+    return out
 
 
 def cm_power_pairs() -> list:

@@ -231,6 +231,21 @@ class TestAnalyze:
         assert code == 2
         assert "--b or --powers" in err
 
+    def test_b_and_powers_are_alternatives(self, tmp_path, capsys):
+        path = write(tmp_path, "e52.ring", E52_M3)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, "--b", "(y^8)", "--powers", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --powers: not allowed with argument --b" in captured.err
+
+    @pytest.mark.parametrize("argv", [("analyze",), ("verify", "--theorem", "rees")])
+    def test_empty_powers_is_refused_not_dropped(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "e52.ring", E52_M3)
+        assert run(capsys, argv[0], path, *argv[1:], "--powers", "") == (
+            2, "", "error: bad --powers value '': comma-separated integers in ASCII digits\n")
+
     @pytest.mark.parametrize("argv", [
         ("analyze", "--powers", "2"),
         ("grid", "--max", "2"),
@@ -340,6 +355,26 @@ class TestGrid:
         code, out, _ = run(capsys, "grid", path, "--max", "0")
         assert code == 0
         assert out == "empty grid\n"
+
+    @pytest.mark.parametrize("fmt", ["ascii", "json"])
+    def test_empty_grid_refuses_a_figure(self, tmp_path, capsys, fmt):
+        path = write(tmp_path, "fig1.ring", FIG1)
+        stale = tmp_path / "stale.svg"
+        stale.write_text("<svg>an earlier grid</svg>\n", encoding="utf-8")
+        before = stale.stat()
+        fresh = tmp_path / "fresh.svg"
+        for out in (stale, fresh):
+            assert run(capsys, "grid", path, "--max", "0", "--format", fmt, "--out", str(out)) == (
+                2, "", "error: --out needs --max 1 or more: an empty grid has no figure\n")
+        assert stale.read_text(encoding="utf-8") == "<svg>an earlier grid</svg>\n"
+        assert stale.stat().st_mtime_ns == before.st_mtime_ns
+        assert not fresh.exists()
+
+    def test_far_corner_over_the_cap_exits_2(self, tmp_path, capsys):
+        # the far corner's box is 2 x 1001 x 1001; no point of the grid is scanned
+        path = write(tmp_path, "fig1.ring", FIG1)
+        assert run(capsys, "grid", path, "--max", "1001") == (
+            2, "", "error: box volume 2004002 exceeds cap 1000000\n")
 
     def test_missing_sop_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "nosop.ring", "ring x y\nrelations x^2\n")
@@ -521,6 +556,25 @@ class TestVerify:
         report = json.loads(out)
         assert report["parameters"]["seed"] == expected
         assert report["instance"].endswith(f"seed {expected}")
+
+    @pytest.mark.parametrize("theorem, flags, message", [
+        ("3.3", ["--a", "(y)"], "--theorem 3.3 does not read --a"),
+        ("4.1", ["--powers", "9,9", "--seed", "3"], "--theorem 4.1 does not read --powers"),
+        ("4.2", ["--seed", "3"], "--theorem 4.2 does not read --seed"),
+        ("2.7", ["--b", "(y^8)"], "--theorem 2.7 does not read --b"),
+        ("3.1", ["--seed", "3"], "--theorem 3.1 does not read --seed"),
+        ("2.5", ["--a", "(y)"], "--theorem 2.5 does not read --a"),
+        ("2.6", ["--powers", "2", "--b", "(y^8)", "--seed", "3"],
+         "--theorem 2.6 does not read --seed"),
+        ("rees", ["--a", "(y)"], "--theorem rees does not read --a"),
+        ("rees", ["--b", "(y^8)", "--powers", "3"],
+         "--theorem rees takes --b or --powers, not both"),
+    ])
+    def test_flags_the_statement_does_not_read_exit_2(self, tmp_path, capsys,
+                                                       theorem, flags, message):
+        path = write(tmp_path, "fig1.ring", FIG1)
+        assert run(capsys, "verify", path, "--theorem", theorem, *flags) == (
+            2, "", f"error: {message}\n")
 
     def test_unknown_theorem_is_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "e52.ring", E52_M3)

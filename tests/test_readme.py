@@ -5,7 +5,7 @@ import json
 import re
 from pathlib import Path
 
-import pytest
+import yaml
 
 import test_golden_cli
 from test_golden_grid import GOLDEN, SPECS
@@ -20,7 +20,6 @@ def test_quick_tour_runs():
 
 
 def test_ci_runs_the_roadmap_tier1_line():
-    yaml = pytest.importorskip("yaml")
     root = README.parent
     workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
     job = workflow["jobs"]["tests"]
@@ -32,8 +31,16 @@ def test_ci_runs_the_roadmap_tier1_line():
     assert job["steps"][-1]["run"] == tier1.group(1)
 
 
+def test_every_ci_job_has_a_timeout():
+    # without one a hung job holds its runner for GitHub's 6-hour default
+    workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
+    assert sorted(workflow["jobs"]) == ["bench-smoke", "install-smoke", "tests"]
+    for name, job in workflow["jobs"].items():
+        minutes = job.get("timeout-minutes")
+        assert type(minutes) is int and 1 <= minutes <= 30, name
+
+
 def test_ci_smoke_runs_every_benchmark_workload():
-    yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
     job = workflow["jobs"]["bench-smoke"]
     assert job["strategy"]["matrix"]["workload"] == ["grid", "analyze", "verify"]
@@ -49,7 +56,6 @@ def test_ci_smoke_runs_every_benchmark_workload():
 
 
 def test_ci_smoke_runs_the_installed_console_script():
-    yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["install-smoke"]["steps"]
     (install, spec, run, diff, analyze_run, analyze_diff, stab_spec, stab_run, stab_diff,

@@ -79,3 +79,6 @@ def test_test_only_helpers_live_in_the_tests():
     assert not hasattr(homdecomp.rings.LocalRing, "is_zero_element")
     assert not hasattr(homdecomp.cli, "serialize_ring_spec")
     assert not hasattr(homdecomp.theorems, "cm_power_pairs")
+    assert not hasattr(homdecomp.theorems, "cm_corpus")
+    assert not hasattr(homdecomp.rings, "socle_generators")
+    assert not hasattr(homdecomp, "socle_generators")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import (
     accepted,
     box_basis,
+    cm_corpus,
     cm_power_pairs,
     colon_route,
     drawn_systems,
@@ -41,7 +42,6 @@ from homdecomp.theorems import (
     check_radical_transfer,
     classify_grid,
     classify_point,
-    cm_corpus,
     dim1_corpus,
     first_monomial_parameter,
     power_family_ring,
@@ -325,10 +325,10 @@ class TestPointClasses:
         grid = classify_grid(ps, 3)
         assert isinstance(grid, GridClassification)
         assert len(grid.classes) == 9
-        for t in grid.lattice():
+        for t, got in grid.classes.items():
             cls = classify_point(ps, t)
-            assert grid.classes[t] is cls
-            assert grid.free[t] is (1 in t)
+            assert got is grid.classes[t] is cls
+            assert (got is PointClass.FREE_CYCLIC) is (1 in t)
             assert (cls is PointClass.FREE_CYCLIC) is (1 in t)
 
     def test_grid_rejects_empty_box(self):
@@ -361,15 +361,16 @@ def test_grid_matches_two_hom_points(spec):
     d = len(ps.params)
     grid = classify_grid(ps, 3)
     box = list(itertools.product(range(1, 4), repeat=d))
-    assert len(grid.classes) == len(grid.free) == 3 ** d
-    assert list(grid.classes) == list(grid.free) == grid.lattice() == sorted(box)
+    assert len(grid.classes) == 3 ** d
+    assert list(grid.classes) == [t for t, _ in grid.classes.items()] == sorted(box)
     for t in box:
-        assert (grid.classes[t], grid.free[t]) == two_hom_point(ps, t), t
+        cls = grid.classes[t]
+        # a grid point is free exactly when it is FREE_CYCLIC (classify_point's theorem)
+        assert (cls, cls is PointClass.FREE_CYCLIC) == two_hom_point(ps, t), t
     for bad in [(0,) * d, (4,) * d, (1,) * (d + 1), (1,) * (d - 1), (1,) * (d - 1) + (0,)]:
-        for view in (grid.classes, grid.free):
-            with pytest.raises(KeyError):
-                view[bad]
-            assert bad not in view
+        with pytest.raises(KeyError):
+            grid.classes[bad]
+        assert bad not in grid.classes
 
 
 def grid_systems():
@@ -510,12 +511,20 @@ def test_point_errors_match_build_hom(monkeypatch):
     assert classify_point(ps, [4, 3]) is PointClass.DECOMPOSABLE
 
 
-def test_grid_cap_names_the_first_point_over_it(monkeypatch):
-    # the boxes have volume 2·t1·t2; (2, 4) is the first in product order past 15,
-    # and the far corner (4, 4), at 32, must not be the one reported
+def test_grid_over_the_cap_raises_the_far_corners_error(monkeypatch):
+    # the boxes have volume 2·t1·t2; the far corner (4, 4), at 32, is checked
+    # first, and no point is classified once it is over the cap
+    scans = []
+
+    def counting_intervals(*args):
+        scans.append(args)
+        return row_intervals(*args)
+
     monkeypatch.setattr(monomials, "LENGTH_CAP", 15)
-    with pytest.raises(CapExceeded, match="^box volume 16 exceeds cap 15$"):
+    monkeypatch.setattr(theorems, "row_intervals", counting_intervals)
+    with pytest.raises(CapExceeded, match="^box volume 32 exceeds cap 15$"):
         classify_grid(sop(THREE_VARS, "y", "z"), 4)
+    assert scans == []
 
 
 def test_grid_builds_no_hom(monkeypatch):
@@ -589,13 +598,12 @@ def test_grid_builds_no_ideal_per_point(monkeypatch, ring, texts, tmax):
 
 
 def test_grid_views_refuse_malformed_keys():
-    grid = classify_grid(sop(ring2("(x^2, xy^3)"), "y^2"), 3)
-    for view in (grid.classes, grid.free):
-        for bad in [(1.5,), 5, ("a",), (True,)]:  # a bool is no exponent
-            with pytest.raises(KeyError):
-                view[bad]
-            assert bad not in view
-        assert (1,) in view and view.get((1.5,)) is None
+    view = classify_grid(sop(ring2("(x^2, xy^3)"), "y^2"), 3).classes
+    for bad in [(1.5,), 5, ("a",), (True,)]:  # a bool is no exponent
+        with pytest.raises(KeyError):
+            view[bad]
+        assert bad not in view
+    assert (1,) in view and view.get((1.5,)) is None
 
 
 def test_grid_result_is_dense():
