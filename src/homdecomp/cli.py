@@ -23,7 +23,6 @@ from .monomials import (
     CapExceeded,
     MonomialIdeal,
     format_monomial,
-    grlex_key,
     mono_pow,
     parse_monomial,
 )
@@ -51,30 +50,13 @@ from .theorems import (
     verify_thm_nonfree,
 )
 
-THEOREMS = ("rees", "3.1", "3.3", "4.1", "4.2", "2.5", "2.6", "2.7")
-# the options of verify that each statement reads; it refuses any other
-VERIFY_FLAGS = {"rees": ("b", "powers"), "3.1": ("a",), "2.5": ("seed",), "2.6": ("powers", "b")}
-
-GLYPHS = {
-    PointClass.FREE_CYCLIC: "F",
-    PointClass.CYCLIC_NONFREE: "C",
-    PointClass.INDECOMPOSABLE_NONCYCLIC: "I",
-    PointClass.DECOMPOSABLE: "D",
+# each class's ASCII glyph, SVG fill and legend label, in legend order
+CLASS_STYLE = {
+    PointClass.FREE_CYCLIC: ("F", "#a8ddb5", "free cyclic"),
+    PointClass.CYCLIC_NONFREE: ("C", "#7bccc4", "cyclic non-free"),
+    PointClass.INDECOMPOSABLE_NONCYCLIC: ("I", "#fdbb84", "indecomposable non-cyclic"),
+    PointClass.DECOMPOSABLE: ("D", "#e34a33", "decomposable"),
 }
-
-FILLS = {
-    PointClass.FREE_CYCLIC: "#a8ddb5",
-    PointClass.CYCLIC_NONFREE: "#7bccc4",
-    PointClass.INDECOMPOSABLE_NONCYCLIC: "#fdbb84",
-    PointClass.DECOMPOSABLE: "#e34a33",
-}
-
-LEGEND = (
-    (PointClass.FREE_CYCLIC, "free cyclic"),
-    (PointClass.CYCLIC_NONFREE, "cyclic non-free"),
-    (PointClass.INDECOMPOSABLE_NONCYCLIC, "indecomposable non-cyclic"),
-    (PointClass.DECOMPOSABLE, "decomposable"),
-)
 
 
 def _require_ascii_grid(d: int) -> None:
@@ -183,8 +165,15 @@ def parse_ring_file(text: str) -> RingSpec:
     )
 
 
-def _fmt_gens(ring: LocalRing, gens) -> tuple:
-    return tuple(ring.fmt(u) for u in sorted(gens, key=grlex_key))
+def _ring_json(ring: LocalRing) -> dict:
+    return {"variables": ring.variables, "relations": ring.fmt_ideal(ring.defining)}
+
+
+def _b_spec(ring: LocalRing, b_text: str | None, powers: list | None) -> list | None:
+    """b as --b's generators or --powers' exponents; None when neither is given."""
+    if b_text is not None:
+        return list(ring.parse_ideal(b_text).gens)
+    return powers
 
 
 def analysis_report(spec: RingSpec, a_text: str | None, b_text: str | None,
@@ -204,26 +193,20 @@ def analysis_report(spec: RingSpec, a_text: str | None, b_text: str | None,
     else:
         raise ValueError("no a ideal: pass --a or declare a sop in the spec")
     ps = validate_sop(ring, a_gens)
-    if b_text is not None:
-        b_spec = list(ring.parse_ideal(b_text).gens)
-    elif powers is not None:
-        b_spec = powers
-    else:
+    b_spec = _b_spec(ring, b_text, powers)
+    if b_spec is None:
         raise ValueError("no b ideal: pass --b or --powers")
     Q = build_hom(ps, b_spec)
     verdict = decide(Q)
     witness = Q.non_free_annihilator_witness()
     return {
-        "ring": {
-            "variables": ring.variables,
-            "relations": ring.fmt_ideal(ring.defining),
-        },
+        "ring": _ring_json(ring),
         "a": ring.fmt_ideal(ps.a_ideal),
         "b": ring.fmt_ideal(Q.b_ideal),
         "dimension": ring.dimension(),
         "depth_zero": depth_is_zero(ring),
         "cohen_macaulay": is_cohen_macaulay(ps),
-        "gamma_generators": _fmt_gens(ring, gamma_module_generators(ring)),
+        "gamma_generators": tuple(map(ring.fmt, gamma_module_generators(ring))),
         "stabilization_index": stabilization_index(ring),
         "hom": {
             "length": Q.length(),
@@ -247,10 +230,7 @@ def grid_report(grid: GridClassification) -> dict:
             "free": cls is PointClass.FREE_CYCLIC,
         })
     return {
-        "ring": {
-            "variables": list(ring.variables),
-            "relations": ring.fmt_ideal(ring.defining),
-        },
+        "ring": _ring_json(ring),
         "sop": [ring.fmt(p) for p in grid.ps.params],
         "max": grid.tmax,
         "points": points,
@@ -263,21 +243,22 @@ def render_grid_ascii(grid: GridClassification) -> str:
     _require_ascii_grid(d)
     T = grid.tmax
     w = len(str(T))
+    glyph = {cls: g for cls, (g, _, _) in CLASS_STYLE.items()}
     lines = []
     if d == 1:
-        cells = " ".join(GLYPHS[grid.classes[(t,)]].rjust(w) for t in range(1, T + 1))
+        cells = " ".join(glyph[grid.classes[(t,)]].rjust(w) for t in range(1, T + 1))
         axis = " ".join(str(t).rjust(w) for t in range(1, T + 1))
         lines.append("t1 | " + axis)
         lines.append("   | " + cells)
     else:
         for t2 in range(T, 0, -1):
-            row = " ".join(GLYPHS[grid.classes[(t1, t2)]].rjust(w) for t1 in range(1, T + 1))
+            row = " ".join(glyph[grid.classes[(t1, t2)]].rjust(w) for t1 in range(1, T + 1))
             lines.append(f"t2 {str(t2).rjust(w)} | " + row)
         lines.append("   " + " " * w + " +" + "-" * ((w + 1) * T))
         axis = " ".join(str(t).rjust(w) for t in range(1, T + 1))
         lines.append("   " + " " * w + "   " + axis + "  t1")
     lines.append("")
-    lines.append("  ".join(f"{GLYPHS[cls]} {label}" for cls, label in LEGEND))
+    lines.append("  ".join(f"{g} {label}" for g, _, label in CLASS_STYLE.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -302,10 +283,9 @@ def render_grid_figure(grid: GridClassification) -> str:
     for (t1, t2), cls in grid.classes.items():
         x = MARGIN_LEFT + (t1 - 1) * CELL
         y = MARGIN_TOP + (T - t2) * CELL
-        fill = FILLS[cls]
         out.append(
             f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
-            f'fill="{fill}" stroke="#555555" stroke-width="1"/>')
+            f'fill="{CLASS_STYLE[cls][1]}" stroke="#555555" stroke-width="1"/>')
     font = 'font-family="monospace" font-size="12" fill="#000000"'
     for t1 in range(1, T + 1):
         x = MARGIN_LEFT + (t1 - 1) * CELL + CELL // 2
@@ -320,10 +300,10 @@ def render_grid_figure(grid: GridClassification) -> str:
         f'text-anchor="middle" {font}>t1</text>')
     out.append(f'<text x="14" y="{MARGIN_TOP + CELL * T // 2}" {font}>t2</text>')
     lv = MARGIN_LEFT + CELL * T + 24
-    for i, (cls, label) in enumerate(LEGEND):
+    for i, (_, fill, label) in enumerate(CLASS_STYLE.values()):
         y = MARGIN_TOP + 8 + i * 22
         out.append(
-            f'<rect x="{lv}" y="{y}" width="14" height="14" fill="{FILLS[cls]}" '
+            f'<rect x="{lv}" y="{y}" width="14" height="14" fill="{fill}" '
             f'stroke="#555555" stroke-width="1"/>')
         out.append(f'<text x="{lv + 20}" y="{y + 11}" {font}>{label}</text>')
     out.append("</svg>")
@@ -346,7 +326,10 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-def _parse_powers(text: str) -> list:
+def _parse_powers(text: str | None) -> list | None:
+    """--powers' exponent list; None when the option is not given."""
+    if text is None:
+        return None
     entries = text.split(",")
     if not all(map(_is_ascii_int, entries)):
         raise ValueError(
@@ -356,8 +339,7 @@ def _parse_powers(text: str) -> list:
 
 def cmd_analyze(args) -> int:
     spec = _load_spec(args.spec)
-    powers = _parse_powers(args.powers) if args.powers is not None else None
-    _emit(analysis_report(spec, args.a, args.b, powers))
+    _emit(analysis_report(spec, args.a, args.b, _parse_powers(args.powers)))
     return 0
 
 
@@ -376,27 +358,23 @@ def cmd_grid(args) -> int:
             sys.stdout.write("empty grid\n")
         return 0
     grid = classify_grid(ps, args.max)
+    if args.out:  # before any output, so a failed write leaves stdout empty
+        svg = render_grid_figure(grid)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
     if args.format == "json":
         _emit(grid_report(grid))
     else:
         sys.stdout.write(render_grid_ascii(grid))
-    if args.out:
-        svg = render_grid_figure(grid)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
     return 0
 
 
 def cmd_stabilize(args) -> int:
-    spec = _load_spec(args.spec)
-    ring = spec.ring()
+    ring = _load_spec(args.spec).ring()
     _emit({
-        "ring": {
-            "variables": list(ring.variables),
-            "relations": ring.fmt_ideal(ring.defining),
-        },
+        "ring": _ring_json(ring),
         "stabilization_index": stabilization_index(ring),
-        "gamma_generators": _fmt_gens(ring, gamma_module_generators(ring)),
+        "gamma_generators": tuple(map(ring.fmt, gamma_module_generators(ring))),
     })
     return 0
 
@@ -413,48 +391,53 @@ def _single_parameter(spec: RingSpec, ring: LocalRing, a_text: str | None):
     return ps.params[0]
 
 
+def _rees(spec: RingSpec, ring: LocalRing, args):
+    ps = spec.parameter_system()
+    b_spec = _b_spec(ring, args.b, _parse_powers(args.powers))
+    return verify_rees(ps, [2] * len(ps.params) if b_spec is None else b_spec)
+
+
+def _colon_identity(spec: RingSpec, ring: LocalRing, args):
+    seed = args.seed if args.seed is not None else spec.seed
+    return verify_colon_identity(ring, seed=7 if seed is None else seed)
+
+
+def _radical_transfer(spec: RingSpec, ring: LocalRing, args):
+    if args.powers is None or args.b is None:
+        raise ValueError("--theorem 2.6 needs --powers (for J) and --b (for N)")
+    ps = spec.parameter_system()
+    vals = _parse_powers(args.powers)
+    if len(vals) != len(ps.params):
+        raise ValueError("need one exponent per parameter")
+    small = MonomialIdeal(ring.ambient, [mono_pow(p, t) for p, t in zip(ps.params, vals)])
+    return check_radical_transfer(ring, small, ps.a_ideal, ring.parse_ideal(args.b))
+
+
+# each statement verify runs: the options it reads (it refuses any other) and
+# its runner, called as run(spec, ring, args)
+STATEMENTS = {
+    "rees": (("b", "powers"), _rees),
+    "3.1": (("a",), lambda spec, ring, args:
+            verify_thm_dim1(ring, _single_parameter(spec, ring, args.a))),
+    "3.3": ((), lambda spec, ring, args: verify_thm_nonfree(ring)),
+    "4.1": ((), lambda spec, ring, args: search_decomposable_powers(spec.parameter_system())),
+    "4.2": ((), lambda spec, ring, args: search_nonfree_powers(spec.parameter_system())),
+    "2.5": (("seed",), _colon_identity),
+    "2.6": (("powers", "b"), _radical_transfer),
+    "2.7": ((), lambda spec, ring, args: verify_non_cm_power(spec.parameter_system())),
+}
+
+
 def cmd_verify(args) -> int:
     name = args.theorem
+    reads, run = STATEMENTS[name]
     for flag in ("a", "b", "powers", "seed"):
-        if getattr(args, flag) is not None and flag not in VERIFY_FLAGS.get(name, ()):
+        if getattr(args, flag) is not None and flag not in reads:
             raise ValueError(f"--theorem {name} does not read --{flag}")
     if name == "rees" and args.b is not None and args.powers is not None:
         raise ValueError("--theorem rees takes --b or --powers, not both")
     spec = _load_spec(args.spec)
-    ring = spec.ring()
-    seed = args.seed if args.seed is not None else spec.seed
-    if name == "rees":
-        ps = spec.parameter_system()
-        if args.b is not None:
-            b_spec = list(ring.parse_ideal(args.b).gens)
-        elif args.powers is not None:
-            b_spec = _parse_powers(args.powers)
-        else:
-            b_spec = [2] * len(ps.params)
-        report = verify_rees(ps, b_spec)
-    elif name == "3.1":
-        report = verify_thm_dim1(ring, _single_parameter(spec, ring, args.a))
-    elif name == "3.3":
-        report = verify_thm_nonfree(ring)
-    elif name == "4.1":
-        report = search_decomposable_powers(spec.parameter_system())
-    elif name == "4.2":
-        report = search_nonfree_powers(spec.parameter_system())
-    elif name == "2.5":
-        report = verify_colon_identity(ring, seed=7 if seed is None else seed)
-    elif name == "2.6":
-        if not args.powers or args.b is None:
-            raise ValueError("--theorem 2.6 needs --powers (for J) and --b (for N)")
-        ps = spec.parameter_system()
-        vals = _parse_powers(args.powers)
-        if len(vals) != len(ps.params):
-            raise ValueError("need one exponent per parameter")
-        small = MonomialIdeal(ring.ambient, [mono_pow(p, t) for p, t in zip(ps.params, vals)])
-        report = check_radical_transfer(ring, small, ps.a_ideal,
-                                        ring.parse_ideal(args.b))
-    else:
-        report = verify_non_cm_power(spec.parameter_system())
-    _emit(report.as_dict())
+    _emit(run(spec, spec.ring(), args).as_dict())
     return 0
 
 
@@ -485,11 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run one named statement check")
     pv.add_argument("spec", help="ring-spec file")
-    pv.add_argument("--theorem", required=True, choices=THEOREMS)
-    pv.add_argument("--a", help="principal ideal, used by 3.1")
-    pv.add_argument("--b", help="ideal text, used by rees and 2.6")
-    pv.add_argument("--powers", help="exponent list, used by rees and 2.6")
-    pv.add_argument("--seed", type=_ascii_int, help="seed for the random 2.5 instances")
+    pv.add_argument("--theorem", required=True, choices=tuple(STATEMENTS))
+    for flag, kind, what in (("a", None, "principal ideal"), ("b", None, "ideal text"),
+                             ("powers", None, "exponent list"),
+                             ("seed", _ascii_int, "seed for the random instances")):
+        readers = " and ".join(name for name, (reads, _) in STATEMENTS.items() if flag in reads)
+        pv.add_argument(f"--{flag}", type=kind, help=f"{what}, used by {readers}")
     pv.set_defaults(run=cmd_verify)
     return p
 
@@ -498,7 +482,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (RingSpecError, CapExceeded, ValueError, OSError) as exc:
+    except (CapExceeded, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except VerificationError as exc:

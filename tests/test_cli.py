@@ -240,11 +240,22 @@ class TestAnalyze:
         assert captured.out == ""
         assert "argument --powers: not allowed with argument --b" in captured.err
 
-    @pytest.mark.parametrize("argv", [("analyze",), ("verify", "--theorem", "rees")])
+    @pytest.mark.parametrize("argv", [
+        ("analyze",),
+        ("verify", "--theorem", "rees"),
+        ("verify", "--theorem", "2.6", "--b", "(y^8)"),
+    ])
     def test_empty_powers_is_refused_not_dropped(self, tmp_path, capsys, argv):
         path = write(tmp_path, "e52.ring", E52_M3)
         assert run(capsys, argv[0], path, *argv[1:], "--powers", "") == (
             2, "", "error: bad --powers value '': comma-separated integers in ASCII digits\n")
+
+    @pytest.mark.parametrize("argv", [("analyze",), ("verify", "--theorem", "rees")])
+    def test_empty_b_is_refused_not_defaulted(self, tmp_path, capsys, argv):
+        # an empty --b is a b, not a missing one: rees must not fall back to its default
+        path = write(tmp_path, "cm.ring", CM)
+        assert run(capsys, argv[0], path, *argv[1:], "--b", "()") == (
+            2, "", "error: b must not be empty\n")
 
     @pytest.mark.parametrize("argv", [
         ("analyze", "--powers", "2"),
@@ -369,6 +380,26 @@ class TestGrid:
         assert stale.read_text(encoding="utf-8") == "<svg>an earlier grid</svg>\n"
         assert stale.stat().st_mtime_ns == before.st_mtime_ns
         assert not fresh.exists()
+
+    def test_failed_figure_write_prints_nothing(self, tmp_path, capsys):
+        path = write(tmp_path, "fig1.ring", FIG1)
+        for out in (tmp_path, tmp_path / "missing" / "f.svg"):
+            for fmt in ("ascii", "json"):
+                code, stdout, err = run(capsys, "grid", path, "--max", "2", "--format", fmt,
+                                        "--out", str(out))
+                assert (code, stdout) == (2, ""), (out, fmt)
+                assert err.startswith("error: ") and str(out) in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_grid_leaves_the_figure_untouched(self, tmp_path, capsys):
+        path = write(tmp_path, "fig1.ring", FIG1)
+        stale = tmp_path / "stale.svg"
+        stale.write_text("<svg>an earlier grid</svg>\n", encoding="utf-8")
+        before = stale.stat()
+        assert run(capsys, "grid", path, "--max", "1001", "--out", str(stale)) == (
+            2, "", "error: box volume 2004002 exceeds cap 1000000\n")
+        assert stale.read_text(encoding="utf-8") == "<svg>an earlier grid</svg>\n"
+        assert stale.stat().st_mtime_ns == before.st_mtime_ns
 
     def test_far_corner_over_the_cap_exits_2(self, tmp_path, capsys):
         # the far corner's box is 2 x 1001 x 1001; no point of the grid is scanned

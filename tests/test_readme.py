@@ -5,9 +5,11 @@ import json
 import re
 from pathlib import Path
 
+import pytest
 import yaml
 
 import test_golden_cli
+from homdecomp import cli
 from test_golden_grid import GOLDEN, SPECS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -63,7 +65,8 @@ def test_ci_smoke_runs_the_installed_console_script():
      grid4_spec, grid4_run, grid4_diff,
      grid3_spec, grid3_run, grid3_diff,
      rows_spec, rows_run, rows_diff,
-     blocks_spec, blocks_run, blocks_diff) = (step["run"] for step in steps[-24:])
+     blocks_spec, blocks_run, blocks_diff,
+     verify_run, verify_diff) = (step["run"] for step in steps[-26:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -123,3 +126,35 @@ def test_ci_smoke_runs_the_installed_console_script():
     assert test_golden_cli.load_case(case)["exit"] == 0
     report = json.loads(test_golden_cli.load_case(case)["stdout"])
     assert report["hom"]["decomposition"]["partition"] == [[0, 2, 3, 5], [1, 4]]
+    # a statement run through cli.STATEMENTS, on the first step's x2-xy3.ring
+    assert verify_run == "homdecomp verify x2-xy3.ring --theorem 3.3 > verify.out"
+    case = "x2-xy3-verify-3.3"
+    assert test_golden_cli.CASES[case] == ("x2-xy3", ["verify", "--theorem", "3.3"])
+    assert verify_diff == f"diff verify.out tests/golden/cli/{case}.out"
+    assert test_golden_cli.load_case(case)["exit"] == 0
+
+
+def test_readme_and_verify_help_name_the_options_each_statement_reads(capsys, monkeypatch):
+    table = {name: set(reads) for name, (reads, _) in cli.STATEMENTS.items()}
+    text = README.read_text()
+    bullet = re.search(r"- `verify` with an option its statement does not read\.(.*?read none)\.",
+                       text, re.S).group(1)
+    said = {}
+    for clause in bullet.split(";"):
+        quoted = re.findall(r"`([^`]*)`", clause)
+        for name in (q for q in quoted if not q.startswith("--")):
+            assert name not in said, name
+            said[name] = {q[2:] for q in quoted if q.startswith("--")}
+    assert said == table
+    assert f"--theorem {{{','.join(cli.STATEMENTS)}}}" in text
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapped help lines
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"--theorem {{{','.join(cli.STATEMENTS)}}}" in help_text
+    helps = dict(re.findall(r"--(\w+) [A-Z]+ ([^-]*?)(?= --|$)", help_text))
+    assert set(helps) == set().union(*table.values())
+    for flag, help_line in helps.items():
+        readers = [name for name, reads in table.items() if flag in reads]
+        assert help_line.endswith(f", used by {' and '.join(readers)}"), (flag, help_line)
