@@ -24,7 +24,7 @@ import sys
 from functools import reduce
 from itertools import combinations
 from itertools import product as _cartesian
-from operator import le
+from operator import le, neg
 from typing import Iterable
 
 Monomial = tuple[int, ...]
@@ -70,7 +70,7 @@ def grlex_key(u: Monomial) -> tuple:
     >>> sorted([(0, 2), (2, 0), (1, 1)], key=grlex_key)
     [(2, 0), (1, 1), (0, 2)]
     """
-    return (sum(u), tuple(-e for e in u))
+    return (sum(u), tuple(map(neg, u)))
 
 
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -83,11 +83,37 @@ def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(kept)
 
 
+def _checked(u, ambient: int) -> Monomial:
+    """u as a tuple, once it is ambient non-negative integer exponents; else ValueError."""
+    u = tuple(u)
+    if len(u) != ambient:
+        raise ValueError(f"monomial {u} does not have {ambient} exponents")
+    if not all(isinstance(e, int) and e >= 0 for e in u):
+        raise ValueError(f"exponents must be non-negative integers, got {u}")
+    return u
+
+
+def _ideal(ambient: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
+    """The ideal of generators the kernel made from checked monomials; minimalized only."""
+    I = object.__new__(MonomialIdeal)
+    object.__setattr__(I, "ambient", ambient)
+    object.__setattr__(I, "gens", _minimalize(gens))
+    return I
+
+
 class MonomialIdeal:
     """A monomial ideal, stored by its unique minimal generating set.
 
     Construction minimalizes and canonically sorts the generators, so two
     ideals are equal exactly when their ``gens`` tuples are equal.
+
+    Monomials are checked where they enter the library: this constructor
+    (and so parse_ideal) checks the ambient count and that every
+    generator has that many non-negative integer exponents, and ``I * u``
+    and ``I.colon_monomial(u)`` check their monomial ``u``.  The results
+    of ``+``, ``*``, ``intersect``, ``colon_monomial``, ``colon``,
+    ``saturation`` and ``radical`` are built from generators already
+    checked, so they are only minimalized.
 
     >>> I = MonomialIdeal(2, [(2, 0), (1, 2)])       # (x^2, xy^2)
     >>> I.colon_monomial((0, 1)).gens                # (I : y)
@@ -99,14 +125,7 @@ class MonomialIdeal:
     def __init__(self, ambient: int, gens: Iterable[Monomial] = ()):
         if not 1 <= ambient <= MAX_AMBIENT:
             raise ValueError(f"ambient variable count must be 1..{MAX_AMBIENT}, got {ambient}")
-        checked = []
-        for g in gens:
-            g = tuple(g)
-            if len(g) != ambient:
-                raise ValueError(f"monomial {g} does not have {ambient} exponents")
-            if any(e < 0 or not isinstance(e, int) for e in g):
-                raise ValueError(f"exponents must be non-negative integers, got {g}")
-            checked.append(g)
+        checked = [_checked(g, ambient) for g in gens]
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "gens", _minimalize(checked))
 
@@ -164,27 +183,25 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_compatible(other)
-        return MonomialIdeal(self.ambient, self.gens + other.gens)
+        return _ideal(self.ambient, self.gens + other.gens)
 
     def __mul__(self, other) -> "MonomialIdeal":
         """Ideal product; also accepts a single monomial as the right factor."""
         if isinstance(other, tuple):
-            return MonomialIdeal(self.ambient, [mono_mul(g, other) for g in self.gens])
+            u = _checked(other, self.ambient)
+            return _ideal(self.ambient, [mono_mul(g, u) for g in self.gens])
         self._check_compatible(other)
-        return MonomialIdeal(
-            self.ambient, [mono_mul(g, h) for g in self.gens for h in other.gens]
-        )
+        return _ideal(self.ambient, [mono_mul(g, h) for g in self.gens for h in other.gens])
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection via pairwise lcms of the generators."""
         self._check_compatible(other)
-        return MonomialIdeal(
-            self.ambient, [mono_lcm(g, h) for g in self.gens for h in other.gens]
-        )
+        return _ideal(self.ambient, [mono_lcm(g, h) for g in self.gens for h in other.gens])
 
     def colon_monomial(self, u: Monomial) -> "MonomialIdeal":
         """(I : u) for a single monomial u."""
-        return MonomialIdeal(self.ambient, [mono_quot(g, u) for g in self.gens])
+        u = _checked(u, self.ambient)
+        return _ideal(self.ambient, [mono_quot(g, u) for g in self.gens])
 
     def colon(self, J: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J) = I + ⋂_g (I : g)°, over the generators g of J.
@@ -214,7 +231,7 @@ class MonomialIdeal:
                 return self
             common = part if common is None else _minimalize(
                 mono_lcm(u, v) for u in common for v in part)
-        return MonomialIdeal(self.ambient, self.gens + tuple(common))
+        return _ideal(self.ambient, self.gens + tuple(common))
 
     def saturation(self, J: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J^infinity) = ⋂ (I : g^M) over g in J.gens, for M the top exponent of I.
@@ -238,9 +255,7 @@ class MonomialIdeal:
 
     def radical(self) -> "MonomialIdeal":
         """Radical: generated by the squarefree parts of the generators."""
-        return MonomialIdeal(
-            self.ambient, [tuple(min(e, 1) for e in g) for g in self.gens]
-        )
+        return _ideal(self.ambient, [tuple(min(e, 1) for e in g) for g in self.gens])
 
     def dimension(self) -> int:
         """Krull dimension of k[x]/I.

@@ -192,13 +192,33 @@ def is_cohen_macaulay(ps: ParameterSystem) -> bool:
 
 
 def depth_is_zero(ring: LocalRing) -> bool:
-    """True iff the socle (I : m)/I is non-zero."""
+    """True iff the socle (I : m)/I is non-zero, that is iff Γ_m(R) ≠ I.
+
+    Depth zero means m is associated to R, which for R = k[x]/I is a
+    non-zero socle (I : m)/I.  Γ = gamma_m(ring) = (I : m^∞) contains
+    (I : m), so a socle monomial outside I lies in Γ and Γ ≠ I.
+    Conversely Γ/I = H⁰_m(R) is finitely generated and killed by a
+    power of m, so it has finite length and only finitely many monomials
+    of Γ lie outside I.  If there is one, take u of largest degree among
+    them: each x_i u lies in the ideal Γ and has larger degree, so it
+    lies in I, and u is a socle monomial of (I : m)/I.  So a non-zero
+    finite-length Γ/I has a non-zero socle.  Callers that hold Γ read
+    depth zero off it as ``Γ != I``; this function takes the socle route.
+
+    >>> depth_is_zero(LocalRing.from_text(("x", "y"), "(x^2, xy^2)"))
+    True
+    """
     I = ring.defining
     return I.colon(ring.maximal_ideal) != I
 
 
 def gamma_m(ring: LocalRing) -> MonomialIdeal:
     """The ideal whose quotient by I is the m-power-torsion submodule.
+
+    The torsion generators, the stabilization index and depth zero are
+    all read off this one saturation; a caller that needs several of
+    them computes it once and passes it to _torsion_generators and
+    _stabilization_index.
 
     >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^2)")
     >>> R.fmt_ideal(gamma_m(R))
@@ -209,8 +229,13 @@ def gamma_m(ring: LocalRing) -> MonomialIdeal:
 
 def gamma_module_generators(ring: LocalRing) -> list[Monomial]:
     """Generators of the torsion module: saturation generators outside I."""
+    return _torsion_generators(ring, gamma_m(ring))
+
+
+def _torsion_generators(ring: LocalRing, sat: MonomialIdeal) -> list[Monomial]:
+    """The generators of sat = gamma_m(ring) outside I."""
     I = ring.defining
-    return [g for g in gamma_m(ring).gens if not I.contains(g)]
+    return [g for g in sat.gens if not I.contains(g)]
 
 
 def stabilization_index(ring: LocalRing) -> int:
@@ -222,9 +247,13 @@ def stabilization_index(ring: LocalRing) -> int:
     >>> stabilization_index(LocalRing.from_text(("x", "y"), "(x^2, xy^3)"))
     4
     """
+    return _stabilization_index(ring, gamma_m(ring))
+
+
+def _stabilization_index(ring: LocalRing, sat: MonomialIdeal) -> int:
+    """stabilization_index(ring), given sat = gamma_m(ring)."""
     I = ring.defining
     m = ring.maximal_ideal
-    sat = gamma_m(ring)
     power = MonomialIdeal.unit(ring.ambient)
     for n in range(STABILIZATION_CAP + 1):
         if I.contains_ideal(power.intersect(sat)):

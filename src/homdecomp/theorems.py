@@ -33,6 +33,7 @@ from .monomials import (
 from .rings import (
     LocalRing,
     ParameterSystem,
+    _stabilization_index,
     colon_identity_check,
     depth_is_zero,
     find_non_cm_power,
@@ -189,12 +190,13 @@ def verify_thm_dim1(ring: LocalRing, a: Monomial, c: Monomial | None = None) -> 
     """
     if ring.dimension() != 1:
         raise ValueError("needs a one-dimensional ring")
-    if not depth_is_zero(ring):
+    sat = gamma_m(ring)
+    if sat == ring.defining:
         raise ValueError("needs depth zero; the torsion part is trivial otherwise")
     if c is None:
         c = _one(ring)
     ps = validate_sop(ring, [a])
-    n = stabilization_index(ring)
+    n = _stabilization_index(ring, sat)
     b = mono_mul(c, mono_pow(a, n + 1))
     Q = build_hom(ps, [b])  # validates b: c must keep c*a^{n+1} a parameter
     instance = f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}"
@@ -229,11 +231,12 @@ def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremRep
     """
     if ring.dimension() != 1:
         raise ValueError("needs a one-dimensional ring")
-    if not depth_is_zero(ring):
+    sat = gamma_m(ring)
+    if sat == ring.defining:
         raise ValueError("needs depth zero; over a CM ring Hom stays free")
     if c is None:
         c = _one(ring)
-    n = stabilization_index(ring)
+    n = _stabilization_index(ring, sat)
     a0 = first_monomial_parameter(ring)
     a = mono_pow(a0, n)
     b = mono_mul(c, mono_pow(a, 2))
@@ -242,7 +245,6 @@ def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremRep
     ca = mono_mul(c, a)
     instance = f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}"
     checks: list = []
-    sat = gamma_m(ring)
     lengths = _check_split(checks, instance, Q, ca, sat, NONFREE_SPLIT_CHECKS)
     torsion = [g for g in sat.gens if not ps.ideal.contains(g)]
     _check(checks, instance, "Gamma has a generator outside (a) + I", bool(torsion))
@@ -289,9 +291,10 @@ def _reduction_chain(ps: ParameterSystem) -> tuple[dict, int]:
         i, s = find_non_cm_power(ps)
         steps[positions.pop(i - 1)] = s
         ps = reduced_system(ps, i, s)
-    if not depth_is_zero(ps.ring):
+    sat = gamma_m(ps.ring)
+    if sat == ps.ring.defining:
         raise VerificationError(f"induction reached a CM ring: {ps.ring!r}")
-    return steps, stabilization_index(ps.ring)
+    return steps, _stabilization_index(ps.ring, sat)
 
 
 def search_decomposable_powers(ps: ParameterSystem) -> TheoremReport:

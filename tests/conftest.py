@@ -259,6 +259,18 @@ def gamma_monomial_basis(ring: LocalRing):
     return monomials_between(gamma_m(ring), ring.defining)
 
 
+def oracle_stabilization_index(ring: LocalRing) -> int:
+    """The stabilization index in closed form: one past the top degree of the torsion.
+
+    Γ/I has the monomials of gamma_monomial_basis as a k-basis, and
+    (m^n + I) ∩ Γ lies in I exactly when every such monomial has degree
+    below n, so the index is 1 + their largest degree, or 0 when Γ = I.
+    The runtime index is the loop over m^n that this closed form checks.
+    """
+    basis = gamma_monomial_basis(ring)
+    return 1 + max(map(sum, basis)) if basis else 0
+
+
 def serialize_ring_spec(spec) -> str:
     """The ring-spec text of a cli.RingSpec, which parse_ring_file reads back as spec."""
     lines = ["ring " + " ".join(spec.variables)]
@@ -389,6 +401,19 @@ def torsion_ideals(draw, ambient: int):
                           draw(st.integers(1, 3)) if k == j else 0 for k in range(ambient)))
     gens += draw(monomial_ideals(ambient, max_gens=1)).gens
     return MonomialIdeal(ambient, gens)
+
+
+@st.composite
+def local_rings(draw, min_vars: int = 2, max_vars: int = 4):
+    """k[x]/I for a proper monomial ideal I on min_vars..max_vars variables.
+
+    Half the draws come from torsion_ideals, so Γ_m(R) ≠ I is common;
+    the others are any proper ideal, the zero ideal among them.
+    """
+    n = draw(st.integers(min_vars, max_vars))
+    I = draw(st.one_of(monomial_ideals(n), torsion_ideals(n)))
+    assume(not I.is_unit())
+    return LocalRing(tuple("xyzw"[:n]), I)
 
 
 @st.composite

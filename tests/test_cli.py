@@ -508,6 +508,45 @@ class TestStabilize:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.fixture
+def saturations(monkeypatch):
+    """The ideals MonomialIdeal.saturation is called on, in order."""
+    calls = []
+    saturation = MonomialIdeal.saturation
+
+    def counting(self, J):
+        calls.append(self)
+        return saturation(self, J)
+
+    monkeypatch.setattr(MonomialIdeal, "saturation", counting)
+    return calls
+
+
+@pytest.mark.parametrize("text, argv", [
+    (E52_M3, ["analyze", "--powers", "3"]),
+    (CM, ["analyze", "--powers", "3"]),
+    (E52_M3, ["stabilize"]),
+    (E51, ["verify", "--theorem", "3.1"]),
+    (E52_M3, ["verify", "--theorem", "3.3"]),
+    (FIG1, ["verify", "--theorem", "4.1"]),
+    (FIG1, ["verify", "--theorem", "4.2"]),
+], ids=["analyze", "analyze-cm", "stabilize", "3.1", "3.3", "4.1", "4.2"])
+def test_each_report_reads_one_saturation(tmp_path, capsys, saturations, text, argv):
+    # the torsion generators, the index and depth zero all come off one Γ_m(R)
+    code, out, _ = run(capsys, argv[0], write(tmp_path, "r.ring", text), *argv[1:])
+    assert code == 0 and out
+    assert len(saturations) == 1
+
+
+def test_statements_refuse_positive_depth_after_one_saturation(tmp_path, capsys, saturations):
+    path = write(tmp_path, "cm.ring", CM)
+    assert run(capsys, "verify", path, "--theorem", "3.1") == (
+        2, "", "error: needs depth zero; the torsion part is trivial otherwise\n")
+    assert run(capsys, "verify", path, "--theorem", "3.3") == (
+        2, "", "error: needs depth zero; over a CM ring Hom stays free\n")
+    assert len(saturations) == 2
+
+
 class TestVerify:
     def test_nonfree_without_a_monomial_parameter(self, tmp_path, capsys):
         path = write(tmp_path, "two.ring", "ring x y z\nrelations x^2 xy xz yz\n")

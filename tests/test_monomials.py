@@ -25,6 +25,7 @@ from homdecomp.monomials import (
     divides,
     format_ideal,
     format_monomial,
+    grlex_key,
     monomials_between,
     parse_ideal,
     parse_monomial,
@@ -75,6 +76,62 @@ def test_construction_validates():
     with pytest.raises(AttributeError):
         I = MonomialIdeal(2, [(1, 0)])
         I.gens = ()
+
+
+BAD_MONOMIALS = [(1,), (1, 0, 0), (), (1, -1), (-2, 0), (1.0, 0), (0, 0.5), ("a", 1), (None, 0)]
+
+
+@pytest.mark.parametrize("u", BAD_MONOMIALS, ids=repr)
+def test_monomials_are_checked_where_they_enter(u):
+    I = MonomialIdeal(2, [(2, 0), (1, 1)])
+    with pytest.raises(ValueError):
+        MonomialIdeal(2, [(1, 0), u])
+    # zip would cut a short u down, and a negative exponent can cancel one of I's
+    with pytest.raises(ValueError):
+        I * u
+    with pytest.raises(ValueError):
+        I.colon_monomial(u)
+
+
+def test_product_by_a_short_monomial_is_refused():
+    # (x^2, xy) * (1,) would read as (x^3, x^2 y)'s first exponents alone
+    with pytest.raises(ValueError, match=r"monomial \(1,\) does not have 2 exponents"):
+        ideal("(x^2, xy)") * (1,)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        ideal("(xy)") * (0, -1)  # would give (x), a valid-looking ideal
+    with pytest.raises(ValueError, match="non-negative integers"):
+        ideal("(xy)").colon_monomial((0, -1))  # would give (xy^2)
+    # a monomial given as a list is read as a tuple
+    assert ideal("(x^2, xy)").colon_monomial([1, 0]) == ideal("(x, y)")
+
+
+@pytest.mark.parametrize("text", ["(x^-1)", "(x^1.5)", "(z)", "(xy, x^)", "x^2"])
+def test_parse_ideal_refuses_bad_monomials(text):
+    with pytest.raises(ValueError):
+        parse_ideal(text, ("x", "y"))
+
+
+def is_canonical(I: MonomialIdeal) -> bool:
+    """I equals the ideal the public constructor builds from its generators,
+    and those are minimal and in strictly increasing graded-lex order."""
+    gens = list(I.gens)
+    keys = [grlex_key(g) for g in gens]
+    minimal = not any(divides(g, h) for g in gens for h in gens if g != h)
+    return (I == MonomialIdeal(I.ambient, gens) and minimal and keys == sorted(set(keys))
+            and all(type(g) is tuple for g in gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    monomial_ideals(n), monomial_ideals(n), st.tuples(*[st.integers(0, 3)] * n))))
+def test_kernel_results_are_canonical(drawn):
+    I, J, u = drawn
+    results = [I + J, I * J, I * u, I.intersect(J), I.colon_monomial(u), I.radical()]
+    if not J.is_zero():
+        results += [I.colon(J), I.saturation(J)]
+    for result in results:
+        assert result.ambient == I.ambient
+        assert is_canonical(result), result
 
 
 def test_zero_and_unit():

@@ -66,7 +66,8 @@ def test_ci_smoke_runs_the_installed_console_script():
      grid3_spec, grid3_run, grid3_diff,
      rows_spec, rows_run, rows_diff,
      blocks_spec, blocks_run, blocks_diff,
-     verify_run, verify_diff) = (step["run"] for step in steps[-26:])
+     verify_run, verify_diff,
+     cm_spec, cm_run, cm_diff) = (step["run"] for step in steps[-29:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -132,6 +133,16 @@ def test_ci_smoke_runs_the_installed_console_script():
     assert test_golden_cli.CASES[case] == ("x2-xy3", ["verify", "--theorem", "3.3"])
     assert verify_diff == f"diff verify.out tests/golden/cli/{case}.out"
     assert test_golden_cli.load_case(case)["exit"] == 0
+    # a CM ring: depth zero false, read off an empty Γ_m(R)
+    text = re.fullmatch(r"printf '([^']*)' > cm-x2\.ring", cm_spec).group(1)
+    assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["cm-x2"]
+    assert cm_run == "homdecomp analyze cm-x2.ring --powers 2,2 > analyze-cm.out"
+    case = "cm-x2-analyze-powers"
+    assert test_golden_cli.CASES[case] == ("cm-x2", ["analyze", "--powers", "2,2"])
+    assert cm_diff == f"diff analyze-cm.out tests/golden/cli/{case}.out"
+    assert test_golden_cli.load_case(case)["exit"] == 0
+    report = json.loads(test_golden_cli.load_case(case)["stdout"])
+    assert (report["depth_zero"], report["gamma_generators"]) == (False, [])
 
 
 def test_readme_and_verify_help_name_the_options_each_statement_reads(capsys, monkeypatch):

@@ -12,15 +12,17 @@ from conftest import (
     ideal_power,
     is_regular_element,
     is_regular_sequence,
+    local_rings,
     monomial_ideals,
     oracle_non_cm_power,
     oracle_saturation_member,
+    oracle_stabilization_index,
     power_specs,
     random_proper_ideal,
     torsion_ideals,
 )
 from homdecomp import monomials, theorems
-from homdecomp.monomials import CapExceeded, MonomialIdeal, degree, grlex_key, parse_ideal
+from homdecomp.monomials import CapExceeded, MonomialIdeal, grlex_key, parse_ideal
 from homdecomp.rings import (
     LocalRing,
     colon_identity_check,
@@ -39,12 +41,6 @@ XYZ = ("x", "y", "z")
 
 def ring(relations, names=XY):
     return LocalRing.from_text(names, relations)
-
-
-def stabilization_oracle(R):
-    """Independent route: one past the top degree of the torsion module."""
-    basis = gamma_monomial_basis(R)
-    return 0 if not basis else 1 + max(degree(u) for u in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +265,25 @@ def test_depth_zero_iff_gamma_nonzero():
         assert depth_is_zero(R) == (len(gamma_module_generators(R)) > 0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(local_rings(1, 4))
+def test_depth_zero_iff_gamma_is_not_the_defining_ideal(R):
+    # the socle route of depth_is_zero against the Γ route the reports read
+    assert depth_is_zero(R) == (gamma_m(R) != R.defining)
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_rings())
+def test_stabilization_index_matches_closed_form(R):
+    assert stabilization_index(R) == oracle_stabilization_index(R)
+
+
 # m = 63 has index 64, the largest the stabilization cap allows
 @pytest.mark.parametrize("m", [*range(2, 17), 33, 48, 63])
 def test_stabilization_power_chain_family(m):
     R = ring(f"(x^2, xy^{m})")
     assert stabilization_index(R) == m + 1
-    assert stabilization_oracle(R) == m + 1
+    assert oracle_stabilization_index(R) == m + 1
 
 
 def test_saturation_takes_no_colon_step(monkeypatch):
@@ -300,7 +309,7 @@ def test_stabilization_three_variable_family(n1):
     basis = gamma_monomial_basis(R)
     assert basis == [R.parse_monomial(f"xy^{b}" if b > 1 else "xy") for b in range(1, n1)]
     assert stabilization_index(R) == n1 + 1
-    assert stabilization_oracle(R) == n1 + 1
+    assert oracle_stabilization_index(R) == n1 + 1
 
 
 def test_stabilization_definition_is_sharp():
@@ -312,7 +321,7 @@ def test_stabilization_definition_is_sharp():
             continue
         R = LocalRing(XYZ[: I.ambient], I)
         n = stabilization_index(R)
-        assert n == stabilization_oracle(R)
+        assert n == oracle_stabilization_index(R)
         sat = gamma_m(R)
         m = R.maximal_ideal
         assert R.defining.contains_ideal(ideal_power(m, n).intersect(sat))
