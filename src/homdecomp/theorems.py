@@ -35,12 +35,10 @@ from .rings import (
     ParameterSystem,
     _stabilization_index,
     colon_identity_check,
-    depth_is_zero,
     find_non_cm_power,
     gamma_m,
     is_cohen_macaulay,
     reduced_system,
-    stabilization_index,
     validate_sop,
 )
 
@@ -715,12 +713,25 @@ def _accepted_ring(variables: tuple[str, ...], relations: str) -> LocalRing | No
     """The ring k[variables]/(relations) if a random corpus may hold it, else None.
 
     A corpus ring has dimension one, depth zero and stabilization index
-    at most 5.  The test reads nothing but the text, so it runs once per
-    text; random_depth_zero_ring draws from 46 texts, so the memo holds
-    at most 46 entries.
+    at most 5.  Both of the last two are read off one saturation
+    Γ = gamma_m(ring).  Depth zero is Γ ≠ I, as depth_is_zero proves.
+    The index is the least n with m^n ∩ Γ ⊆ I; as m^(n+1) ⊆ m^n, the
+    condition holds for every n past the index, so the index is at most
+    5 exactly when m^5 ∩ Γ ⊆ I.  That ideal is spanned by the monomials
+    of Γ of degree at least 5, so it lies in I exactly when every
+    monomial of Γ outside I, a finite set, has degree below 5.
+
+    The test reads nothing but the text, so it runs once per text;
+    random_depth_zero_ring draws from 46 texts, so the memo holds at
+    most 46 entries.
     """
     ring = LocalRing.from_text(variables, relations)
-    if ring.dimension() == 1 and depth_is_zero(ring) and stabilization_index(ring) <= 5:
+    if ring.dimension() != 1:
+        return None
+    sat = gamma_m(ring)
+    if sat == ring.defining:
+        return None
+    if all(sum(u) < 5 for u in monomials_between(sat, ring.defining)):
         return ring
     return None
 
@@ -731,10 +742,12 @@ def random_depth_zero_ring(rng: random.Random) -> LocalRing:
     A draw is one of 46 relation texts: 30 of the form (x^e, x^f y^g) and
     16 of the form (x^e, x y^g z^h, y^k).  Draws repeat until one passes
     the acceptance test of _accepted_ring, which caps the stabilization
-    index so that suite modules built from the draw stay small;
-    structured families cover the deeper cases.  The test is memoized
-    per text and takes nothing from rng, so the memo changes neither the
-    draws nor the ring that a given rng state yields.
+    index at 5 so that suite modules built from the draw stay small;
+    structured families cover the deeper cases.  It bounds the index by
+    a degree test on one saturation Γ: every monomial of Γ outside I has
+    degree below 5, with no index loop.  The test is memoized per text
+    and takes nothing from rng, so the memo changes neither the draws
+    nor the ring that a given rng state yields.
     """
     for _ in range(DEPTH_ZERO_DRAWS):
         if rng.random() < 0.5:
@@ -758,9 +771,10 @@ def dim1_corpus(extra: int = 24, seed: int = 2026) -> list[LocalRing]:
 
     The random rings come from random_depth_zero_ring, whose draws range
     over 46 relation texts; a text drawn again gives the memoized ring
-    object rather than a new, equal one.  The acceptance test uses no
-    randomness, so the memo leaves the list unchanged: it depends on
-    seed and extra alone.
+    object rather than a new, equal one.  The acceptance test (depth
+    zero, and the degree test on Γ outside I that bounds the index)
+    uses no randomness, so the memo leaves the list unchanged: it
+    depends on seed and extra alone.
     """
     rings = [power_family_ring(m) for m in range(2, 7)]
     rings += [socle_family_ring(n) for n in range(2, 7)]

@@ -61,13 +61,14 @@ def test_ci_smoke_runs_the_installed_console_script():
     workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["install-smoke"]["steps"]
     (install, spec, run, diff, analyze_run, analyze_diff, stab_spec, stab_run, stab_diff,
+     cap_spec, cap_run, cap_stdout, cap_stderr,
      power_spec, power_run, power_diff,
      grid4_spec, grid4_run, grid4_diff,
      grid3_spec, grid3_run, grid3_diff,
      rows_spec, rows_run, rows_diff,
      blocks_spec, blocks_run, blocks_diff,
      verify_run, verify_diff,
-     cm_spec, cm_run, cm_diff) = (step["run"] for step in steps[-29:])
+     cm_spec, cm_run, cm_diff) = (step["run"] for step in steps[-33:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -89,6 +90,19 @@ def test_ci_smoke_runs_the_installed_console_script():
     case = "x2-xy63-stabilize"
     assert stab_diff == f"diff stabilize.out tests/golden/cli/{case}.out"
     assert test_golden_cli.load_case(case)["exit"] == 0
+    # the first ring of the family past the cap: exit 2, no stdout, the cap named on stderr
+    text = re.fullmatch(r"printf '([^']*)' > x2-xy64\.ring", cap_spec).group(1)
+    assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["x2-xy64"]
+    assert cap_run == ("code=0; homdecomp stabilize x2-xy64.ring > stabilize-cap.out "
+                       "2> stabilize-cap.err || code=$?; test \"$code\" -eq 2")
+    assert cap_stdout == "test ! -s stabilize-cap.out"
+    case = "x2-xy64-stabilize"
+    assert cap_stderr == ("python3 -c 'import json, sys; sys.exit(open(\"stabilize-cap.err\").read()"
+                          " != json.load(open(\"tests/golden/cli/manifest.json\"))"
+                          f"[\"{case}\"][\"stderr\"])'")
+    assert test_golden_cli.load_case(case) == {
+        "exit": 2, "stdout": "",
+        "stderr": "error: stabilization index exceeded the cap 64\n"}
     # 2.7 on (x^2, xy^10z^10), whose first non-CM parameter power is y^11
     text = re.fullmatch(r"printf '([^']*)' > x2-xy10z10\.ring", power_spec).group(1)
     assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["x2-xy10z10"]

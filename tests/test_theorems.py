@@ -22,18 +22,19 @@ from conftest import (
     cm_power_pairs,
     colon_route,
     drawn_systems,
+    local_rings,
     monomial_homs,
     one_dimensional_rings,
     oracle_first_monomial_parameter,
     power_specs,
 )
-from homdecomp import hom, monomials, theorems
+from homdecomp import hom, monomials, rings, theorems
 from homdecomp.decomp import decide
 from homdecomp.hom import HomSubquotient, build_hom, parameter_box, row_intervals
 from homdecomp.monomials import (CapExceeded, MonomialIdeal, grlex_key, mono_pow,
                                  monomials_between, row_thresholds)
-from homdecomp.rings import (LocalRing, ParameterSystem, depth_is_zero, stabilization_index,
-                             validate_sop)
+from homdecomp.rings import (LocalRing, ParameterSystem, depth_is_zero, gamma_m,
+                             stabilization_index, validate_sop)
 from homdecomp.theorems import (
     GridClassification,
     PointClass,
@@ -621,6 +622,24 @@ def test_grid_result_is_dense():
     assert kept / 144 < 4
 
 
+# every text random_depth_zero_ring can draw: 30 (x^e, x^f y^g) and 16 (x^e, x y^g z^h, y^k)
+DRAW_SPACE = ([(("x", "y"), f"(x^{e}, x^{f}y^{g})")
+               for e in range(2, 5) for f in range(1, e) for g in range(1, 6)]
+              + [(("x", "y", "z"), f"(x^{e}, xy^{g}z^{h}, y^{k})")
+                 for e in range(2, 4) for g in range(1, 3) for h in range(1, 3)
+                 for k in range(2, 4)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_rings())
+def test_index_bound_is_a_degree_bound_on_the_torsion(R):
+    # _accepted_ring's degree test on Γ outside I, against the index loop at every bound
+    index = stabilization_index(R)
+    torsion = monomials_between(gamma_m(R), R.defining)
+    for n in range(9):
+        assert (index <= n) == (not any(sum(u) >= n for u in torsion))
+
+
 class TestCorpora:
     def test_dim1_corpus_shape(self):
         corpus = dim1_corpus()
@@ -645,6 +664,35 @@ class TestCorpora:
             assert depth_is_zero(fresh)
             # the structured families are not drawn, and go deeper
             assert i < 10 or stabilization_index(fresh) <= 5
+
+    def test_acceptance_matches_the_index_loop_on_the_whole_draw_space(self):
+        assert len(set(DRAW_SPACE)) == 46
+        kept = 0
+        for variables, relations in DRAW_SPACE:
+            ring = LocalRing.from_text(variables, relations)
+            loop = (ring.dimension() == 1 and depth_is_zero(ring)
+                    and stabilization_index(ring) <= 5)
+            assert (theorems._accepted_ring(variables, relations) is not None) == loop, relations
+            kept += loop
+        assert (kept, len(DRAW_SPACE) - kept) == (26, 20)
+
+    def test_corpus_reads_each_text_off_one_saturation(self, monkeypatch):
+        saturation = MonomialIdeal.saturation
+        calls = []
+
+        def counted(self, J):
+            calls.append(self)
+            return saturation(self, J)
+
+        def no_loop(ring, sat):
+            raise AssertionError("the acceptance test ran the index loop")
+
+        monkeypatch.setattr(MonomialIdeal, "saturation", counted)
+        monkeypatch.setattr(rings, "_stabilization_index", no_loop)
+        theorems._accepted_ring.cache_clear()
+        dim1_corpus(extra=240, seed=1)
+        # seed 1 draws all 46 texts, and each is tested once
+        assert len(calls) == theorems._accepted_ring.cache_info().misses == 46
 
     def test_acceptance_memo_holds_at_most_the_draw_space(self):
         for seed in range(50):
