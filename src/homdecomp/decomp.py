@@ -58,7 +58,9 @@ def decide(Q: HomSubquotient) -> DecompositionReport:
     The indecomposable summands are the connected components of the
     action graph (see the module docstring): two or more components are a
     split, witnessed by the partition, and one component is an
-    indecomposable module.
+    indecomposable module.  The count is row_intervals' Q.rows.count, so
+    a connected module lists no basis; only a split one calls
+    Q.components() for its partition.
 
     >>> from .hom import build_hom
     >>> from .rings import LocalRing, validate_sop
@@ -71,10 +73,10 @@ def decide(Q: HomSubquotient) -> DecompositionReport:
     'indecomposable'
     """
     n = Q.length()
-    blocks = Q.components()
-    if len(blocks) >= 2:
-        return DecompositionReport("decomposable", "components", n, len(blocks),
-                                   partition=blocks)
+    count = Q.rows.count
+    if count >= 2:
+        return DecompositionReport("decomposable", "components", n, count,
+                                   partition=Q.components())
     return DecompositionReport("indecomposable", "components", n, 1,
                                certificate=CONNECTED_CERTIFICATE)
 

@@ -6,19 +6,23 @@ C/B for B = I + 𝔟 and C = (B : 𝔞).  build_hom, hom_from_ideals and the
 grid's classify_point all read it off B's pure-power box with one pass,
 row_intervals: each row's basis cells form one interval, a row holds at
 most one generator of C, and rows whose intervals overlap lie in one
-component of the action graph.  HomSubquotient derives its basis,
-generators and blocks from that pass, and everything downstream (length,
-generators, freeness, the decomposition verdict) reads off them; the
-grid reads the pass's counts alone.
+component of the action graph.  HomSubquotient keeps that pass and
+reads its generators and length off it when built; the length, generator
+count, cyclicity, freeness and summand count read those and the pass's
+component count, so they list no cell.  The graded-lex basis and C are
+built on first request, for the blocks, the F_p presentation, the
+annihilator witness and the verifiers' identities; the grid reads the
+pass's counts alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
-from .monomials import Monomial, MonomialIdeal, grlex_key, mono_mul, row_thresholds
+from .monomials import Monomial, MonomialIdeal, _ideal, grlex_key, mono_mul, row_thresholds
 from .rings import LocalRing, ParameterSystem, validate_sop
 
 if TYPE_CHECKING:
@@ -85,12 +89,18 @@ class HomSubquotient:
 
     denominator is B = I + 𝔟, numerator is C = (B : 𝔞), and base is
     S = k[x]/(I + 𝔞), which stores its own length.  The builders pass
-    row_intervals' answer for B's box, rows.  Construction lists its
-    intervals' cells, sorted into graded-lex order, as the basis of C/B,
-    and the first cell of each head row as C's generators outside B.  C
-    is B plus those generators, so B ⊆ C by construction, and C·𝔞 ⊆ B is
-    checked on them alone, as B is an ideal; construction raises
-    AssertionError, also under ``python -O``, when it fails.
+    row_intervals' answer for B's box, rows.
+
+    Construction keeps rows, takes the first cell of each head row as C's
+    generators outside B, and counts the length as the sum of the
+    intervals' widths.  C is B plus those generators, so B ⊆ C by
+    construction, and C·𝔞 ⊆ B is checked on them alone, as B is an ideal;
+    construction raises AssertionError, also under ``python -O``, when it
+    fails.  The basis, the intervals' cells sorted into graded-lex order,
+    and numerator are built on first request and then kept; length,
+    generator count, cyclicity, freeness and decide's summand count never
+    build them.  numerator is no dataclass field, so repr, == and hash do
+    not read it; C is determined by B and 𝔞, which they compare.
     """
 
     ring: LocalRing
@@ -99,37 +109,45 @@ class HomSubquotient:
     denominator: MonomialIdeal
     base: LocalRing
     rows: RowScan = field(repr=False, compare=False)
-    numerator: MonomialIdeal = field(init=False)
-    _basis: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
     _generators: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
+    _length: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         B, spans = self.denominator, self.rows.spans
         gens = tuple(p + (spans[p][0],) for p in self.rows.heads)
         if not all(B.contains(mono_mul(g, h)) for g in gens for h in self.a_ideal.gens):
             raise AssertionError("the numerator times a is not inside the denominator")
-        basis = [p + (k,) for p, (lo, hi, _) in spans.items() for k in range(lo, hi)]
-        object.__setattr__(self, "_basis", tuple(sorted(basis, key=grlex_key)))
         object.__setattr__(self, "_generators", gens)
-        object.__setattr__(self, "numerator", MonomialIdeal(B.ambient, B.gens + gens))
+        object.__setattr__(self, "_length", sum(hi - lo for lo, hi, _ in spans.values()))
+
+    @cached_property
+    def numerator(self) -> MonomialIdeal:
+        """C = (B : 𝔞), that is B plus the generators outside B; built on first read."""
+        B = self.denominator
+        return _ideal(B.ambient, B.gens + self._generators)
+
+    @cached_property
+    def _basis(self) -> tuple[Monomial, ...]:
+        cells = [p + (k,) for p, (lo, hi, _) in self.rows.spans.items() for k in range(lo, hi)]
+        return tuple(sorted(cells, key=grlex_key))
 
     def basis(self) -> tuple[Monomial, ...]:
-        """Standard monomials of B lying in C, in graded-lex order."""
+        """Standard monomials of B lying in C, in graded-lex order; listed on the first call."""
         return self._basis
 
     def length(self) -> int:
-        return len(self._basis)
+        return self._length
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the one-step action graph on the basis.
 
         Basis cells u and u*x_i are joined whenever u*x_i is not in B.
         Blocks are sorted tuples of basis indices, ordered by their first
-        index.  C is an ideal, so u*x_i lies in C and is either a basis
-        cell or in B.  row_intervals joined the rows of each component,
-        so a cell's block is its row's.  Reading the graded-lex basis in
-        order lists each block's indices in order, and the blocks by their
-        first index.
+        index, so this lists the basis.  C is an ideal, so u*x_i lies in
+        C and is either a basis cell or in B.  row_intervals joined the
+        rows of each component, so a cell's block is its row's.  Reading
+        the graded-lex basis in order lists each block's indices in order,
+        and the blocks by their first index.
 
         >>> from .rings import LocalRing, validate_sop
         >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^3)")
@@ -391,7 +409,7 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
     ring = ps.ring
     bounds = parameter_box(ps, b_spec)
     # 𝔟 holds the pure power x_v^{bounds_v} of each parameter's variable
-    b_ideal = MonomialIdeal(ring.ambient, [tuple(bounds[v] if e else 0 for v, e in enumerate(a))
-                                           for a in ps.params])
+    b_ideal = _ideal(ring.ambient, [tuple(bounds[v] if e else 0 for v, e in enumerate(a))
+                                    for a in ps.params])
     return HomSubquotient(ring, ps.a_ideal, b_ideal, ring.defining + b_ideal, ps.base,
                           row_intervals(row_thresholds(ring.defining, bounds), ps.params))

@@ -16,6 +16,7 @@ from .monomials import (
     CapExceeded,
     Monomial,
     MonomialIdeal,
+    _ideal,
     format_ideal,
     format_monomial,
     mono_mul,
@@ -56,12 +57,11 @@ class LocalRing:
     def ambient(self) -> int:
         return len(self.variables)
 
-    @property
+    @cached_property
     def maximal_ideal(self) -> MonomialIdeal:
-        gens = []
-        for i in range(self.ambient):
-            gens.append(tuple(1 if j == i else 0 for j in range(self.ambient)))
-        return MonomialIdeal(self.ambient, gens)
+        """𝔪 = (x_1..x_n), built on the first read and kept, as length() keeps its count."""
+        n = self.ambient
+        return _ideal(n, [tuple(int(j == i) for j in range(n)) for i in range(n)])
 
     def dimension(self) -> int:
         return self.defining.dimension()

@@ -92,6 +92,8 @@ def _cases() -> dict:
     cases["x2-xy3-analyze-b-not-parameter"] = "x2-xy3", ["analyze", "--b", "(xy^2)"]
     cases["x2-xy3-analyze-powers-zero"] = "x2-xy3", ["analyze", "--powers", "0"]
     cases["x2-xy3-analyze-powers-count"] = "x2-xy3", ["analyze", "--powers", "1,2"]
+    # a connected Hom that is not cyclic: analyze's stratum, indecomposable and not free
+    cases["x2-xy3-analyze-powers-connected"] = "x2-xy3", ["analyze", "--powers", "2"]
     cases["x2-xyz-analyze-b-short"] = "x2-xyz", ["analyze", "--b", "(y^2)"]
     return cases
 

@@ -24,9 +24,11 @@ from conftest import (
     power_specs,
 )
 from homdecomp import hom, theorems
+from homdecomp.decomp import decide
 from homdecomp.gfp import PrimeFieldMatrix
 from homdecomp.hom import HomSubquotient, RowScan, UnionFind, build_hom, hom_from_ideals
-from homdecomp.monomials import MonomialIdeal, mono_mul, monomials_between, row_thresholds
+from homdecomp.monomials import (MonomialIdeal, _ideal, grlex_key, mono_mul, monomials_between,
+                                 row_thresholds)
 from homdecomp.oracle import connected_components
 from homdecomp.rings import LocalRing, validate_sop
 
@@ -274,6 +276,40 @@ class TestComponents:
         assert Q.presentation(5).basis is Q.basis()
 
 
+def test_connected_hom_lists_no_basis_and_builds_no_numerator(monkeypatch):
+    # a connected Hom that is not cyclic: every count reads off the row scan
+    sorts, ideals, blocks = [], [], []
+    original_components = HomSubquotient.components
+
+    def counting_key(u):
+        sorts.append(u)
+        return grlex_key(u)
+
+    def counting_ideal(*args):
+        ideals.append(args)
+        return _ideal(*args)
+
+    def counting_components(self):
+        blocks.append(self)
+        return original_components(self)
+
+    monkeypatch.setattr(hom, "grlex_key", counting_key)
+    monkeypatch.setattr(hom, "_ideal", counting_ideal)
+    monkeypatch.setattr(HomSubquotient, "components", counting_components)
+    Q = make_hom(make_ring(("x", "y"), "(x^2, xy^3)"), "y^2", [2])
+    assert [gens for _, gens in ideals] == [[(0, 4)]]  # b, and no C
+    assert (Q.length(), Q.minimal_generator_count()) == (4, 2)
+    assert not Q.is_cyclic() and not Q.is_free_over_base()
+    report = decide(Q)
+    assert (report.verdict, report.summand_count, report.module_dim) == ("indecomposable", 1, 4)
+    assert sorts == [] and len(ideals) == 1 and blocks == []
+    # on request each is built once and kept
+    assert Q.numerator == Q.denominator.colon(Q.a_ideal)
+    assert Q.numerator is Q.numerator and len(ideals) == 2
+    assert len(Q.basis()) == Q.length() and Q.basis() is Q.basis()
+    assert len(sorts) == Q.length()
+
+
 class TestAgainstLinearOracle:
     @pytest.mark.parametrize("name,Q", corpus_homs(), ids=CORPUS_IDS)
     @pytest.mark.parametrize("p", [2, 3])
@@ -373,16 +409,21 @@ def test_kernel_matches_colon_route_on_powers(case, data):
     check_against_colon_route(build_hom(ps, t))
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(power_specs(), st.data())
-def test_kernel_matches_colon_route_on_explicit_b(case, data):
-    ps, _ = case
+def draw_explicit_b(ps, data):
+    """A validated b as monomials: x_v^f with f >= e for each a_i = x_v^e, shuffled."""
     b_gens = []
     for a in ps.params:
         v = next(v for v, e in enumerate(a) if e)
         f = data.draw(st.integers(a[v], 6 * a[v]))
         b_gens.append(tuple(f if k == v else 0 for k in range(len(a))))
-    check_against_colon_route(build_hom(ps, data.draw(st.permutations(b_gens))))
+    return data.draw(st.permutations(b_gens))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(power_specs(), st.data())
+def test_kernel_matches_colon_route_on_explicit_b(case, data):
+    ps, _ = case
+    check_against_colon_route(build_hom(ps, draw_explicit_b(ps, data)))
 
 
 @st.composite
@@ -422,9 +463,22 @@ def test_row_scan_lists_cells_and_blocks_of_a_small_box():
 
 
 def check_blocks_against_cells(Q):
-    """Q's blocks, read off its rows, against the per-cell search on its grlex basis."""
+    """Q's blocks, read off its rows, against the per-cell search on its grlex basis.
+
+    The length, C and decide's summand count are read before the basis
+    is listed, then the basis, built on request, is checked against the
+    box filter of oracle_monomials_between between B and (B : a).
+    """
+    B, C = Q.denominator, Q.denominator.colon(Q.a_ideal)
+    report = decide(Q)
+    assert report.summand_count == Q.rows.count
+    assert report.decomposable is (Q.rows.count >= 2)
+    assert Q.numerator == C
+    assert Q.basis() == tuple(oracle_monomials_between(C, B))
+    assert Q.length() == len(Q.basis()) == report.module_dim
     assert Q.components() == action_blocks(Q.basis())
     assert len(Q.components()) == Q.rows.count
+    assert report.partition == (Q.components() if report.decomposable else None)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -434,9 +488,12 @@ def test_row_blocks_match_cell_blocks_on_monomial_homs(Q):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(power_specs())
-def test_row_blocks_match_cell_blocks_on_powers(case):
-    check_blocks_against_cells(build_hom(*case))
+@given(power_specs(), st.data())
+def test_row_blocks_match_cell_blocks_on_powers(case, data):
+    # b as powers, then as monomials
+    ps, t = case
+    check_blocks_against_cells(build_hom(ps, t))
+    check_blocks_against_cells(build_hom(ps, draw_explicit_b(ps, data)))
 
 
 class TestInvariants:

@@ -68,7 +68,8 @@ def test_ci_smoke_runs_the_installed_console_script():
      rows_spec, rows_run, rows_diff,
      blocks_spec, blocks_run, blocks_diff,
      verify_run, verify_diff,
-     cm_spec, cm_run, cm_diff) = (step["run"] for step in steps[-33:])
+     cm_spec, cm_run, cm_diff,
+     connected_run, connected_diff) = (step["run"] for step in steps[-35:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -157,6 +158,14 @@ def test_ci_smoke_runs_the_installed_console_script():
     assert test_golden_cli.load_case(case)["exit"] == 0
     report = json.loads(test_golden_cli.load_case(case)["stdout"])
     assert (report["depth_zero"], report["gamma_generators"]) == (False, [])
+    # analyze's stratum, a connected Hom that is not cyclic, on the first step's x2-xy3.ring
+    assert connected_run == "homdecomp analyze x2-xy3.ring --powers 2 > analyze-connected.out"
+    case = "x2-xy3-analyze-powers-connected"
+    assert test_golden_cli.CASES[case] == ("x2-xy3", ["analyze", "--powers", "2"])
+    assert connected_diff == f"diff analyze-connected.out tests/golden/cli/{case}.out"
+    assert test_golden_cli.load_case(case)["exit"] == 0
+    hom = json.loads(test_golden_cli.load_case(case)["stdout"])["hom"]
+    assert (hom["cyclic"], hom["decomposition"]["verdict"]) == (False, "indecomposable")
 
 
 def test_readme_and_verify_help_name_the_options_each_statement_reads(capsys, monkeypatch):

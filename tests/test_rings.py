@@ -51,6 +51,7 @@ def test_ring_construction():
     R = ring("(x^2, xy^2)")
     assert R.dimension() == 1
     assert R.maximal_ideal == parse_ideal("(x, y)", XY)
+    assert R.maximal_ideal is R.maximal_ideal  # built once per ring
     with pytest.raises(ValueError):
         ring("(1)")
     with pytest.raises(ValueError):
