@@ -28,11 +28,10 @@ from .monomials import (
 )
 from .rings import (
     LocalRing,
-    _stabilization_index,
-    _torsion_generators,
-    gamma_m,
+    depth_is_zero,
+    gamma_module_generators,
     is_cohen_macaulay,
-    stabilization_index,  # unused here; bench/test_bench.py reads cli.stabilization_index
+    stabilization_index,
     validate_sop,
 )
 from .theorems import (
@@ -200,16 +199,15 @@ def analysis_report(spec: RingSpec, a_text: str | None, b_text: str | None,
     Q = build_hom(ps, b_spec)
     verdict = decide(Q)
     witness = Q.non_free_annihilator_witness()
-    sat = gamma_m(ring)
     return {
         "ring": _ring_json(ring),
         "a": ring.fmt_ideal(ps.a_ideal),
         "b": ring.fmt_ideal(Q.b_ideal),
         "dimension": ring.dimension(),
-        "depth_zero": sat != ring.defining,
+        "depth_zero": depth_is_zero(ring),
         "cohen_macaulay": is_cohen_macaulay(ps),
-        "gamma_generators": tuple(map(ring.fmt, _torsion_generators(ring, sat))),
-        "stabilization_index": _stabilization_index(ring, sat),
+        "gamma_generators": tuple(map(ring.fmt, gamma_module_generators(ring))),
+        "stabilization_index": stabilization_index(ring),
         "hom": {
             "length": Q.length(),
             "minimal_generators": Q.minimal_generator_count(),
@@ -373,11 +371,10 @@ def cmd_grid(args) -> int:
 
 def cmd_stabilize(args) -> int:
     ring = _load_spec(args.spec).ring()
-    sat = gamma_m(ring)
     _emit({
         "ring": _ring_json(ring),
-        "stabilization_index": _stabilization_index(ring, sat),
-        "gamma_generators": tuple(map(ring.fmt, _torsion_generators(ring, sat))),
+        "stabilization_index": stabilization_index(ring),
+        "gamma_generators": tuple(map(ring.fmt, gamma_module_generators(ring))),
     })
     return 0
 

@@ -157,7 +157,7 @@ class HomSubquotient:
         """
         spans, find = self.rows.spans, self.rows.blocks.find
         blocks: dict[int, list[int]] = {}
-        for i, u in enumerate(self._basis):
+        for i, u in enumerate(self.basis()):
             blocks.setdefault(find(spans[u[:-1]][2]), []).append(i)
         return tuple(map(tuple, blocks.values()))
 
@@ -199,7 +199,7 @@ class HomSubquotient:
 
         if not is_prime(prime):
             raise ValueError(f"{prime} is not prime")
-        basis = self._basis
+        basis = self.basis()
         if len(basis) > PRESENTATION_CAP:
             raise ValueError(f"presentation basis {len(basis)} exceeds cap {PRESENTATION_CAP}")
         index = {u: i for i, u in enumerate(basis)}

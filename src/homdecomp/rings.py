@@ -33,13 +33,12 @@ class LocalRing:
     """k[variables]/defining, viewed as a graded-local ring.
 
     The defining ideal must be proper; the zero ideal (a polynomial ring)
-    is allowed.  The length of an Artinian ring is counted on the first
-    call to length() and stored.
+    is allowed.  𝔪, the length of an Artinian ring and the torsion
+    Γ_m(R) are each computed on their first read and kept.
     """
 
     variables: tuple[str, ...]
     defining: MonomialIdeal
-    _length: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.variables) != self.defining.ambient:
@@ -59,9 +58,18 @@ class LocalRing:
 
     @cached_property
     def maximal_ideal(self) -> MonomialIdeal:
-        """𝔪 = (x_1..x_n), built on the first read and kept, as length() keeps its count."""
+        """𝔪 = (x_1..x_n)."""
         n = self.ambient
         return _ideal(n, [tuple(int(j == i) for j in range(n)) for i in range(n)])
+
+    @cached_property
+    def _length(self) -> int:
+        return self.defining.length()
+
+    @cached_property
+    def _gamma(self) -> MonomialIdeal:
+        """(I : 𝔪^∞); read it through gamma_m."""
+        return self.defining.saturation(self.maximal_ideal)
 
     def dimension(self) -> int:
         return self.defining.dimension()
@@ -74,8 +82,6 @@ class LocalRing:
         return LocalRing(self.variables, bigger)
 
     def length(self) -> int:
-        if self._length is None:
-            object.__setattr__(self, "_length", self.defining.length())
         return self._length
 
     def parse_monomial(self, text: str) -> Monomial:
@@ -192,7 +198,7 @@ def is_cohen_macaulay(ps: ParameterSystem) -> bool:
 
 
 def depth_is_zero(ring: LocalRing) -> bool:
-    """True iff the socle (I : m)/I is non-zero, that is iff Γ_m(R) ≠ I.
+    """True iff Γ_m(R) ≠ I, that is iff the socle (I : m)/I is non-zero.
 
     Depth zero means m is associated to R, which for R = k[x]/I is a
     non-zero socle (I : m)/I.  Γ = gamma_m(ring) = (I : m^∞) contains
@@ -202,44 +208,37 @@ def depth_is_zero(ring: LocalRing) -> bool:
     of Γ lie outside I.  If there is one, take u of largest degree among
     them: each x_i u lies in the ideal Γ and has larger degree, so it
     lies in I, and u is a socle monomial of (I : m)/I.  So a non-zero
-    finite-length Γ/I has a non-zero socle.  Callers that hold Γ read
-    depth zero off it as ``Γ != I``; this function takes the socle route.
+    finite-length Γ/I has a non-zero socle, and depth zero is read off
+    the ring's one saturation as Γ ≠ I.
 
     >>> depth_is_zero(LocalRing.from_text(("x", "y"), "(x^2, xy^2)"))
     True
     """
-    I = ring.defining
-    return I.colon(ring.maximal_ideal) != I
+    return gamma_m(ring) != ring.defining
 
 
 def gamma_m(ring: LocalRing) -> MonomialIdeal:
-    """The ideal whose quotient by I is the m-power-torsion submodule.
+    """The ideal Γ = (I : m^∞) whose quotient by I is the m-power-torsion submodule.
 
-    The torsion generators, the stabilization index and depth zero are
-    all read off this one saturation; a caller that needs several of
-    them computes it once and passes it to _torsion_generators and
-    _stabilization_index.
+    It is saturated on the first read for each ring object and kept, so
+    depth_is_zero, gamma_module_generators and stabilization_index all
+    read one saturation per ring.
 
     >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^2)")
     >>> R.fmt_ideal(gamma_m(R))
     '(x)'
     """
-    return ring.defining.saturation(ring.maximal_ideal)
+    return ring._gamma
 
 
 def gamma_module_generators(ring: LocalRing) -> list[Monomial]:
     """Generators of the torsion module: saturation generators outside I."""
-    return _torsion_generators(ring, gamma_m(ring))
-
-
-def _torsion_generators(ring: LocalRing, sat: MonomialIdeal) -> list[Monomial]:
-    """The generators of sat = gamma_m(ring) outside I."""
     I = ring.defining
-    return [g for g in sat.gens if not I.contains(g)]
+    return [g for g in gamma_m(ring).gens if not I.contains(g)]
 
 
 def stabilization_index(ring: LocalRing) -> int:
-    """Least n >= 0 with (m^n + I) intersected with sat(I, m) inside I.
+    """Least n >= 0 with (m^n + I) intersected with Γ = gamma_m(ring) inside I.
 
     Zero exactly when the torsion submodule vanishes; finite always, since
     the torsion has finite length.
@@ -247,16 +246,12 @@ def stabilization_index(ring: LocalRing) -> int:
     >>> stabilization_index(LocalRing.from_text(("x", "y"), "(x^2, xy^3)"))
     4
     """
-    return _stabilization_index(ring, gamma_m(ring))
-
-
-def _stabilization_index(ring: LocalRing, sat: MonomialIdeal) -> int:
-    """stabilization_index(ring), given sat = gamma_m(ring)."""
     I = ring.defining
+    gamma = gamma_m(ring)
     m = ring.maximal_ideal
     power = MonomialIdeal.unit(ring.ambient)
     for n in range(STABILIZATION_CAP + 1):
-        if I.contains_ideal(power.intersect(sat)):
+        if I.contains_ideal(power.intersect(gamma)):
             return n
         power = power * m
     raise CapExceeded(f"stabilization index exceeded the cap {STABILIZATION_CAP}")

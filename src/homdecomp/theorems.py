@@ -24,6 +24,7 @@ from .monomials import (
     CapExceeded,
     Monomial,
     MonomialIdeal,
+    _checked,
     grlex_key,
     mono_mul,
     mono_pow,
@@ -33,12 +34,13 @@ from .monomials import (
 from .rings import (
     LocalRing,
     ParameterSystem,
-    _stabilization_index,
     colon_identity_check,
+    depth_is_zero,
     find_non_cm_power,
     gamma_m,
     is_cohen_macaulay,
     reduced_system,
+    stabilization_index,
     validate_sop,
 )
 
@@ -186,15 +188,13 @@ def verify_thm_dim1(ring: LocalRing, a: Monomial, c: Monomial | None = None) -> 
     positive lengths adding up to the Hom length, and that the engine
     finds the module decomposable.
     """
+    c = _one(ring) if c is None else _checked(c, ring.ambient)
     if ring.dimension() != 1:
         raise ValueError("needs a one-dimensional ring")
-    sat = gamma_m(ring)
-    if sat == ring.defining:
+    if not depth_is_zero(ring):
         raise ValueError("needs depth zero; the torsion part is trivial otherwise")
-    if c is None:
-        c = _one(ring)
     ps = validate_sop(ring, [a])
-    n = _stabilization_index(ring, sat)
+    n = stabilization_index(ring)
     b = mono_mul(c, mono_pow(a, n + 1))
     Q = build_hom(ps, [b])  # validates b: c must keep c*a^{n+1} a parameter
     instance = f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}"
@@ -227,14 +227,12 @@ def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremRep
     ((c a) + I)/B  ⊕  (Γ + B)/B and the first summand is killed by any
     element of Γ outside (a) + I, so the module cannot be free.
     """
+    c = _one(ring) if c is None else _checked(c, ring.ambient)
     if ring.dimension() != 1:
         raise ValueError("needs a one-dimensional ring")
-    sat = gamma_m(ring)
-    if sat == ring.defining:
+    if not depth_is_zero(ring):
         raise ValueError("needs depth zero; over a CM ring Hom stays free")
-    if c is None:
-        c = _one(ring)
-    n = _stabilization_index(ring, sat)
+    n = stabilization_index(ring)
     a0 = first_monomial_parameter(ring)
     a = mono_pow(a0, n)
     b = mono_mul(c, mono_pow(a, 2))
@@ -243,8 +241,8 @@ def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremRep
     ca = mono_mul(c, a)
     instance = f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}"
     checks: list = []
-    lengths = _check_split(checks, instance, Q, ca, sat, NONFREE_SPLIT_CHECKS)
-    torsion = [g for g in sat.gens if not ps.ideal.contains(g)]
+    lengths = _check_split(checks, instance, Q, ca, gamma_m(ring), NONFREE_SPLIT_CHECKS)
+    torsion = [g for g in gamma_m(ring).gens if not ps.ideal.contains(g)]
     _check(checks, instance, "Gamma has a generator outside (a) + I", bool(torsion))
     w = min(torsion, key=grlex_key)
     _check(checks, instance, "witness kills the cyclic summand",
@@ -289,10 +287,9 @@ def _reduction_chain(ps: ParameterSystem) -> tuple[dict, int]:
         i, s = find_non_cm_power(ps)
         steps[positions.pop(i - 1)] = s
         ps = reduced_system(ps, i, s)
-    sat = gamma_m(ps.ring)
-    if sat == ps.ring.defining:
+    if not depth_is_zero(ps.ring):
         raise VerificationError(f"induction reached a CM ring: {ps.ring!r}")
-    return steps, _stabilization_index(ps.ring, sat)
+    return steps, stabilization_index(ps.ring)
 
 
 def search_decomposable_powers(ps: ParameterSystem) -> TheoremReport:
@@ -713,8 +710,8 @@ def _accepted_ring(variables: tuple[str, ...], relations: str) -> LocalRing | No
     """The ring k[variables]/(relations) if a random corpus may hold it, else None.
 
     A corpus ring has dimension one, depth zero and stabilization index
-    at most 5.  Both of the last two are read off one saturation
-    Γ = gamma_m(ring).  Depth zero is Γ ≠ I, as depth_is_zero proves.
+    at most 5.  Both of the last two are read off the ring's one
+    saturation Γ = gamma_m(ring): depth zero is depth_is_zero, Γ ≠ I.
     The index is the least n with m^n ∩ Γ ⊆ I; as m^(n+1) ⊆ m^n, the
     condition holds for every n past the index, so the index is at most
     5 exactly when m^5 ∩ Γ ⊆ I.  That ideal is spanned by the monomials
@@ -726,12 +723,9 @@ def _accepted_ring(variables: tuple[str, ...], relations: str) -> LocalRing | No
     most 46 entries.
     """
     ring = LocalRing.from_text(variables, relations)
-    if ring.dimension() != 1:
+    if ring.dimension() != 1 or not depth_is_zero(ring):
         return None
-    sat = gamma_m(ring)
-    if sat == ring.defining:
-        return None
-    if all(sum(u) < 5 for u in monomials_between(sat, ring.defining)):
+    if all(sum(u) < 5 for u in monomials_between(gamma_m(ring), ring.defining)):
         return ring
     return None
 

@@ -249,6 +249,16 @@ def is_zero_element(ring: LocalRing, u) -> bool:
     return ring.defining.contains(u)
 
 
+def oracle_depth_is_zero(ring: LocalRing) -> bool:
+    """Depth zero by the socle route: (I : m) ≠ I, with no saturation.
+
+    Depth zero means m is associated to R = k[x]/I, that is a non-zero
+    socle (I : m)/I.  rings.depth_is_zero reads it off Γ_m(R) instead.
+    """
+    I = ring.defining
+    return I.colon(ring.maximal_ideal) != I
+
+
 def gamma_monomial_basis(ring: LocalRing):
     """All monomials in the saturation but not in I; a k-basis of the torsion.
 

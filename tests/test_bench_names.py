@@ -5,7 +5,9 @@ attribute name, so a rename inside the package would break
 `bench/run.py --trace 1`.  The tracer file is loaded by path; the lookup
 below is the one its Tracer.patch does.  A traced grid run then pins the
 grid counts the tracer reports: one row table per grid, read at the far
-corner, and no classify_point call, Hom or ideal per point.
+corner, and no classify_point call, Hom or ideal per point.  A traced
+analyze report pins the torsion and basis counts: one saturation and one
+index loop per report, and a basis listed only for a Hom that splits.
 """
 
 import importlib
@@ -40,11 +42,15 @@ def test_traced_name_resolves(name, module, path):
     assert callable(target)
 
 
-def test_traced_grid_builds_no_hom(monkeypatch):
+def import_package():
     # Tracer.install patches the homdecomp modules it finds in sys.modules
     package = importlib.import_module(tracing.PACKAGE)
     for info in pkgutil.iter_modules(package.__path__):
         importlib.import_module(f"{tracing.PACKAGE}.{info.name}")
+
+
+def test_traced_grid_builds_no_hom(monkeypatch):
+    import_package()
     rings = importlib.import_module(f"{tracing.PACKAGE}.rings")
     theorems = importlib.import_module(f"{tracing.PACKAGE}.theorems")
     ring = rings.LocalRing.from_text(("x", "y", "z"), "(x^2, xyz)")
@@ -73,3 +79,23 @@ def test_traced_grid_builds_no_hom(monkeypatch):
                  "monomials.ideal_init", "decomp.decide"):
         assert summary[f"{name}.calls"] == (0, "count"), name
     assert summary["monomials.saturation.colon_steps"] == (0, "count")
+
+
+# powers 3 split the Hom into two blocks; powers 2 leave it connected
+@pytest.mark.parametrize("powers, basis_calls", [(3, 1), (2, 0)])
+def test_traced_analyze_counts_the_torsion_and_basis_reads(powers, basis_calls):
+    import_package()
+    cli = importlib.import_module(f"{tracing.PACKAGE}.cli")
+    spec = cli.RingSpec(("x", "y"), ("x^2", "xy^3"), ("y^2",))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cli.analysis_report(spec, None, None, [powers])
+    finally:
+        tracer.uninstall()
+    summary = tracing.summarize(tracer)
+    assert summary["cli.analysis_report.calls"] == (1, "count")
+    assert summary["monomials.saturation.calls"] == (1, "count")
+    assert summary["rings.stabilization_index.calls"] == (1, "count")
+    assert summary["hom.build_hom.calls"] == (1, "count")
+    assert summary["hom.basis.calls"] == (basis_calls, "count")

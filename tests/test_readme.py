@@ -69,7 +69,9 @@ def test_ci_smoke_runs_the_installed_console_script():
      blocks_spec, blocks_run, blocks_diff,
      verify_run, verify_diff,
      cm_spec, cm_run, cm_diff,
-     connected_run, connected_diff) = (step["run"] for step in steps[-35:])
+     connected_run, connected_diff,
+     cm_stab_run, cm_stab_diff,
+     reduced_run, reduced_diff) = (step["run"] for step in steps[-39:])
     assert install == "pip install ."
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
@@ -166,6 +168,20 @@ def test_ci_smoke_runs_the_installed_console_script():
     assert test_golden_cli.load_case(case)["exit"] == 0
     hom = json.loads(test_golden_cli.load_case(case)["stdout"])["hom"]
     assert (hom["cyclic"], hom["decomposition"]["verdict"]) == (False, "indecomposable")
+    # stabilize where Γ_m(R) = I, on the CM ring's cm-x2.ring: index 0, no generators
+    assert cm_stab_run == "homdecomp stabilize cm-x2.ring > stabilize-cm.out"
+    case = "cm-x2-stabilize"
+    assert test_golden_cli.CASES[case] == ("cm-x2", ["stabilize"])
+    assert cm_stab_diff == f"diff stabilize-cm.out tests/golden/cli/{case}.out"
+    assert test_golden_cli.load_case(case)["exit"] == 0
+    report = json.loads(test_golden_cli.load_case(case)["stdout"])
+    assert (report["stabilization_index"], report["gamma_generators"]) == (0, [])
+    # 4.1 reads depth zero on the ring its reduction chain built, on x2-xy10z10.ring
+    assert reduced_run == "homdecomp verify x2-xy10z10.ring --theorem 4.1 > verify-4.1.out"
+    case = "x2-xy10z10-verify-4.1"
+    assert test_golden_cli.CASES[case] == ("x2-xy10z10", ["verify", "--theorem", "4.1"])
+    assert reduced_diff == f"diff verify-4.1.out tests/golden/cli/{case}.out"
+    assert test_golden_cli.load_case(case)["exit"] == 0
 
 
 def test_readme_and_verify_help_name_the_options_each_statement_reads(capsys, monkeypatch):

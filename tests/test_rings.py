@@ -14,6 +14,7 @@ from conftest import (
     is_regular_sequence,
     local_rings,
     monomial_ideals,
+    oracle_depth_is_zero,
     oracle_non_cm_power,
     oracle_saturation_member,
     oracle_stabilization_index,
@@ -52,6 +53,7 @@ def test_ring_construction():
     assert R.dimension() == 1
     assert R.maximal_ideal == parse_ideal("(x, y)", XY)
     assert R.maximal_ideal is R.maximal_ideal  # built once per ring
+    assert gamma_m(R) is gamma_m(R)  # saturated once per ring
     with pytest.raises(ValueError):
         ring("(1)")
     with pytest.raises(ValueError):
@@ -263,14 +265,14 @@ def test_depth_zero_iff_gamma_nonzero():
         if I.is_unit():
             continue
         R = LocalRing(XYZ[:n], I)
-        assert depth_is_zero(R) == (len(gamma_module_generators(R)) > 0)
+        assert oracle_depth_is_zero(R) == (len(gamma_module_generators(R)) > 0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(local_rings(1, 4))
 def test_depth_zero_iff_gamma_is_not_the_defining_ideal(R):
-    # the socle route of depth_is_zero against the Γ route the reports read
-    assert depth_is_zero(R) == (gamma_m(R) != R.defining)
+    # the socle route of the oracle against the Γ route depth_is_zero reads
+    assert oracle_depth_is_zero(R) == depth_is_zero(R) == (gamma_m(R) != R.defining)
 
 
 @settings(max_examples=150, deadline=None)

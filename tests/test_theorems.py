@@ -169,6 +169,40 @@ class TestNonfreeSplitting:
         assert "module is not free over the base" in rep.checks
 
 
+# c reaches b only through mono_mul, which checks nothing: a negative
+# exponent would cancel into b while c prints as 1, and zip cuts a short c
+@pytest.mark.parametrize("c, message", [
+    ((0, -1), "non-negative integers"),
+    ((-1, 0), "non-negative integers"),
+    ((0,), "does not have 2 exponents"),
+])
+def test_statements_check_c_where_it_enters(c, message):
+    R = power_family_ring(3)
+    with pytest.raises(ValueError, match=message):
+        verify_thm_dim1(R, (0, 1), c)
+    with pytest.raises(ValueError, match=message):
+        verify_thm_nonfree(R, c)
+
+
+def test_reports_share_one_saturation_per_ring(monkeypatch):
+    saturation = MonomialIdeal.saturation
+    calls = []
+
+    def counted(self, J):
+        calls.append(self)
+        return saturation(self, J)
+
+    monkeypatch.setattr(MonomialIdeal, "saturation", counted)
+    R = power_family_ring(3)
+    y = R.parse_monomial("y")
+    assert verify_thm_dim1(R, y).parameters["n"] == 4
+    assert verify_thm_dim1(R, y, y).parameters["b"] == "y^6"
+    assert verify_thm_nonfree(R).parameters["witness"] == "x"
+    assert rings.gamma_module_generators(R) == [R.parse_monomial("x")]
+    assert depth_is_zero(R) and stabilization_index(R) == 4
+    assert calls == [R.defining]
+
+
 class TestPowerSearches:
     def test_three_variable_decomposable_exponents(self):
         ps = sop(THREE_VARS, "y", "z")
@@ -684,11 +718,11 @@ class TestCorpora:
             calls.append(self)
             return saturation(self, J)
 
-        def no_loop(ring, sat):
+        def no_loop(ring):
             raise AssertionError("the acceptance test ran the index loop")
 
         monkeypatch.setattr(MonomialIdeal, "saturation", counted)
-        monkeypatch.setattr(rings, "_stabilization_index", no_loop)
+        monkeypatch.setattr(theorems, "stabilization_index", no_loop)
         theorems._accepted_ring.cache_clear()
         dim1_corpus(extra=240, seed=1)
         # seed 1 draws all 46 texts, and each is tested once
