@@ -15,7 +15,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decomp import decide
 from .hom import build_hom
@@ -82,8 +82,7 @@ class RingSpecError(ValueError):
     """Malformed ring-spec text; the message carries the line number."""
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(NamedTuple):
     """Parsed ring-spec file: the ring plus an optional sop and seed.
 
     seed feeds verify's randomized 2.5 check.

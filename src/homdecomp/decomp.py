@@ -19,8 +19,7 @@ here by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .hom import HomSubquotient
 
@@ -32,8 +31,7 @@ CONNECTED_CERTIFICATE = (
     "graded-indecomposable, hence indecomposable (Gordon-Green)")
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Verdict on one module.
 
     A decomposable verdict carries its witness (a partition of the basis

@@ -17,7 +17,6 @@ pass's counts alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 from typing import TYPE_CHECKING, NamedTuple
@@ -83,7 +82,6 @@ class RowScan(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
 class HomSubquotient:
     """Hom_R(R/𝔞, R/𝔟R) presented as C/B with its Artinian base ring.
 
@@ -99,26 +97,42 @@ class HomSubquotient:
     fails.  The basis, the intervals' cells sorted into graded-lex order,
     and numerator are built on first request and then kept; length,
     generator count, cyclicity, freeness and decide's summand count never
-    build them.  numerator is no dataclass field, so repr, == and hash do
-    not read it; C is determined by B and 𝔞, which they compare.
+    build them.  A module is immutable, and ==, hash and repr read ring,
+    a_ideal, b_ideal, denominator and base alone: not rows, the cached
+    basis or numerator, as C is determined by B and 𝔞, which they compare.
     """
 
-    ring: LocalRing
-    a_ideal: MonomialIdeal
-    b_ideal: MonomialIdeal
-    denominator: MonomialIdeal
-    base: LocalRing
-    rows: RowScan = field(repr=False, compare=False)
-    _generators: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
-    _length: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        B, spans = self.denominator, self.rows.spans
-        gens = tuple(p + (spans[p][0],) for p in self.rows.heads)
-        if not all(B.contains(mono_mul(g, h)) for g in gens for h in self.a_ideal.gens):
+    def __init__(self, ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal,
+                 denominator: MonomialIdeal, base: LocalRing, rows: RowScan):
+        spans = rows.spans
+        gens = tuple(p + (spans[p][0],) for p in rows.heads)
+        if not all(denominator.contains(mono_mul(g, h)) for g in gens for h in a_ideal.gens):
             raise AssertionError("the numerator times a is not inside the denominator")
-        object.__setattr__(self, "_generators", gens)
-        object.__setattr__(self, "_length", sum(hi - lo for lo, hi, _ in spans.values()))
+        self.__dict__.update(ring=ring, a_ideal=a_ideal, b_ideal=b_ideal, denominator=denominator,
+                             base=base, rows=rows, _generators=gens,
+                             _length=sum(hi - lo for lo, hi, _ in spans.values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HomSubquotient is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("HomSubquotient is immutable")
+
+    def _key(self) -> tuple:
+        return self.ring, self.a_ideal, self.b_ideal, self.denominator, self.base
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"HomSubquotient(ring={self.ring!r}, a_ideal={self.a_ideal!r}, "
+                f"b_ideal={self.b_ideal!r}, denominator={self.denominator!r}, "
+                f"base={self.base!r})")
 
     @cached_property
     def numerator(self) -> MonomialIdeal:

@@ -88,7 +88,7 @@ def _checked(u, ambient: int) -> Monomial:
     u = tuple(u)
     if len(u) != ambient:
         raise ValueError(f"monomial {u} does not have {ambient} exponents")
-    if not all(isinstance(e, int) and e >= 0 for e in u):
+    if not all(type(e) is int and e >= 0 for e in u):  # so a bool is no exponent
         raise ValueError(f"exponents must be non-negative integers, got {u}")
     return u
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .decomp import DecompositionReport
 from .gfp import Echelon, PrimeFieldMatrix, next_prime, poly_eval
 from .hom import UnionFind
 from .monomials import Monomial
@@ -54,14 +53,28 @@ class FinitePresentation:
 
 
 @dataclass(frozen=True)
-class AlgebraReport(DecompositionReport):
-    """The algebra oracle's verdict, computed over F_prime."""
+class AlgebraReport:
+    """The algebra oracle's verdict, computed over F_prime.
 
+    Its first six fields are decomp.DecompositionReport's, so the tests
+    read either verdict the same way.
+    """
+
+    verdict: str
+    method: str
+    module_dim: int
+    summand_count: int | None = None
+    partition: tuple[tuple[int, ...], ...] | None = None
+    certificate: str | None = None
     prime: int = 0
     commutant_dim: int = 0
     idempotent: PrimeFieldMatrix | None = None
     note: str | None = None
     primes_checked: tuple[int, ...] = ()
+
+    @property
+    def decomposable(self) -> bool:
+        return self.verdict == "decomposable"
 
 
 def connected_components(pres: FinitePresentation) -> tuple[tuple[int, ...], ...]:

@@ -9,13 +9,13 @@ ideal J alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .monomials import (
     CapExceeded,
     Monomial,
     MonomialIdeal,
+    _checked,
     _ideal,
     format_ideal,
     format_monomial,
@@ -28,25 +28,40 @@ from .monomials import (
 STABILIZATION_CAP = 64
 
 
-@dataclass(frozen=True)
 class LocalRing:
     """k[variables]/defining, viewed as a graded-local ring.
 
     The defining ideal must be proper; the zero ideal (a polynomial ring)
-    is allowed.  𝔪, the length of an Artinian ring and the torsion
-    Γ_m(R) are each computed on their first read and kept.
+    is allowed.  variables is stored as a tuple.  A ring is immutable:
+    ==, hash and repr read variables and defining alone.  𝔪, the length
+    of an Artinian ring and the torsion Γ_m(R) are each computed on their
+    first read and kept in the instance dictionary, which == and hash do
+    not read.
     """
 
-    variables: tuple[str, ...]
-    defining: MonomialIdeal
-
-    def __post_init__(self):
-        if len(self.variables) != self.defining.ambient:
+    def __init__(self, variables: tuple[str, ...], defining: MonomialIdeal):
+        variables = tuple(variables)
+        if len(variables) != defining.ambient:
             raise ValueError("variable count does not match the ambient ideal")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
-        if self.defining.is_unit():
+        if defining.is_unit():
             raise ValueError("defining ideal is the unit ideal; the ring is zero")
+        self.__dict__.update(variables=variables, defining=defining)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LocalRing is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("LocalRing is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.variables, self.defining) == (other.variables, other.defining)
+
+    def __hash__(self) -> int:
+        return hash((self.variables, self.defining))
 
     @classmethod
     def from_text(cls, variables: tuple[str, ...], relations: str) -> "LocalRing":
@@ -100,7 +115,6 @@ class LocalRing:
         return f"k[{', '.join(self.variables)}]/{self.fmt_ideal(self.defining)}"
 
 
-@dataclass(frozen=True)
 class ParameterSystem:
     """A validated system of parameters for a LocalRing.
 
@@ -108,21 +122,35 @@ class ParameterSystem:
     shared by every Hom module built over them: ``a_ideal`` is the
     parameter ideal (a1..ad), ``ideal`` is (a1..ad) + I, and ``base`` is
     the Artinian base ring S = R/(I + a) the Hom modules live over, so
-    S's length is counted once.
+    S's length is counted once.  params is stored as a tuple of checked
+    monomials, tuples of non-negative ints.  A system is immutable: ==,
+    hash and repr read ring, params and ideal, and not a_ideal, base or
+    the cached variables, which those determine.
     """
 
-    ring: LocalRing
-    params: tuple[Monomial, ...]
-    a_ideal: MonomialIdeal = field(init=False, repr=False, compare=False)
-    ideal: MonomialIdeal = field(init=False)
-    base: LocalRing = field(init=False, repr=False, compare=False)
+    def __init__(self, ring: LocalRing, params: tuple[Monomial, ...]):
+        params = tuple(_checked(u, ring.ambient) for u in params)
+        a_ideal = _ideal(ring.ambient, params)
+        ideal = ring.defining + a_ideal
+        self.__dict__.update(ring=ring, params=params, a_ideal=a_ideal, ideal=ideal,
+                             base=LocalRing(ring.variables, ideal))
 
-    def __post_init__(self):
-        a_ideal = MonomialIdeal(self.ring.ambient, self.params)
-        ideal = self.ring.defining + a_ideal
-        object.__setattr__(self, "a_ideal", a_ideal)
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "base", LocalRing(self.ring.variables, ideal))
+    def __setattr__(self, name, value):
+        raise AttributeError("ParameterSystem is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ParameterSystem is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.params, self.ideal) == (other.ring, other.params, other.ideal)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.params, self.ideal))
+
+    def __repr__(self) -> str:
+        return f"ParameterSystem(ring={self.ring!r}, params={self.params!r}, ideal={self.ideal!r})"
 
     @cached_property
     def variables(self) -> tuple[int, ...]:
@@ -171,7 +199,7 @@ def validate_sop(ring: LocalRing, params: list[Monomial]) -> ParameterSystem:
         if not any(u):
             raise ValueError(f"parameter {k} is the unit 1; parameters must lie in "
                              "the maximal ideal")
-    ps = ParameterSystem(ring, tuple(params))
+    ps = ParameterSystem(ring, params)
     if not ps.ideal.is_finite_colength():
         raise ValueError("parameters do not cut the ring down to finite length")
     return ps

@@ -15,8 +15,8 @@ import functools
 import itertools
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .decomp import DecompositionReport, decide
 from .hom import HomSubquotient, build_hom, hom_from_ideals, parameter_box, row_intervals
@@ -52,8 +52,7 @@ class VerificationError(RuntimeError):
     """A check failed on an instance satisfying the hypotheses."""
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Outcome of one verified instance.
 
     checks lists every predicate that was tested, in order; a report is
@@ -621,8 +620,7 @@ class BoxMap(Mapping):
         return f"BoxMap(tmax={self.tmax}, dim={self.dim})"
 
 
-@dataclass(frozen=True, slots=True)
-class GridClassification:
+class GridClassification(NamedTuple):
     """Point classes over the full exponent box [1, tmax]^d.
 
     codes holds one byte per point in itertools.product order, the index

@@ -436,11 +436,10 @@ def test_components_route_matches_algebra_oracle(Q):
 
 
 def fresh_modules(code: str) -> list[str]:
-    """The homdecomp modules loaded after code runs in a new interpreter."""
+    """The modules loaded after code runs in a new interpreter."""
     src = str(Path(decomp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    script = code + ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
-                     "if m.split('.')[0] == 'homdecomp')))")
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out)
@@ -451,6 +450,10 @@ def test_runtime_imports_leave_the_oracle_out():
     assert "homdecomp.cli" in loaded
     assert "homdecomp.oracle" not in loaded
     assert "homdecomp.gfp" not in loaded
+    # no record is a dataclass: importing dataclasses pulls in inspect, ast,
+    # dis and tokenize, and each frozen dataclass execs its generated methods
+    added = set(loaded) - set(fresh_modules(""))
+    assert not {"dataclasses", "inspect"} & added
 
 
 def test_decomp_forwards_to_the_oracle_only_when_called():

@@ -78,7 +78,8 @@ def test_construction_validates():
         I.gens = ()
 
 
-BAD_MONOMIALS = [(1,), (1, 0, 0), (), (1, -1), (-2, 0), (1.0, 0), (0, 0.5), ("a", 1), (None, 0)]
+BAD_MONOMIALS = [(1,), (1, 0, 0), (), (1, -1), (-2, 0), (1.0, 0), (0, 0.5), ("a", 1), (None, 0),
+                 (True, 0)]
 
 
 @pytest.mark.parametrize("u", BAD_MONOMIALS, ids=repr)

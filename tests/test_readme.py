@@ -2,7 +2,11 @@
 
 import doctest
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,7 +64,8 @@ def test_ci_smoke_runs_every_benchmark_workload():
 def test_ci_smoke_runs_the_installed_console_script():
     workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
     steps = workflow["jobs"]["install-smoke"]["steps"]
-    (install, spec, run, diff, analyze_run, analyze_diff, stab_spec, stab_run, stab_diff,
+    (install, no_dataclasses,
+     spec, run, diff, analyze_run, analyze_diff, stab_spec, stab_run, stab_diff,
      cap_spec, cap_run, cap_stdout, cap_stderr,
      power_spec, power_run, power_diff,
      grid4_spec, grid4_run, grid4_diff,
@@ -71,8 +76,16 @@ def test_ci_smoke_runs_the_installed_console_script():
      cm_spec, cm_run, cm_diff,
      connected_run, connected_diff,
      cm_stab_run, cm_stab_diff,
-     reduced_run, reduced_diff) = (step["run"] for step in steps[-39:])
+     reduced_run, reduced_diff) = (step["run"] for step in steps[-40:])
     assert install == "pip install ."
+    # the installed package, with bytecode caching as users run it, imports no
+    # dataclasses; tests/test_decomp.py checks the same from src/
+    python, flag, script = shlex.split(no_dataclasses)
+    assert (python, flag) == ("python3", "-c")
+    assert "before = set(sys.modules); import homdecomp.cli;" in script
+    assert 'added = {"dataclasses", "inspect"} & (set(sys.modules) - before)' in script
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": str(README.parent / "src")})
     text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
     assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
     assert run == "homdecomp grid x2-xy3.ring --max 6 > grid.out"

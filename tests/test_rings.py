@@ -23,9 +23,11 @@ from conftest import (
     torsion_ideals,
 )
 from homdecomp import monomials, theorems
+from homdecomp.hom import HomSubquotient, build_hom
 from homdecomp.monomials import CapExceeded, MonomialIdeal, grlex_key, parse_ideal
 from homdecomp.rings import (
     LocalRing,
+    ParameterSystem,
     colon_identity_check,
     depth_is_zero,
     find_non_cm_power,
@@ -76,6 +78,73 @@ def test_validate_sop():
         (0, 1, 0),
         (0, 0, 1),
     )
+
+
+def x2_xy3():
+    return ring("(x^2, xy^3)")
+
+
+def y2_system():
+    R = x2_xy3()
+    return validate_sop(R, [R.parse_monomial("y^2")])
+
+
+# per class: a builder of equal objects, a builder of an unequal one, the
+# attributes == and hash must not read, and the repr text, which reaches
+# benchmark labels and error messages
+VALUE_CLASSES = {
+    LocalRing: (x2_xy3, lambda: ring("(x^2, xy^4)"), ("maximal_ideal", "_length", "_gamma"),
+                "k[x, y]/(x^2, xy^3)"),
+    ParameterSystem: (y2_system, lambda: validate_sop(x2_xy3(), [(0, 3)]),
+                      ("a_ideal", "base", "variables"),
+                      "ParameterSystem(ring=k[x, y]/(x^2, xy^3), params=((0, 2),), "
+                      "ideal=MonomialIdeal(2, [(2, 0), (0, 2)]))"),
+    HomSubquotient: (lambda: build_hom(y2_system(), [3]), lambda: build_hom(y2_system(), [2]),
+                     ("rows", "_generators", "_length", "numerator", "_basis"),
+                     "HomSubquotient(ring=k[x, y]/(x^2, xy^3), a_ideal=MonomialIdeal(2, [(0, 2)]), "
+                     "b_ideal=MonomialIdeal(2, [(0, 6)]), "
+                     "denominator=MonomialIdeal(2, [(2, 0), (1, 3), (0, 6)]), "
+                     "base=k[x, y]/(x^2, y^2))"),
+}
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_rings_systems_and_modules_are_values(cls):
+    build, build_other, unread, text = VALUE_CLASSES[cls]
+    x, y = build(), build()
+    assert type(x) is cls and x is not y
+    assert x == y and hash(x) == hash(y)
+    assert x != build_other()
+    for name in ("ring", "variables", "params", "ideal", "rows", "maximal_ideal", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    for name in unread:
+        vars(y)[name] = None
+    assert x == y and hash(x) == hash(y)
+    assert repr(x) == text
+
+
+def test_values_given_as_lists_are_stored_as_int_tuples():
+    R = x2_xy3()
+    ps = validate_sop(R, [[0, 2]])
+    assert ps.params == ((0, 2),) and type(ps.params[0]) is tuple
+    assert hash(ps) == hash(y2_system())
+    L = LocalRing(["x", "y"], R.defining)
+    assert L.variables == XY and type(L.variables) is tuple
+    assert L == R and hash(L) == hash(R)
+    assert hash(ParameterSystem(L, [[0, 2]])) == hash(ps)
+
+
+@pytest.mark.parametrize("call", [
+    lambda R: validate_sop(R, [(0, True)]),
+    lambda R: ParameterSystem(R, [(0, True)]),
+    lambda R: build_hom(validate_sop(R, [(0, 1)]), [(0, True)]),
+], ids=["validate_sop", "ParameterSystem", "build_hom"])
+def test_bool_exponents_are_refused(call):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        call(ring("(x^2, xy^2)"))
 
 
 def test_length_is_counted_once_and_keeps_its_cap(monkeypatch):

@@ -565,15 +565,15 @@ def test_grid_over_the_cap_raises_the_far_corners_error(monkeypatch):
 def test_grid_builds_no_hom(monkeypatch):
     # one box and one row table per grid, at the far corner, sliced per point
     homs, tables, points, boxes = [], [], [], []
-    original_post_init = HomSubquotient.__post_init__
+    original_init = HomSubquotient.__init__
 
     def counting_build(*args):
         homs.append(args[1])
         return build_hom(*args)
 
-    def counting_post_init(self):
+    def counting_init(self, *args):
         homs.append(self)
-        original_post_init(self)
+        original_init(self, *args)
 
     def counting_table(L, bounds):
         tables.append(list(bounds))
@@ -589,7 +589,7 @@ def test_grid_builds_no_hom(monkeypatch):
 
     monkeypatch.setattr(theorems, "build_hom", counting_build)
     monkeypatch.setattr(hom, "build_hom", counting_build)
-    monkeypatch.setattr(HomSubquotient, "__post_init__", counting_post_init)
+    monkeypatch.setattr(HomSubquotient, "__init__", counting_init)
     monkeypatch.setattr(theorems, "row_thresholds", counting_table)
     monkeypatch.setattr(hom, "row_thresholds", counting_table)
     monkeypatch.setattr(theorems, "classify_point", counting_point)
