@@ -22,7 +22,7 @@ from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from .monomials import Monomial, MonomialIdeal, _ideal, grlex_key, mono_mul, row_thresholds
-from .rings import LocalRing, ParameterSystem, validate_sop
+from .rings import LocalRing, ParameterSystem, _Value, validate_sop
 
 if TYPE_CHECKING:
     from .oracle import FinitePresentation
@@ -82,7 +82,7 @@ class RowScan(NamedTuple):
     count: int
 
 
-class HomSubquotient:
+class HomSubquotient(_Value):
     """Hom_R(R/𝔞, R/𝔟R) presented as C/B with its Artinian base ring.
 
     denominator is B = I + 𝔟, numerator is C = (B : 𝔞), and base is
@@ -112,22 +112,8 @@ class HomSubquotient:
                              base=base, rows=rows, _generators=gens,
                              _length=sum(hi - lo for lo, hi, _ in spans.values()))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HomSubquotient is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("HomSubquotient is immutable")
-
     def _key(self) -> tuple:
         return self.ring, self.a_ideal, self.b_ideal, self.denominator, self.base
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return (f"HomSubquotient(ring={self.ring!r}, a_ideal={self.a_ideal!r}, "

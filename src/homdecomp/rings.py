@@ -28,7 +28,30 @@ from .monomials import (
 STABILIZATION_CAP = 64
 
 
-class LocalRing:
+class _Value:
+    """Base of the immutable classes: == and hash compare _key().
+
+    Each subclass sets its attributes once, through the instance
+    dictionary, in its own __init__, and defines _key and __repr__;
+    cached_property caches land in the same dictionary.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class LocalRing(_Value):
     """k[variables]/defining, viewed as a graded-local ring.
 
     The defining ideal must be proper; the zero ideal (a polynomial ring)
@@ -49,19 +72,8 @@ class LocalRing:
             raise ValueError("defining ideal is the unit ideal; the ring is zero")
         self.__dict__.update(variables=variables, defining=defining)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalRing is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("LocalRing is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.variables, self.defining) == (other.variables, other.defining)
-
-    def __hash__(self) -> int:
-        return hash((self.variables, self.defining))
+    def _key(self) -> tuple:
+        return self.variables, self.defining
 
     @classmethod
     def from_text(cls, variables: tuple[str, ...], relations: str) -> "LocalRing":
@@ -115,7 +127,7 @@ class LocalRing:
         return f"k[{', '.join(self.variables)}]/{self.fmt_ideal(self.defining)}"
 
 
-class ParameterSystem:
+class ParameterSystem(_Value):
     """A validated system of parameters for a LocalRing.
 
     Everything that depends on the parameters alone is built once and
@@ -135,19 +147,8 @@ class ParameterSystem:
         self.__dict__.update(ring=ring, params=params, a_ideal=a_ideal, ideal=ideal,
                              base=LocalRing(ring.variables, ideal))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ParameterSystem is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ParameterSystem is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.params, self.ideal) == (other.ring, other.params, other.ideal)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.params, self.ideal))
+    def _key(self) -> tuple:
+        return self.ring, self.params, self.ideal
 
     def __repr__(self) -> str:
         return f"ParameterSystem(ring={self.ring!r}, params={self.params!r}, ideal={self.ideal!r})"

@@ -14,7 +14,9 @@ the Hom basis, so the files pin that order too.
 
     PYTHONPATH=src python tests/test_golden_cli.py DIR
 
-writes the current code's output for every case into DIR.
+writes the current code's output for every case into DIR.  CI's install-smoke
+job runs it without PYTHONPATH, against the installed package, and
+`diff -r`s DIR with tests/golden/cli.
 """
 
 import contextlib

@@ -9,7 +9,9 @@ acceptance test shows here first.
 
     PYTHONPATH=src python tests/test_golden_corpus.py DIR
 
-writes the current code's corpus for every case into DIR.
+writes the current code's corpus for every case into DIR.  CI's install-smoke
+job runs it without PYTHONPATH, against the installed package, and
+`diff -r`s DIR with tests/golden/corpus.
 """
 
 import sys

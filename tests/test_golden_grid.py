@@ -9,7 +9,9 @@ point's basis cells; a faster route must reproduce them exactly.
 
     PYTHONPATH=src python tests/test_golden_grid.py DIR
 
-writes the current code's output for every case into DIR.
+writes the current code's output for every case into DIR.  CI's install-smoke
+job runs it without PYTHONPATH, against the installed package, and
+`diff -r`s DIR with tests/golden/grid.
 """
 
 import contextlib

@@ -1,10 +1,10 @@
 """The README's library quick tour, run as a doctest, and the CI's test and smoke lines."""
 
 import doctest
-import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +14,10 @@ import yaml
 
 import test_golden_cli
 from homdecomp import cli
-from test_golden_grid import GOLDEN, SPECS
+from test_golden_grid import SPECS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tier1.yml"
 
 
 def test_quick_tour_runs():
@@ -27,7 +28,7 @@ def test_quick_tour_runs():
 
 def test_ci_runs_the_roadmap_tier1_line():
     root = README.parent
-    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    workflow = yaml.safe_load(WORKFLOW.read_text())
     job = workflow["jobs"]["tests"]
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", (root / "ROADMAP.md").read_text())
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12"]
@@ -39,7 +40,7 @@ def test_ci_runs_the_roadmap_tier1_line():
 
 def test_every_ci_job_has_a_timeout():
     # without one a hung job holds its runner for GitHub's 6-hour default
-    workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
+    workflow = yaml.safe_load(WORKFLOW.read_text())
     assert sorted(workflow["jobs"]) == ["bench-smoke", "install-smoke", "tests"]
     for name, job in workflow["jobs"].items():
         minutes = job.get("timeout-minutes")
@@ -47,7 +48,7 @@ def test_every_ci_job_has_a_timeout():
 
 
 def test_ci_smoke_runs_every_benchmark_workload():
-    workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
+    workflow = yaml.safe_load(WORKFLOW.read_text())
     job = workflow["jobs"]["bench-smoke"]
     assert job["strategy"]["matrix"]["workload"] == ["grid", "analyze", "verify"]
     traced_run, traced_check, run, check = (step["run"] for step in job["steps"][-4:])
@@ -61,140 +62,70 @@ def test_ci_smoke_runs_every_benchmark_workload():
     assert '["correct"] is not True' in check
 
 
+def install_smoke_runs() -> list:
+    job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["install-smoke"]
+    # the installed package alone: no source path and no editable install
+    assert "PYTHONPATH" not in str(job)
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert runs[0] == "pip install '.[test]'"
+    assert not any(re.search(r"pip install .*(-e\b|--editable)", run) for run in runs)
+    return runs
+
+
 def test_ci_smoke_runs_the_installed_console_script():
-    workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tier1.yml").read_text())
-    steps = workflow["jobs"]["install-smoke"]["steps"]
-    (install, no_dataclasses,
-     spec, run, diff, analyze_run, analyze_diff, stab_spec, stab_run, stab_diff,
-     cap_spec, cap_run, cap_stdout, cap_stderr,
-     power_spec, power_run, power_diff,
-     grid4_spec, grid4_run, grid4_diff,
-     grid3_spec, grid3_run, grid3_diff,
-     rows_spec, rows_run, rows_diff,
-     blocks_spec, blocks_run, blocks_diff,
-     verify_run, verify_diff,
-     cm_spec, cm_run, cm_diff,
-     connected_run, connected_diff,
-     cm_stab_run, cm_stab_diff,
-     reduced_run, reduced_diff) = (step["run"] for step in steps[-40:])
-    assert install == "pip install ."
+    runs = install_smoke_runs()
     # the installed package, with bytecode caching as users run it, imports no
     # dataclasses; tests/test_decomp.py checks the same from src/
+    no_dataclasses, = (run for run in runs if "import homdecomp.cli;" in run)
     python, flag, script = shlex.split(no_dataclasses)
     assert (python, flag) == ("python3", "-c")
-    assert "before = set(sys.modules); import homdecomp.cli;" in script
     assert 'added = {"dataclasses", "inspect"} & (set(sys.modules) - before)' in script
     subprocess.run([sys.executable, "-c", script], check=True,
                    env={**os.environ, "PYTHONPATH": str(README.parent / "src")})
-    text = re.fullmatch(r"printf '([^']*)' > x2-xy3\.ring", spec).group(1)
-    assert text.replace("\\n", "\n") == SPECS["x2-xy3"]
-    assert run == "homdecomp grid x2-xy3.ring --max 6 > grid.out"
-    case = "x2-xy3-max6-ascii"
-    assert diff == f"diff grid.out tests/golden/grid/{case}.out"
-    manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}
-    # the one report that prints cyclic and free_over_base side by side
-    assert analyze_run == "homdecomp analyze x2-xy3.ring --powers 3 > analyze.out"
-    case = "x2-xy3-analyze-powers"
-    assert test_golden_cli.CASES[case] == ("x2-xy3", ["analyze", "--powers", "3"])
-    assert analyze_diff == f"diff analyze.out tests/golden/cli/{case}.out"
-    assert test_golden_cli.load_case(case)["exit"] == 0
-    # stabilize on the last ring of (x^2, xy^m) under the stabilization cap
-    text = re.fullmatch(r"printf '([^']*)' > x2-xy63\.ring", stab_spec).group(1)
-    assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["x2-xy63"]
-    assert stab_run == "homdecomp stabilize x2-xy63.ring > stabilize.out"
-    case = "x2-xy63-stabilize"
-    assert stab_diff == f"diff stabilize.out tests/golden/cli/{case}.out"
-    assert test_golden_cli.load_case(case)["exit"] == 0
-    # the first ring of the family past the cap: exit 2, no stdout, the cap named on stderr
-    text = re.fullmatch(r"printf '([^']*)' > x2-xy64\.ring", cap_spec).group(1)
-    assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["x2-xy64"]
-    assert cap_run == ("code=0; homdecomp stabilize x2-xy64.ring > stabilize-cap.out "
-                       "2> stabilize-cap.err || code=$?; test \"$code\" -eq 2")
-    assert cap_stdout == "test ! -s stabilize-cap.out"
+    # every spec the console script reads is a golden spec, every file it diffs a golden file
+    for run in runs:
+        if spec := re.fullmatch(r"printf '([^']*)' > (\S+)\.ring", run):
+            assert spec[1].replace("\\n", "\n") == (test_golden_cli.ALL_SPECS | SPECS)[spec[2]]
+        if diff := re.fullmatch(r"diff \S+ (tests/golden/\S+)", run):
+            assert (README.parent / diff[1]).is_file()
+    # exit 0 on a grid; exit 2, no stdout and the cap on stderr past the stabilization cap
+    grid = ["printf 'ring x y\\nrelations x^2 xy^3\\nsop y^2\\n' > x2-xy3.ring",
+            "homdecomp grid x2-xy3.ring --max 6 > grid.out",
+            "diff grid.out tests/golden/grid/x2-xy3-max6-ascii.out"]
     case = "x2-xy64-stabilize"
-    assert cap_stderr == ("python3 -c 'import json, sys; sys.exit(open(\"stabilize-cap.err\").read()"
-                          " != json.load(open(\"tests/golden/cli/manifest.json\"))"
-                          f"[\"{case}\"][\"stderr\"])'")
+    cap = ["printf 'ring x y\\nrelations x^2 xy^64\\nsop y\\n' > x2-xy64.ring",
+           "code=0; homdecomp stabilize x2-xy64.ring > stabilize-cap.out "
+           "2> stabilize-cap.err || code=$?; test \"$code\" -eq 2",
+           "test ! -s stabilize-cap.out",
+           "python3 -c 'import json, sys; sys.exit(open(\"stabilize-cap.err\").read()"
+           " != json.load(open(\"tests/golden/cli/manifest.json\"))"
+           f"[\"{case}\"][\"stderr\"])'"]
+    for steps in (grid, cap):
+        at = [runs.index(run) for run in steps]
+        assert at == sorted(at)
     assert test_golden_cli.load_case(case) == {
         "exit": 2, "stdout": "",
         "stderr": "error: stabilization index exceeded the cap 64\n"}
-    # 2.7 on (x^2, xy^10z^10), whose first non-CM parameter power is y^11
-    text = re.fullmatch(r"printf '([^']*)' > x2-xy10z10\.ring", power_spec).group(1)
-    assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["x2-xy10z10"]
-    assert power_run == "homdecomp verify x2-xy10z10.ring --theorem 2.7 > non-cm-power.out"
-    case = "x2-xy10z10-verify-2.7"
-    assert power_diff == f"diff non-cm-power.out tests/golden/cli/{case}.out"
-    assert test_golden_cli.load_case(case)["exit"] == 0
-    # a 4-variable grid, whose boxes have many rows of the last variable
-    text = re.fullmatch(r"printf '([^']*)' > x2-xyzw\.ring", grid4_spec).group(1)
-    assert text.replace("\\n", "\n") == SPECS["x2-xyzw"]
-    assert grid4_run == "homdecomp grid x2-xyzw.ring --max 3 --format json > grid4.out"
-    case = "x2-xyzw-max3-json"
-    assert grid4_diff == f"diff grid4.out tests/golden/grid/{case}.out"
-    assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}
-    # a grid whose parameter y sits among the row variables, so each point's rows move
-    text = re.fullmatch(r"printf '([^']*)' > x2-xyz\.ring", grid3_spec).group(1)
-    assert text.replace("\\n", "\n") == SPECS["x2-xyz"]
-    assert grid3_run == "homdecomp grid x2-xyz.ring --max 6 --format json > grid3.out"
-    case = "x2-xyz-max6-json"
-    assert grid3_diff == f"diff grid3.out tests/golden/grid/{case}.out"
-    assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}
-    # a grid whose boxes hold 4 rows of y each, with all three classes along t1
-    text = re.fullmatch(r"printf '([^']*)' > x4-x3y3-x2y7\.ring", rows_spec).group(1)
-    assert text.replace("\\n", "\n") == SPECS["x4-x3y3-x2y7"]
-    assert rows_run == "homdecomp grid x4-x3y3-x2y7.ring --max 8 --format json > grid-rows.out"
-    case = "x4-x3y3-x2y7-max8-json"
-    assert rows_diff == f"diff grid-rows.out tests/golden/grid/{case}.out"
-    assert manifest[case] == {"exit": 0, "stderr": "", "svg": False}
-    # the one golden report whose blocks interleave in graded-lex order
-    text = re.fullmatch(r"printf '([^']*)' > x2-xyz-y3\.ring", blocks_spec).group(1)
-    assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["x2-xyz-y3"]
-    assert blocks_run == "homdecomp analyze x2-xyz-y3.ring --powers 2 > analyze-blocks.out"
-    case = "x2-xyz-y3-analyze-powers"
-    assert test_golden_cli.CASES[case] == ("x2-xyz-y3", ["analyze", "--powers", "2"])
-    assert blocks_diff == f"diff analyze-blocks.out tests/golden/cli/{case}.out"
-    assert test_golden_cli.load_case(case)["exit"] == 0
-    report = json.loads(test_golden_cli.load_case(case)["stdout"])
-    assert report["hom"]["decomposition"]["partition"] == [[0, 2, 3, 5], [1, 4]]
-    # a statement run through cli.STATEMENTS, on the first step's x2-xy3.ring
-    assert verify_run == "homdecomp verify x2-xy3.ring --theorem 3.3 > verify.out"
-    case = "x2-xy3-verify-3.3"
-    assert test_golden_cli.CASES[case] == ("x2-xy3", ["verify", "--theorem", "3.3"])
-    assert verify_diff == f"diff verify.out tests/golden/cli/{case}.out"
-    assert test_golden_cli.load_case(case)["exit"] == 0
-    # a CM ring: depth zero false, read off an empty Γ_m(R)
-    text = re.fullmatch(r"printf '([^']*)' > cm-x2\.ring", cm_spec).group(1)
-    assert text.replace("\\n", "\n") == test_golden_cli.ALL_SPECS["cm-x2"]
-    assert cm_run == "homdecomp analyze cm-x2.ring --powers 2,2 > analyze-cm.out"
-    case = "cm-x2-analyze-powers"
-    assert test_golden_cli.CASES[case] == ("cm-x2", ["analyze", "--powers", "2,2"])
-    assert cm_diff == f"diff analyze-cm.out tests/golden/cli/{case}.out"
-    assert test_golden_cli.load_case(case)["exit"] == 0
-    report = json.loads(test_golden_cli.load_case(case)["stdout"])
-    assert (report["depth_zero"], report["gamma_generators"]) == (False, [])
-    # analyze's stratum, a connected Hom that is not cyclic, on the first step's x2-xy3.ring
-    assert connected_run == "homdecomp analyze x2-xy3.ring --powers 2 > analyze-connected.out"
-    case = "x2-xy3-analyze-powers-connected"
-    assert test_golden_cli.CASES[case] == ("x2-xy3", ["analyze", "--powers", "2"])
-    assert connected_diff == f"diff analyze-connected.out tests/golden/cli/{case}.out"
-    assert test_golden_cli.load_case(case)["exit"] == 0
-    hom = json.loads(test_golden_cli.load_case(case)["stdout"])["hom"]
-    assert (hom["cyclic"], hom["decomposition"]["verdict"]) == (False, "indecomposable")
-    # stabilize where Γ_m(R) = I, on the CM ring's cm-x2.ring: index 0, no generators
-    assert cm_stab_run == "homdecomp stabilize cm-x2.ring > stabilize-cm.out"
-    case = "cm-x2-stabilize"
-    assert test_golden_cli.CASES[case] == ("cm-x2", ["stabilize"])
-    assert cm_stab_diff == f"diff stabilize-cm.out tests/golden/cli/{case}.out"
-    assert test_golden_cli.load_case(case)["exit"] == 0
-    report = json.loads(test_golden_cli.load_case(case)["stdout"])
-    assert (report["stabilization_index"], report["gamma_generators"]) == (0, [])
-    # 4.1 reads depth zero on the ring its reduction chain built, on x2-xy10z10.ring
-    assert reduced_run == "homdecomp verify x2-xy10z10.ring --theorem 4.1 > verify-4.1.out"
-    case = "x2-xy10z10-verify-4.1"
-    assert test_golden_cli.CASES[case] == ("x2-xy10z10", ["verify", "--theorem", "4.1"])
-    assert reduced_diff == f"diff verify-4.1.out tests/golden/cli/{case}.out"
-    assert test_golden_cli.load_case(case)["exit"] == 0
+
+
+def test_ci_smoke_diffs_every_golden_dir_written_by_the_installed_package(tmp_path):
+    runs = install_smoke_runs()
+    root = README.parent
+    # before any writer runs, a step fails if homdecomp resolves inside the checkout's src/
+    guard, = (run for run in runs if "homdecomp.__file__" in run)
+    script = shlex.split(guard)[-1]
+    checkout = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert checkout.returncode == 1 and "inside the checkout" in checkout.stderr
+    shutil.copytree(root / "src" / "homdecomp", tmp_path / "homdecomp")
+    subprocess.run([sys.executable, "-c", script], cwd=root, check=True,
+                   env={**os.environ, "PYTHONPATH": str(tmp_path)})
+    # each golden directory, rewritten by its writer and diffed whole, so a new case needs no step
+    kinds = [path.name for path in (root / "tests" / "golden").iterdir() if path.is_dir()]
+    assert kinds
+    for kind in kinds:
+        write = runs.index(f"python3 tests/test_golden_{kind}.py out/{kind}")
+        assert runs.index(guard) < write < runs.index(f"diff -r out/{kind} tests/golden/{kind}")
 
 
 def test_readme_and_verify_help_name_the_options_each_statement_reads(capsys, monkeypatch):

@@ -116,9 +116,9 @@ def test_rings_systems_and_modules_are_values(cls):
     assert x == y and hash(x) == hash(y)
     assert x != build_other()
     for name in ("ring", "variables", "params", "ideal", "rows", "maximal_ideal", "anything"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
             setattr(x, name, None)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
             delattr(x, name)
     for name in unread:
         vars(y)[name] = None
