@@ -57,9 +57,9 @@ class LocalRing(_Value):
     The defining ideal must be proper; the zero ideal (a polynomial ring)
     is allowed.  variables is stored as a tuple.  A ring is immutable:
     ==, hash and repr read variables and defining alone.  𝔪, the length
-    of an Artinian ring and the torsion Γ_m(R) are each computed on their
-    first read and kept in the instance dictionary, which == and hash do
-    not read.
+    of an Artinian ring, the torsion Γ_m(R) and the stabilization index
+    are each computed on their first read and kept in the instance
+    dictionary, which == and hash do not read.
     """
 
     def __init__(self, variables: tuple[str, ...], defining: MonomialIdeal):
@@ -97,6 +97,19 @@ class LocalRing(_Value):
     def _gamma(self) -> MonomialIdeal:
         """(I : 𝔪^∞); read it through gamma_m."""
         return self.defining.saturation(self.maximal_ideal)
+
+    @cached_property
+    def _index(self) -> int:
+        """Least n with (m^n + I) ∩ Γ inside I; read it through stabilization_index."""
+        I = self.defining
+        gamma = gamma_m(self)
+        m = self.maximal_ideal
+        power = MonomialIdeal.unit(self.ambient)
+        for n in range(STABILIZATION_CAP + 1):
+            if I.contains_ideal(power.intersect(gamma)):
+                return n
+            power = power * m
+        raise CapExceeded(f"stabilization index exceeded the cap {STABILIZATION_CAP}")
 
     def dimension(self) -> int:
         return self.defining.dimension()
@@ -270,20 +283,16 @@ def stabilization_index(ring: LocalRing) -> int:
     """Least n >= 0 with (m^n + I) intersected with Γ = gamma_m(ring) inside I.
 
     Zero exactly when the torsion submodule vanishes; finite always, since
-    the torsion has finite length.
+    the torsion has finite length.  It is searched on the first read for
+    each ring object and kept, as Γ is, so every 3.1 and 3.3 report made
+    on one ring shares one search.  A search that passes
+    STABILIZATION_CAP raises CapExceeded and keeps nothing, so every
+    later read searches and raises again.
 
     >>> stabilization_index(LocalRing.from_text(("x", "y"), "(x^2, xy^3)"))
     4
     """
-    I = ring.defining
-    gamma = gamma_m(ring)
-    m = ring.maximal_ideal
-    power = MonomialIdeal.unit(ring.ambient)
-    for n in range(STABILIZATION_CAP + 1):
-        if I.contains_ideal(power.intersect(gamma)):
-            return n
-        power = power * m
-    raise CapExceeded(f"stabilization index exceeded the cap {STABILIZATION_CAP}")
+    return ring._index
 
 
 def colon_identity_check(

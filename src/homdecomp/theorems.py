@@ -1,12 +1,14 @@
 """Executable statements about Hom_R(R/a, M/bM).
 
-Each verifier re-derives every quantity it needs (stabilization index,
-colon ideals, summand lengths) and runs the decomposition engine on the
-assembled module, so a passing report certifies a concrete instance of
-the statement rather than replaying stored answers.  Verifiers raise
-ValueError when the hypotheses do not hold and VerificationError when a
-hypothesis-satisfying instance fails a check; the second kind of failure
-always means a defect in this library.
+Each verifier derives the quantities it needs (colon ideals, summand
+lengths) afresh and runs the decomposition engine on the assembled
+module, so a passing report certifies a concrete instance of the
+statement rather than replaying stored answers.  The ring facts Γ_m(R)
+and the stabilization index are read through homdecomp.rings, which
+finds each on the first read for a ring object and keeps it there.
+Verifiers raise ValueError when the hypotheses do not hold and
+VerificationError when a hypothesis-satisfying instance fails a check;
+the second kind of failure always means a defect in this library.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
 from collections.abc import Mapping
 from enum import Enum
 from typing import NamedTuple
@@ -98,6 +101,22 @@ def _check(checks: list, instance: str, name: str, ok: bool) -> None:
     checks.append(name)
 
 
+# every check list a passing report has held, each kept as one tuple; every
+# check name is fixed text, so the statements hold few distinct lists
+_CHECK_LISTS: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
+def _shared(checks: list) -> tuple[str, ...]:
+    """checks as the one tuple that every report with this check list holds.
+
+    A passing report of a statement lists the same checks every time, so
+    a caller that keeps many reports stores each list once, as it stores
+    each instance text once through sys.intern.
+    """
+    names = tuple(checks)
+    return _CHECK_LISTS.setdefault(names, names)
+
+
 def _one(ring: LocalRing) -> Monomial:
     return (0,) * ring.ambient
 
@@ -162,7 +181,8 @@ def verify_rees(ps: ParameterSystem, b_spec) -> TheoremReport:
         raise ValueError("the parameter system is not a regular sequence; ring is not CM here")
     Q = build_hom(ps, b_spec)
     ring = ps.ring
-    instance = f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}, b = {ring.fmt_ideal(Q.b_ideal)}"
+    instance = sys.intern(f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}, "
+                          f"b = {ring.fmt_ideal(Q.b_ideal)}")
     checks: list = []
     _check(checks, instance, "cyclic: one minimal generator", Q.minimal_generator_count() == 1)
     _check(checks, instance, "free of rank one over the base", Q.is_free_over_base())
@@ -171,7 +191,7 @@ def verify_rees(ps: ParameterSystem, b_spec) -> TheoremReport:
         statement="rees",
         instance=instance,
         parameters={"length": Q.length()},
-        checks=tuple(checks),
+        checks=_shared(checks),
     )
 
 
@@ -196,7 +216,7 @@ def verify_thm_dim1(ring: LocalRing, a: Monomial, c: Monomial | None = None) -> 
     n = stabilization_index(ring)
     b = mono_mul(c, mono_pow(a, n + 1))
     Q = build_hom(ps, [b])  # validates b: c must keep c*a^{n+1} a parameter
-    instance = f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}"
+    instance = sys.intern(f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}")
     checks: list = []
     lengths = _check_split(checks, instance, Q, mono_mul(c, mono_pow(a, n)),
                            ring.defining.colon_monomial(a), DIM1_SPLIT_CHECKS)
@@ -213,7 +233,7 @@ def verify_thm_dim1(ring: LocalRing, a: Monomial, c: Monomial | None = None) -> 
             "hom_length": Q.length(),
             "summand_lengths": lengths,
         },
-        checks=tuple(checks),
+        checks=_shared(checks),
         decomposition=report,
     )
 
@@ -238,7 +258,7 @@ def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremRep
     ps = validate_sop(ring, [a])
     Q = build_hom(ps, [b])  # validates b
     ca = mono_mul(c, a)
-    instance = f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}"
+    instance = sys.intern(f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}")
     checks: list = []
     lengths = _check_split(checks, instance, Q, ca, gamma_m(ring), NONFREE_SPLIT_CHECKS)
     torsion = [g for g in gamma_m(ring).gens if not ps.ideal.contains(g)]
@@ -265,7 +285,7 @@ def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremRep
             "hom_length": Q.length(),
             "summand_lengths": lengths,
         },
-        checks=tuple(checks),
+        checks=_shared(checks),
         decomposition=report,
     )
 
@@ -305,7 +325,7 @@ def search_decomposable_powers(ps: ParameterSystem) -> TheoremReport:
     ring = ps.ring
     steps, n = _reduction_chain(ps)
     exps = [steps.get(k, n + 1) for k in range(len(ps.params))]
-    instance = f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}"
+    instance = sys.intern(f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}")
     parameters: dict = {}
     if steps:
         first = next(iter(steps))
@@ -333,7 +353,7 @@ def search_decomposable_powers(ps: ParameterSystem) -> TheoremReport:
         statement="4.1",
         instance=instance,
         parameters=parameters,
-        checks=tuple(checks),
+        checks=_shared(checks),
         decomposition=report,
     )
 
@@ -356,7 +376,7 @@ def search_nonfree_powers(ps: ParameterSystem) -> TheoremReport:
     t = [1 if k in steps else 2 for k in range(d)]
     ps2 = validate_sop(ring, [mono_pow(p, e) for p, e in zip(ps.params, n_vec)])
     Q = build_hom(ps2, t)
-    instance = f"{ring!r}, a = {ring.fmt_ideal(ps2.a_ideal)}"
+    instance = sys.intern(f"{ring!r}, a = {ring.fmt_ideal(ps2.a_ideal)}")
     checks: list = []
     report = decide(Q)
     _check(checks, instance, "engine confirms a decomposition", report.decomposable)
@@ -373,7 +393,7 @@ def search_nonfree_powers(ps: ParameterSystem) -> TheoremReport:
             "witness": ring.fmt(w),
             "hom_length": Q.length(),
         },
-        checks=tuple(checks),
+        checks=_shared(checks),
         decomposition=report,
     )
 
@@ -392,19 +412,19 @@ def check_radical_transfer(ring: LocalRing, small: MonomialIdeal, large: Monomia
         raise ValueError("J must be contained in I")
     if (small + ring.defining).radical() != (large + ring.defining).radical():
         raise ValueError("J and I must have the same radical modulo the defining ideal")
-    instance = (f"{ring!r}, J = {ring.fmt_ideal(small)}, I = {ring.fmt_ideal(large)}, "
-                f"N = R/{ring.fmt_ideal(module_ideal)}")
+    instance = sys.intern(f"{ring!r}, J = {ring.fmt_ideal(small)}, I = {ring.fmt_ideal(large)}, "
+                          f"N = R/{ring.fmt_ideal(module_ideal)}")
     checks: list = []
     source = decide(hom_from_ideals(ring, small, module_ideal))
     if not source.decomposable:
         checks.append("source Hom indecomposable; transfer holds vacuously")
         return TheoremReport("2.6", instance, {"vacuous": True},
-                             tuple(checks), decomposition=source)
+                             _shared(checks), decomposition=source)
     checks.append("source Hom decomposable")
     target = decide(hom_from_ideals(ring, large, module_ideal))
     _check(checks, instance, "enlarged ideal keeps the decomposition", target.decomposable)
     return TheoremReport("2.6", instance, {"vacuous": False},
-                         tuple(checks), decomposition=target)
+                         _shared(checks), decomposition=target)
 
 
 def verify_colon_identity(ring: LocalRing, seed: int = 7) -> TheoremReport:
@@ -431,10 +451,10 @@ def verify_colon_identity(ring: LocalRing, seed: int = 7) -> TheoremReport:
         r = rng.randint(q, 4)
         if not colon_identity_check(ring, L, a, b, p, q, r):
             failures += 1
-    instance = f"{ring!r}, {count} random instances, seed {seed}"
+    instance = sys.intern(f"{ring!r}, {count} random instances, seed {seed}")
     checks: list = []
     _check(checks, instance, f"colon identity held on all {count} instances", failures == 0)
-    return TheoremReport("2.5", instance, {"count": count, "seed": seed}, tuple(checks))
+    return TheoremReport("2.5", instance, {"count": count, "seed": seed}, _shared(checks))
 
 
 def _non_regular_witness_holds(ps: ParameterSystem) -> bool:
@@ -472,7 +492,7 @@ def verify_non_cm_power(ps: ParameterSystem) -> TheoremReport:
         raise ValueError("needs at least two parameters")
     ring = ps.ring
     i, s = find_non_cm_power(ps)
-    instance = f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}"
+    instance = sys.intern(f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}")
     checks: list = []
     reduced = reduced_system(ps, i, s)
     _check(checks, instance, "quotient by the chosen power is not CM",
@@ -484,7 +504,7 @@ def verify_non_cm_power(ps: ParameterSystem) -> TheoremReport:
         instance=instance,
         parameters={"index": i, "power": s,
                     "parameter": ring.fmt(ps.params[i - 1])},
-        checks=tuple(checks),
+        checks=_shared(checks),
     )
 
 

@@ -12,6 +12,7 @@ from operator import lt
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from homdecomp import theorems
 from homdecomp.hom import build_hom, hom_from_ideals
 from homdecomp.monomials import MonomialIdeal, grlex_key, mono_mul, mono_pow, monomials_between
 from homdecomp.rings import LocalRing, gamma_m, reduced_system, stabilization_index, validate_sop
@@ -279,6 +280,27 @@ def oracle_stabilization_index(ring: LocalRing) -> int:
     """
     basis = gamma_monomial_basis(ring)
     return 1 + max(map(sum, basis)) if basis else 0
+
+
+def fresh_corpus_ring() -> LocalRing:
+    """A new object equal to the last ring of dim1_corpus(), with nothing read yet.
+
+    dim1_corpus hands out memoized ring objects, so one of them may
+    already hold its Γ and index from an earlier test.
+    """
+    ring = theorems.dim1_corpus()[-1]
+    return LocalRing.from_text(ring.variables, ring.fmt_ideal(ring.defining))
+
+
+def verify_deck_statements(ring: LocalRing) -> list:
+    """The eight reports the verify benchmark draws from each corpus ring.
+
+    3.1 with c = 1, a, ..., a^5 and 3.3 with c = 1 and c = a, where a is
+    the ring's first monomial parameter.
+    """
+    a = theorems.first_monomial_parameter(ring)
+    reports = [theorems.verify_thm_dim1(ring, a, mono_pow(a, j)) for j in range(6)]
+    return reports + [theorems.verify_thm_nonfree(ring, c) for c in (None, a)]
 
 
 def serialize_ring_spec(spec) -> str:

@@ -8,6 +8,8 @@ grid counts the tracer reports: one row table per grid, read at the far
 corner, and no classify_point call, Hom or ideal per point.  A traced
 analyze report pins the torsion and basis counts: one saturation and one
 index loop per report, and a basis listed only for a Hom that splits.
+The eight statements the verify workload runs on one corpus ring read
+the index eight times, and the ring saturates once.
 """
 
 import importlib
@@ -16,6 +18,8 @@ import pkgutil
 from pathlib import Path
 
 import pytest
+
+from conftest import fresh_corpus_ring, verify_deck_statements
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -99,3 +103,20 @@ def test_traced_analyze_counts_the_torsion_and_basis_reads(powers, basis_calls):
     assert summary["rings.stabilization_index.calls"] == (1, "count")
     assert summary["hom.build_hom.calls"] == (1, "count")
     assert summary["hom.basis.calls"] == (basis_calls, "count")
+
+
+def test_traced_verify_statements_read_the_kept_index():
+    import_package()
+    ring = fresh_corpus_ring()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        verify_deck_statements(ring)
+    finally:
+        tracer.uninstall()
+    summary = tracing.summarize(tracer)
+    assert summary["theorems.verify_thm_dim1.calls"] == (6, "count")
+    assert summary["theorems.verify_thm_nonfree.calls"] == (2, "count")
+    # the span still sees every read; the search behind them runs once
+    assert summary["rings.stabilization_index.calls"] == (8, "count")
+    assert summary["monomials.saturation.calls"] == (1, "count")

@@ -38,6 +38,20 @@ def test_ci_runs_the_roadmap_tier1_line():
     assert job["steps"][-1]["run"] == tier1.group(1)
 
 
+def test_readme_names_the_build_requirements_of_its_install_lines():
+    # --no-build-isolation installs no build requirement, so README names them
+    # next to the flag, with pyproject.toml's setuptools floor
+    pyproject = (README.parent / "pyproject.toml").read_text()
+    requires = re.search(r"^\[build-system\]\nrequires = \[(.*)\]$", pyproject, re.M).group(1)
+    floor, = re.findall(r'"setuptools>=(\d+)"', requires)
+    text = README.read_text()
+    install = text[text.index("## Install"):]
+    install = install[:install.index("\n## ", 1)]
+    assert "--no-build-isolation" in install and "`wheel`" in install
+    assert f"`setuptools>={floor}`" in install
+    assert set(re.findall(r"setuptools>=(\d+)", text)) == {floor}
+
+
 def test_every_ci_job_has_a_timeout():
     # without one a hung job holds its runner for GitHub's 6-hour default
     workflow = yaml.safe_load(WORKFLOW.read_text())

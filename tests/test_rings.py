@@ -8,6 +8,7 @@ from conftest import (
     accepted,
     drawn_systems,
     enumerate_monomials,
+    fresh_corpus_ring,
     gamma_monomial_basis,
     ideal_power,
     is_regular_element,
@@ -21,6 +22,7 @@ from conftest import (
     power_specs,
     random_proper_ideal,
     torsion_ideals,
+    verify_deck_statements,
 )
 from homdecomp import monomials, theorems
 from homdecomp.hom import HomSubquotient, build_hom
@@ -62,6 +64,54 @@ def test_ring_construction():
         LocalRing(("x", "x"), MonomialIdeal(2, [(2, 0)]))
 
 
+def count_containment_tests(monkeypatch) -> list:
+    """The receiver of every MonomialIdeal.contains_ideal call from now on.
+
+    The index search makes one such call per n it tries; nothing else in
+    stabilization_index, 3.1 or 3.3 calls contains_ideal.
+    """
+    contains_ideal = MonomialIdeal.contains_ideal
+    calls = []
+
+    def counted(self, J):
+        calls.append(self)
+        return contains_ideal(self, J)
+
+    monkeypatch.setattr(MonomialIdeal, "contains_ideal", counted)
+    return calls
+
+
+def test_stabilization_index_is_searched_once_per_ring(monkeypatch):
+    calls = count_containment_tests(monkeypatch)
+    R = ring("(x^2, xy^3)")
+    assert stabilization_index(R) == stabilization_index(R) == 4
+    assert calls == [R.defining] * 5  # n = 0, ..., 4 in one search
+    # the six 3.1 and two 3.3 statements the verify benchmark runs per ring
+    calls.clear()
+    S = fresh_corpus_ring()
+    n = oracle_stabilization_index(S)
+    assert [rep.parameters["n"] for rep in verify_deck_statements(S)] == [n] * 8
+    assert calls == [S.defining] * (n + 1)
+
+
+def test_stabilization_cap_exit_is_not_kept(monkeypatch):
+    calls = count_containment_tests(monkeypatch)
+    R = ring("(x^2, xy^64)")
+    for reads in (1, 2):
+        with pytest.raises(CapExceeded, match="stabilization index exceeded the cap 64"):
+            stabilization_index(R)
+        assert "_index" not in vars(R)
+        assert len(calls) == 65 * reads  # n = 0, ..., 64 on every read
+
+
+def test_a_ring_that_kept_its_index_is_the_same_value():
+    R = x2_xy3()
+    assert stabilization_index(R) == 4
+    fresh = x2_xy3()
+    assert vars(R)["_index"] == 4 and "_index" not in vars(fresh)
+    assert R == fresh and hash(R) == hash(fresh) and repr(R) == repr(fresh)
+
+
 def test_validate_sop():
     R = ring("(x^2, xy^2)")
     ps = validate_sop(R, [R.parse_monomial("y")])
@@ -93,7 +143,8 @@ def y2_system():
 # attributes == and hash must not read, and the repr text, which reaches
 # benchmark labels and error messages
 VALUE_CLASSES = {
-    LocalRing: (x2_xy3, lambda: ring("(x^2, xy^4)"), ("maximal_ideal", "_length", "_gamma"),
+    LocalRing: (x2_xy3, lambda: ring("(x^2, xy^4)"),
+                ("maximal_ideal", "_length", "_gamma", "_index"),
                 "k[x, y]/(x^2, xy^3)"),
     ParameterSystem: (y2_system, lambda: validate_sop(x2_xy3(), [(0, 3)]),
                       ("a_ideal", "base", "variables"),

@@ -798,6 +798,50 @@ class TestCheckNames:
         assert search_nonfree_powers(ps).checks == (ENGINE, *NONFREE)
 
 
+# as_dict() of 3.1 and 3.3 on k[x,y]/(x^2, xy^3) with a = y and c = y
+SHARED_TEXT_REPORTS = {
+    "3.1": {
+        "statement": "3.1",
+        "instance": "k[x, y]/(x^2, xy^3), a = y, c = y",
+        "parameters": {"n": 4, "a": "y", "c": "y", "b": "y^6", "hom_length": 2,
+                       "summand_lengths": [1, 1]},
+        "checks": ["colon identity: (B : a) = (c a^n) + (0 : a)",
+                   "intersection identity: B = ((c a^n) + I) cap ((0 : a) + B)",
+                   *SPLIT, ENGINE],
+        "decomposition": {"verdict": "decomposable", "method": "components", "module_dim": 2,
+                          "summand_count": 2, "partition": [[0], [1]]},
+    },
+    "3.3": {
+        "statement": "3.3",
+        "instance": "k[x, y]/(x^2, xy^3), a = y^4, c = y",
+        "parameters": {"n": 4, "base": "y", "a": "y^4", "c": "y", "b": "y^9", "witness": "x",
+                       "hom_length": 7, "summand_lengths": [4, 3]},
+        "checks": ["colon identity: (B : a) = (c a) + Gamma",
+                   "intersection identity: B = ((c a) + I) cap (Gamma + B)",
+                   *SPLIT,
+                   "Gamma has a generator outside (a) + I",
+                   "witness kills the cyclic summand",
+                   *NONFREE, ENGINE],
+        "decomposition": {"verdict": "decomposable", "method": "components", "module_dim": 7,
+                          "summand_count": 2, "partition": [[0, 1, 2], [3, 4, 5, 6]]},
+    },
+}
+
+
+@pytest.mark.parametrize("statement", SHARED_TEXT_REPORTS)
+def test_reports_on_equal_inputs_share_their_texts(statement):
+    # two equal rings, not one object: a caller that keeps many reports
+    # stores each check list and each instance text once
+    def report(R):
+        y = R.parse_monomial("y")
+        return verify_thm_dim1(R, y, y) if statement == "3.1" else verify_thm_nonfree(R, y)
+
+    first, second = report(ring2("(x^2, xy^3)")), report(ring2("(x^2, xy^3)"))
+    assert first.checks is second.checks
+    assert first.instance is second.instance
+    assert first.as_dict() == second.as_dict() == SHARED_TEXT_REPORTS[statement]
+
+
 @settings(max_examples=100, deadline=None)
 @given(one_dimensional_rings())
 def test_first_parameter_matches_search(ring):
