@@ -9,10 +9,11 @@ most one generator of C, and rows whose intervals overlap lie in one
 component of the action graph.  HomSubquotient keeps that pass and
 reads its generators and length off it when built; the length, generator
 count, cyclicity, freeness and summand count read those and the pass's
-component count, so they list no cell.  The graded-lex basis and C are
-built on first request, for the blocks, the F_p presentation, the
-annihilator witness and the verifiers' identities; the grid reads the
-pass's counts alone.
+component count, so they list no cell.  The graded-lex basis is built
+on first request, for the blocks and the F_p presentation, and so is C;
+the annihilator witness and the verifiers' identities read C's
+generators outside B instead, and the grid reads the pass's counts
+alone.
 """
 
 from __future__ import annotations
@@ -226,11 +227,17 @@ class HomSubquotient(_Value):
         is the first generator of (B : C) that is not 1 and not in I + 𝔞:
         were it x_i * v with v in (B : C), then v would be smaller, also
         nonzero in S, and not 1, since C is not inside B when the module
-        is nonzero.  So S is never enumerated.  The zero module is free
-        and gets None.
+        is nonzero.  So S is never enumerated.  The colon is taken by G,
+        the generators of C outside B, alone: C = B + (G), so (B : C) =
+        (B : B) ∩ (B : G) = (B : G), as (B : B) = R.  The zero module has
+        no G, is free and gets None.
         """
+        gens = self._generators
+        if not gens:
+            return None
         S = self.base.defining
-        for g in self.denominator.colon(self.numerator).gens:
+        B = self.denominator
+        for g in B.colon(_ideal(B.ambient, gens)).gens:
             if any(g) and not S.contains(g):
                 return g
         return None
@@ -330,38 +337,92 @@ def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:
     """The box bounds of B = I + 𝔟, for 𝔟 given as powers or monomials.
 
     b_spec is a list of integers t_i >= 1, meaning 𝔟 = (a_i^{t_i}), or of
-    d monomials forming a parameter ideal inside 𝔞, validated in full.
-    Powers need no validation: 𝔟 ⊆ 𝔞 has d non-unit generators and each
-    a_i lies in its radical, so 𝔟 is a system of parameters as 𝔞 is.
-    The bounds are I's pure powers and 𝔟's exponent on each parameter's
-    variable, read off ParameterSystem.variables, which raises ValueError
-    naming a parameter that is not a pure power of a variable free in I
-    and in the other parameters.  A variable left without a bound (B of
-    infinite colength) raises ValueError.
+    d monomials forming a parameter ideal inside 𝔞.  Powers need no
+    validation: 𝔟 ⊆ 𝔞 has d non-unit generators and each a_i lies in its
+    radical, so 𝔟 is a system of parameters as 𝔞 is.  Monomials are
+    accepted in closed form by _explicit_bounds, which is exact, so the
+    full check, membership in 𝔞 + I and validate_sop, runs only to word
+    the error for a 𝔟 it refuses.  The bounds are I's pure powers and
+    𝔟's exponent on each parameter's variable, read off
+    ParameterSystem.variables, which raises ValueError naming a parameter
+    that is not a pure power of a variable free in I and in the other
+    parameters.  A variable left without a bound (B of infinite
+    colength) raises ValueError.
     """
     ring = ps.ring
     spec = list(b_spec)
     if not spec:
         raise ValueError("b must not be empty")
-    powers = all(type(t) is int for t in spec)  # so a bool is no exponent
-    if powers:
+    if all(type(t) is int for t in spec):  # so a bool is no exponent
         if len(spec) != len(ps.params):
             raise ValueError("need one exponent per parameter")
         if any(t < 1 for t in spec):
             raise ValueError("exponents must be >= 1")
-    elif all(isinstance(t, tuple) for t in spec):
+        bounds = ring.defining._pure_powers()
+        for v, a, t in zip(ps.variables, ps.params, spec):
+            bounds[v] = a[v] * t  # 𝔟's generator on x_v is a_i^{t_i}
+        if None in bounds:
+            raise ValueError("quotient by b is not Artinian")
+        return bounds
+    if not all(isinstance(t, tuple) for t in spec):
+        raise ValueError("b must be all exponents or all monomials")
+    bounds = _explicit_bounds(ps, spec)
+    if bounds is None:
         for g in spec:
             if not ps.ideal.contains(g):
                 raise ValueError(f"b generator {ring.fmt(g)} is not inside a")
         validate_sop(ring, spec)
-    else:
-        raise ValueError("b must be all exponents or all monomials")
+        ps.variables  # raises the error the bounds would have raised
+        raise AssertionError("the closed form refused a b that validate_sop accepts")
+    return bounds
+
+
+def _explicit_bounds(ps: ParameterSystem, spec: list) -> list[int] | None:
+    """parameter_box's bounds for monomials 𝔟, or None when the full check refuses 𝔟.
+
+    𝔟 is accepted when it has d = dim R generators, each x_{v_i}^{f_i}
+    with f_i >= e_i an integer for a distinct parameter a_i =
+    x_{v_i}^{e_i}, and I has a pure power of every other variable.  Then
+    the bounds are I's pure powers and f_i on x_{v_i}.
+
+    This is exactly what the full check accepts.  Such a 𝔟 passes it:
+    each x_{v_i}^{f_i} is a multiple of a_i, so it lies in 𝔞; and it has
+    d generators of ambient length, integer exponents, none the unit, and
+    I + 𝔟 holds a pure power of every variable, so validate_sop accepts
+    it.  Conversely, validate_sop makes each generator of an accepted 𝔟
+    a pure power x_w^f of a distinct variable free in I, that is with no
+    pure power in I (ParameterSystem.variables, read on 𝔟's system).  So
+    x_w^f is not in I, and as it lies in 𝔞 + I, some a_i = x_{v_i}^{e_i}
+    divides it: w = v_i and f >= e_i.  A parameter whose variable no
+    generator of 𝔟 uses would leave that variable, free in I, without a
+    pure power in I + 𝔟, which validate_sop refuses; so 𝔟 has one
+    generator per parameter, d of them.  A ps whose parameters are not
+    such pure powers is refused here, and the full check then raises
+    ParameterSystem.variables' error, as the bounds would.
+    """
+    ring = ps.ring
+    if len(spec) != ring.dimension():
+        return None
+    try:
+        slot = {v: i for i, v in enumerate(ps.variables)}
+    except ValueError:
+        return None
     bounds = ring.defining._pure_powers()
-    for i, (v, a) in enumerate(zip(ps.variables, ps.params)):
-        # 𝔟's generator on x_v: a_i^{t_i}, or the one explicit generator that uses x_v
-        bounds[v] = a[v] * spec[i] if powers else max(g[v] for g in spec)
-    if None in bounds:
-        raise ValueError("quotient by b is not Artinian")
+    taken = [False] * len(slot)
+    for g in spec:
+        if len(g) != ring.ambient or not all(type(e) is int for e in g):
+            return None
+        support = [v for v, e in enumerate(g) if e]
+        if len(support) != 1 or support[0] not in slot:
+            return None
+        v = support[0]
+        i = slot[v]
+        if taken[i] or g[v] < ps.params[i][v]:
+            return None
+        taken[i] = True
+        bounds[v] = g[v]
+    if not all(taken) or None in bounds:
+        return None
     return bounds
 
 

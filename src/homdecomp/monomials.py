@@ -95,9 +95,14 @@ def _checked(u, ambient: int) -> Monomial:
 
 def _ideal(ambient: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
     """The ideal of generators the kernel made from checked monomials; minimalized only."""
+    return _minimal_ideal(ambient, _minimalize(gens))
+
+
+def _minimal_ideal(ambient: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
+    """The ideal of checked generators already minimal and in graded-lex order."""
     I = object.__new__(MonomialIdeal)
     object.__setattr__(I, "ambient", ambient)
-    object.__setattr__(I, "gens", _minimalize(gens))
+    object.__setattr__(I, "gens", gens)
     return I
 
 
@@ -113,7 +118,7 @@ class MonomialIdeal:
     and ``I.colon_monomial(u)`` check their monomial ``u``.  The results
     of ``+``, ``*``, ``intersect``, ``colon_monomial``, ``colon``,
     ``saturation`` and ``radical`` are built from generators already
-    checked, so they are only minimalized.
+    checked, so they are only minimalized; ``+`` merges two minimal sets.
 
     >>> I = MonomialIdeal(2, [(2, 0), (1, 2)])       # (x^2, xy^2)
     >>> I.colon_monomial((0, 1)).gens                # (I : y)
@@ -182,8 +187,27 @@ class MonomialIdeal:
         return all(self.contains(g) for g in other.gens)
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """Sum, merging the two minimal generator sets in |A|·|B| divisibility tests.
+
+        Each set is an antichain, so a generator of one is not minimal in
+        the union exactly when the other set holds a divisor of it.  A
+        generator of self is dropped for a proper divisor in other, and
+        one of other for any divisor in self, so a generator both hold is
+        kept once.  The divisor that drops a generator is itself kept:
+        were it dropped in turn, its own divisor would divide the first
+        generator inside that generator's antichain.
+
+        >>> (MonomialIdeal(2, [(2, 0), (1, 2)]) + MonomialIdeal(2, [(1, 2), (0, 3)])).gens
+        ((2, 0), (1, 2), (0, 3))
+        >>> (MonomialIdeal(2, [(2, 0), (1, 2)]) + MonomialIdeal(2, [(1, 1)])).gens
+        ((2, 0), (1, 1))
+        """
         self._check_compatible(other)
-        return _ideal(self.ambient, self.gens + other.gens)
+        mine, theirs = self.gens, other.gens
+        kept = [g for g in mine if not any(h != g and all(map(le, h, g)) for h in theirs)]
+        kept += [h for h in theirs if not any(all(map(le, g, h)) for g in mine)]
+        kept.sort(key=grlex_key)
+        return _minimal_ideal(self.ambient, tuple(kept))
 
     def __mul__(self, other) -> "MonomialIdeal":
         """Ideal product; also accepts a single monomial as the right factor."""
@@ -360,12 +384,9 @@ def row_thresholds(L: MonomialIdeal, bounds: list[int]) -> dict[Monomial, int]:
 def monomials_between(upper: MonomialIdeal, lower: MonomialIdeal) -> list[Monomial]:
     """The monomials of upper that are not in lower, in graded-lex order.
 
-    The walk starts at upper's generators outside lower and steps up one
-    variable at a time.  It reaches every such monomial u: u is g * w for
-    a generator g of upper, and each monomial between g and u on the way
-    divides u, so it lies in upper and, as lower is an ideal, outside
-    lower.  lower need not have finite colength; the walk ends whenever
-    the set is finite and raises CapExceeded past LENGTH_CAP monomials.
+    Read off _between's walk from upper's generators.  lower need not
+    have finite colength; the walk ends whenever the set is finite and
+    raises CapExceeded past LENGTH_CAP monomials.
 
     >>> upper = MonomialIdeal(2, [(0, 1), (2, 0)])      # (y, x^2)
     >>> monomials_between(upper, MonomialIdeal(2, [(2, 0), (0, 2)]))
@@ -374,9 +395,22 @@ def monomials_between(upper: MonomialIdeal, lower: MonomialIdeal) -> list[Monomi
     [(1, 0), (1, 1)]
     """
     upper._check_compatible(lower)
+    return sorted(_between(upper.gens, lower), key=grlex_key)
+
+
+def _between(gens, lower: MonomialIdeal) -> set[Monomial]:
+    """The monomials of the ideal that gens generate that are not in lower.
+
+    gens is any generating list, minimal or not.  The walk starts at the
+    generators outside lower and steps up one variable at a time.  It
+    reaches every such monomial u: u is g * w for some g in gens, and
+    each monomial between g and u on the way divides u, so it lies in the
+    ideal and, as lower is an ideal, outside lower.  It raises
+    CapExceeded once it holds more than LENGTH_CAP monomials.
+    """
     in_lower = lower.contains
-    frontier = [g for g in upper.gens if not in_lower(g)]
-    found = set(frontier)
+    found = {g for g in gens if not in_lower(g)}
+    frontier = list(found)
     while frontier:
         step = []
         for u in frontier:
@@ -389,7 +423,7 @@ def monomials_between(upper: MonomialIdeal, lower: MonomialIdeal) -> list[Monomi
             raise CapExceeded(
                 f"count of monomials between the ideals exceeds cap {LENGTH_CAP}")
         frontier = step
-    return sorted(found, key=grlex_key)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,11 @@ class LocalRing(_Value):
 
     The defining ideal must be proper; the zero ideal (a polynomial ring)
     is allowed.  variables is stored as a tuple.  A ring is immutable:
-    ==, hash and repr read variables and defining alone.  𝔪, the length
-    of an Artinian ring, the torsion Γ_m(R) and the stabilization index
-    are each computed on their first read and kept in the instance
-    dictionary, which == and hash do not read.
+    ==, hash and repr read variables and defining alone.  𝔪, the
+    dimension, the repr text, the length of an Artinian ring, the torsion
+    Γ_m(R) and the stabilization index are each computed on their first
+    read and kept in the instance dictionary, which == and hash do not
+    read.
     """
 
     def __init__(self, variables: tuple[str, ...], defining: MonomialIdeal):
@@ -111,8 +112,12 @@ class LocalRing(_Value):
             power = power * m
         raise CapExceeded(f"stabilization index exceeded the cap {STABILIZATION_CAP}")
 
-    def dimension(self) -> int:
+    @cached_property
+    def _dimension(self) -> int:
         return self.defining.dimension()
+
+    def dimension(self) -> int:
+        return self._dimension
 
     def quotient(self, extra: MonomialIdeal) -> "LocalRing":
         """The ring modulo an additional ideal; errors out if that kills everything."""
@@ -136,8 +141,12 @@ class LocalRing(_Value):
     def fmt_ideal(self, I: MonomialIdeal) -> str:
         return format_ideal(I, self.variables)
 
-    def __repr__(self) -> str:
+    @cached_property
+    def _repr(self) -> str:
         return f"k[{', '.join(self.variables)}]/{self.fmt_ideal(self.defining)}"
+
+    def __repr__(self) -> str:
+        return self._repr
 
 
 class ParameterSystem(_Value):

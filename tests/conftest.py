@@ -162,6 +162,26 @@ def colon_route(a_ideal: MonomialIdeal, B: MonomialIdeal):
     return C, monomials_between(C, B), sum(1 for g in C.gens if not B.contains(g))
 
 
+def oracle_split_identities(Q, gen, tors: MonomialIdeal):
+    """The splitting checks behind 3.1 and 3.3, on ideals built in full.
+
+    The construction theorems._check_split replaced, kept as an oracle.
+    With B = Q.denominator, C = Q.numerator and L = (gen) + I, returns
+    whether C = L + tors, whether B = L ∩ (tors + B), and the lengths of
+    L/B and (tors + B)/B, listed by monomials_between from the built
+    ideals.  Sums concatenate generators and minimalize, so they do not
+    go through MonomialIdeal.__add__.
+    """
+    def ideal_sum(J, K):
+        return MonomialIdeal(J.ambient, J.gens + K.gens)
+
+    B = Q.denominator
+    left = ideal_sum(MonomialIdeal(Q.ring.ambient, [gen]), Q.ring.defining)
+    upper = ideal_sum(tors, B)
+    lengths = [len(monomials_between(left, B)), len(monomials_between(upper, B))]
+    return Q.numerator == ideal_sum(left, tors), B == left.intersect(upper), lengths
+
+
 def oracle_box_basis(in_L, bounds, a_gens):
     """The basis cells of C/B and C's generators outside B, one membership test per cell.
 

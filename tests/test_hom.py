@@ -8,13 +8,14 @@ implementation under test.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     action_blocks,
     box_basis,
     colon_route,
+    drawn_systems,
     monomial_homs,
     monomial_ideals,
     nonfree_homs,
@@ -26,11 +27,12 @@ from conftest import (
 from homdecomp import hom, theorems
 from homdecomp.decomp import decide
 from homdecomp.gfp import PrimeFieldMatrix
-from homdecomp.hom import HomSubquotient, RowScan, UnionFind, build_hom, hom_from_ideals
+from homdecomp.hom import (HomSubquotient, RowScan, UnionFind, build_hom, hom_from_ideals,
+                           parameter_box)
 from homdecomp.monomials import (MonomialIdeal, _ideal, grlex_key, mono_mul, monomials_between,
                                  row_thresholds)
 from homdecomp.oracle import connected_components
-from homdecomp.rings import LocalRing, validate_sop
+from homdecomp.rings import LocalRing, ParameterSystem, validate_sop
 
 
 def make_ring(variables, text):
@@ -394,6 +396,19 @@ def check_against_colon_route(Q):
     assert Q.non_free_annihilator_witness() == oracle_annihilator_witness(Q, C)
 
 
+def test_zero_module_is_free_with_no_annihilator_witness():
+    # build_hom never makes one and hom_from_ideals refuses a unit I + b, but the
+    # class takes any row scan; the witness colon has no generator to divide by
+    R = make_ring(("x", "y"), "(x^2, xy^3)")
+    ps = validate_sop(R, [R.parse_monomial("y")])
+    unit = MonomialIdeal.unit(2)
+    rows = hom.row_intervals(row_thresholds(unit, [0, 0]), ps.params)
+    Q = HomSubquotient(R, ps.a_ideal, unit, unit, ps.base, rows)
+    assert Q.length() == Q.minimal_generator_count() == 0
+    assert Q.is_free_over_base()
+    assert Q.non_free_annihilator_witness() is None
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(monomial_homs())
 def test_kernel_matches_colon_route_on_monomial_homs(Q):
@@ -424,6 +439,145 @@ def draw_explicit_b(ps, data):
 def test_kernel_matches_colon_route_on_explicit_b(case, data):
     ps, _ = case
     check_against_colon_route(build_hom(ps, draw_explicit_b(ps, data)))
+
+
+def full_check_box(ps, spec):
+    """parameter_box's bounds for monomials b by the check its closed form replaced.
+
+    Every generator must lie in a + I, validate_sop must accept b, and
+    the bound on each parameter's variable is b's largest exponent there.
+    """
+    ring = ps.ring
+    for g in spec:
+        if not ps.ideal.contains(g):
+            raise ValueError(f"b generator {ring.fmt(g)} is not inside a")
+    validate_sop(ring, spec)
+    bounds = ring.defining._pure_powers()
+    for v in ps.variables:
+        bounds[v] = max(g[v] for g in spec)
+    if None in bounds:
+        raise ValueError("quotient by b is not Artinian")
+    return bounds
+
+
+def outcome(box, ps, spec):
+    """The bounds box(ps, spec) returns, or the type and text of what it raises."""
+    try:
+        return box(ps, spec)
+    except Exception as exc:  # the outcome compared is whatever was raised
+        return type(exc), str(exc)
+
+
+B_EDITS = ("drop", "add", "unit", "below a", "from I", "same variable", "mixed", "random",
+           "bool", "bool zero", "short")
+
+
+@st.composite
+def explicit_b_specs(draw):
+    """A parameter system and monomials for b, which the full check may accept or refuse.
+
+    The system is validated (power_specs) or built straight from a
+    drawn_systems draw, so its parameters may be no system at all.  When
+    they are pure powers a_i = x_{v_i}^{e_i} of distinct variables, b
+    starts as x_{v_i}^{f_i}, f_i >= e_i, one per parameter and permuted,
+    and otherwise as random monomials.  Up to two B_EDITS follow: a
+    generator dropped or added (a wrong count), the unit or a power of
+    some x_{v_i} below e_i (outside a), a generator of I, a second power
+    of one variable or a mixed monomial (no parameters), a random
+    monomial, an exponent True or False in place of 1 or 0, or a
+    generator one exponent short.
+    """
+    if draw(st.booleans()):
+        ps, _ = draw(power_specs())
+    else:
+        ring, params = draw(drawn_systems())
+        assume(not (ring.defining + MonomialIdeal(ring.ambient, params)).is_unit())
+        ps = ParameterSystem(ring, params)
+    n = ps.ring.ambient
+    pure = lambda v, e: tuple(e if k == v else 0 for k in range(n))  # noqa: E731
+    monomial = st.tuples(*[st.integers(0, 3)] * n)
+    try:
+        variables = ps.variables
+    except ValueError:
+        variables = None
+    if variables:
+        spec = [pure(v, draw(st.integers(a[v], 3 * a[v]))) for v, a in zip(variables, ps.params)]
+        spec = list(draw(st.permutations(spec)))
+    else:
+        spec = draw(st.lists(monomial, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(spec) - 1))
+        g = spec[i]
+        edit = draw(st.sampled_from(B_EDITS))
+        if edit == "drop" and len(spec) > 1:  # an empty b is refused before either check
+            del spec[i]
+        elif edit == "add":
+            spec.append(draw(st.one_of(st.just(g), monomial)))
+        elif edit == "unit":
+            spec[i] = (0,) * n
+        elif edit == "below a" and variables:
+            j = draw(st.integers(0, len(variables) - 1))
+            v = variables[j]
+            spec[i] = pure(v, draw(st.integers(0, ps.params[j][v] - 1)))
+        elif edit == "from I" and ps.ring.defining.gens:
+            spec[i] = draw(st.sampled_from(ps.ring.defining.gens))
+        elif edit == "same variable":
+            spec[i] = tuple(2 * e for e in spec[(i + 1) % len(spec)])
+        elif edit == "mixed":
+            w = draw(st.integers(0, n - 1))
+            spec[i] = tuple(e + (k == w) for k, e in enumerate(g))
+        elif edit == "random":
+            spec[i] = draw(monomial)
+        elif edit == "bool":
+            spec[i] = tuple(True if e == 1 else e for e in g)
+        elif edit == "bool zero":
+            spec[i] = tuple(False if e == 0 else e for e in g)
+        elif edit == "short":
+            spec[i] = g[:-1]
+    return ps, spec
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(explicit_b_specs())
+def test_explicit_b_closed_form_matches_the_full_check(case):
+    ps, spec = case
+    assert outcome(parameter_box, ps, spec) == outcome(full_check_box, ps, spec)
+
+
+# systems built around validate_sop: the full check accepts b and then
+# ParameterSystem.variables refuses the system, or b is refused first
+@pytest.mark.parametrize("relations, params, b, error", [
+    ("(0)", "x y xy", "x^2 y^2", "parameter xy is not a pure power"),
+    ("(x^2)", "y x", "y^2", "parameter x is not a pure power"),
+    ("(0)", "x y xy", "x^2 xy", "parameters do not cut the ring down to finite length"),
+    ("(xy)", "x y", "x y", "need exactly 1 parameters, got 2"),
+])
+def test_explicit_b_over_an_unvalidated_system(relations, params, b, error):
+    R = make_ring(("x", "y"), relations)
+    ps = ParameterSystem(R, [R.parse_monomial(t) for t in params.split()])
+    spec = [R.parse_monomial(t) for t in b.split()]
+    result = outcome(parameter_box, ps, spec)
+    assert result == outcome(full_check_box, ps, spec)
+    assert result[0] is ValueError and result[1].startswith(error)
+
+
+@pytest.mark.parametrize("answer", [
+    "accepted",
+    "is not inside a",
+    "need exactly",
+    "exponents must be non-negative integers",
+    "does not live in the ambient ring",
+    "parameters do not cut the ring down to finite length",
+])
+def test_explicit_b_specs_reach_every_answer(answer):
+    def reaches(case):
+        result = outcome(full_check_box, *case)
+        if answer == "accepted":
+            return type(result) is list
+        return type(result) is tuple and answer in result[1]
+
+    find(explicit_b_specs(), reaches,
+         settings=settings(max_examples=3000, database=None, phases=[Phase.generate]))
 
 
 @st.composite

@@ -22,6 +22,7 @@ from homdecomp import monomials
 from homdecomp.monomials import (
     CapExceeded,
     MonomialIdeal,
+    _ideal,
     divides,
     format_ideal,
     format_monomial,
@@ -158,6 +159,26 @@ def test_sum_product_examples():
     assert ideal("(x^2)") + ideal("(xy)") == ideal("(x^2, xy)")
     assert ideal("(x)") * ideal("(y)") == ideal("(xy)")
     assert ideal("(x^2, xy)") * ideal("(y)") == ideal("(x^2y, xy^2)")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(monomial_ideals(n), monomial_ideals(n))),
+       st.data())
+def test_sum_merges_the_two_minimal_generator_sets(pair, data):
+    # monomial_ideals draws the zero and the unit ideal; J also takes some of I's generators
+    I, J = pair
+    if I.gens:
+        shared = data.draw(st.lists(st.sampled_from(I.gens), max_size=2))
+        J = MonomialIdeal(J.ambient, J.gens + tuple(shared))
+    assert I + J == _ideal(I.ambient, I.gens + J.gens)
+    assert J + I == _ideal(I.ambient, J.gens + I.gens)
+
+
+@pytest.mark.parametrize("text", ["(0)", "(1)", "(x^2, xy)", "(y^3, x^2y)"])
+def test_sum_with_the_zero_and_unit_ideals(text):
+    I, zero, unit = ideal(text), MonomialIdeal.zero(2), MonomialIdeal.unit(2)
+    assert I + zero == zero + I == I + I == I
+    assert I + unit == unit + I == unit
 
 
 def test_intersect_examples():

@@ -35,7 +35,8 @@ def test_ci_runs_the_roadmap_tier1_line():
     # the test extra pyproject.toml declares, so CI installs what README names
     assert job["steps"][-2]["run"] == "pip install '.[test]'"
     assert "pip install -e '.[test]'" in README.read_text()
-    assert job["steps"][-1]["run"] == tier1.group(1)
+    # with the 15 slowest tests listed in every CI log
+    assert job["steps"][-1]["run"] == tier1.group(1) + " --durations=15"
 
 
 def test_readme_names_the_build_requirements_of_its_install_lines():

@@ -24,7 +24,7 @@ from conftest import (
     torsion_ideals,
     verify_deck_statements,
 )
-from homdecomp import monomials, theorems
+from homdecomp import monomials, rings, theorems
 from homdecomp.hom import HomSubquotient, build_hom
 from homdecomp.monomials import CapExceeded, MonomialIdeal, grlex_key, parse_ideal
 from homdecomp.rings import (
@@ -94,6 +94,29 @@ def test_stabilization_index_is_searched_once_per_ring(monkeypatch):
     assert calls == [S.defining] * (n + 1)
 
 
+def test_dimension_and_text_are_kept_on_the_ring(monkeypatch):
+    S, fresh = fresh_corpus_ring(), fresh_corpus_ring()
+    scans, texts = [], []
+    dimension, format_ideal = MonomialIdeal.dimension, rings.format_ideal
+
+    def counted_dimension(self):
+        scans.append(self)
+        return dimension(self)
+
+    def counted_format(I, names):
+        texts.append(I)
+        return format_ideal(I, names)
+
+    monkeypatch.setattr(MonomialIdeal, "dimension", counted_dimension)
+    monkeypatch.setattr(rings, "format_ideal", counted_format)
+    # the six 3.1 and two 3.3 statements the verify benchmark runs per ring
+    verify_deck_statements(S)
+    assert scans == [S.defining]
+    assert texts == [S.defining]
+    assert vars(S)["_dimension"] == 1 and "_repr" in vars(S) and "_repr" not in vars(fresh)
+    assert S == fresh and hash(S) == hash(fresh) and repr(S) == repr(fresh)
+
+
 def test_stabilization_cap_exit_is_not_kept(monkeypatch):
     calls = count_containment_tests(monkeypatch)
     R = ring("(x^2, xy^64)")
@@ -144,7 +167,7 @@ def y2_system():
 # benchmark labels and error messages
 VALUE_CLASSES = {
     LocalRing: (x2_xy3, lambda: ring("(x^2, xy^4)"),
-                ("maximal_ideal", "_length", "_gamma", "_index"),
+                ("maximal_ideal", "_dimension", "_repr", "_length", "_gamma", "_index"),
                 "k[x, y]/(x^2, xy^3)"),
     ParameterSystem: (y2_system, lambda: validate_sop(x2_xy3(), [(0, 3)]),
                       ("a_ideal", "base", "variables"),

@@ -12,7 +12,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, find, given, settings
+from hypothesis import HealthCheck, assume, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -24,18 +24,21 @@ from conftest import (
     drawn_systems,
     local_rings,
     monomial_homs,
+    nonfree_homs,
     one_dimensional_rings,
     oracle_first_monomial_parameter,
+    oracle_split_identities,
     power_specs,
 )
 from homdecomp import hom, monomials, rings, theorems
 from homdecomp.decomp import decide
 from homdecomp.hom import HomSubquotient, build_hom, parameter_box, row_intervals
-from homdecomp.monomials import (CapExceeded, MonomialIdeal, grlex_key, mono_pow,
+from homdecomp.monomials import (CapExceeded, MonomialIdeal, grlex_key, mono_mul, mono_pow,
                                  monomials_between, row_thresholds)
 from homdecomp.rings import (LocalRing, ParameterSystem, depth_is_zero, gamma_m,
                              stabilization_index, validate_sop)
 from homdecomp.theorems import (
+    DIM1_SPLIT_CHECKS,
     GridClassification,
     PointClass,
     TheoremReport,
@@ -167,6 +170,120 @@ class TestNonfreeSplitting:
         rep = verify_thm_nonfree(R, R.parse_monomial("y"))
         assert rep.parameters["b"] == "y^9"
         assert "module is not free over the base" in rep.checks
+
+
+def dim1_split(ring, c_power):
+    """Q, gen and tors of verify_thm_dim1(ring, a, a^c_power), a the first monomial parameter."""
+    a = first_monomial_parameter(ring)
+    c = mono_pow(a, c_power)
+    n = stabilization_index(ring)
+    Q = build_hom(validate_sop(ring, [a]), [mono_mul(c, mono_pow(a, n + 1))])
+    return Q, mono_mul(c, mono_pow(a, n)), ring.defining.colon_monomial(a)
+
+
+def nonfree_split(Q):
+    """gen = c a and tors = Γ of a nonfree_homs module Hom(R/(a), R/(c a^2))."""
+    (a,), (b,) = Q.a_ideal.gens, Q.b_ideal.gens
+    return Q, tuple(e - f for e, f in zip(b, a)), gamma_m(Q.ring)
+
+
+def check_split_against_oracle(Q, gen, tors):
+    """_check_split passes with the oracle's lengths, and every layer gets the oracle's verdicts.
+
+    Beside the right tors, (0 : a), I, (0 : a^2), C and Γ are tried as the
+    torsion layer; most of them break an identity on some draws.
+    """
+    colon, meet, lengths = oracle_split_identities(Q, gen, tors)
+    assert colon and meet
+    checks = []
+    assert theorems._check_split(checks, "", Q, gen, tors, DIM1_SPLIT_CHECKS) == lengths
+    assert len(checks) == 4
+    I = Q.ring.defining
+    (a,) = Q.a_ideal.gens
+    for layer in (I.colon_monomial(a), I, I.colon_monomial(mono_pow(a, 2)), Q.numerator,
+                  gamma_m(Q.ring)):
+        colon, meet, _ = oracle_split_identities(Q, gen, layer)
+        assert theorems._colon_identity_holds(Q, gen, layer) is colon
+        assert theorems._intersection_identity_holds(Q, gen, layer) is meet
+
+
+# about one draw in thirteen has depth zero and a monomial parameter
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(one_dimensional_rings(), st.sampled_from([0, 1, 2]))
+def test_split_checks_match_the_ideal_oracle_in_dimension_one(ring, c_power):
+    assume_dim1_statement(ring)
+    check_split_against_oracle(*dim1_split(ring, c_power))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nonfree_homs())
+def test_split_checks_match_the_ideal_oracle_on_nonfree_homs(Q):
+    check_split_against_oracle(*nonfree_split(Q))
+
+
+def assume_dim1_statement(ring):
+    """Reject draws that 3.1 refuses: positive depth, no monomial parameter, index past the cap."""
+    assume(depth_is_zero(ring))
+    try:
+        first_monomial_parameter(ring)
+        stabilization_index(ring)
+    except (ValueError, CapExceeded):
+        assume(False)
+
+
+# 3.1 on k[x,y]/(x^2, xy^3) with a = y and c = 1 has n = 4, B = (y^5) + I,
+# C = (y^4, x^2, xy^2), gen = y^4 and tors = (0 : y) = (x^2, xy^2); each case
+# swaps in a wrong gen or tors that breaks one containment the checks test
+@pytest.mark.parametrize("gen_power, layer, failing", [
+    (4, "I", 0),           # xy^2, a generator of C, is in neither (y^4) + I nor I
+    (4, "(0 : a^2)", 0),   # xy, a generator of (0 : y^2), is not in C
+    (4, "C", 1),           # lcm(y^4, y^4) = y^4, in (y^4) + I and in C, is not in B
+    (6, "C", 1),           # y^5, a generator of B, is not in (y^6) + I
+])
+def test_split_checks_refuse_a_wrong_layer(gen_power, layer, failing):
+    R = ring2("(x^2, xy^3)")
+    y = R.parse_monomial("y")
+    Q = build_hom(sop(R, "y"), [5])
+    I = R.defining
+    tors = {"I": I, "(0 : a^2)": I.colon_monomial(mono_pow(y, 2)), "C": Q.numerator}[layer]
+    gen = mono_pow(y, gen_power)
+    verdicts = oracle_split_identities(Q, gen, tors)[:2]
+    assert verdicts == (failing == 1, failing == 0)
+    checks = []
+    name = DIM1_SPLIT_CHECKS[failing]
+    with pytest.raises(VerificationError, match=f"^{re.escape(name)}: failed for instance$"):
+        theorems._check_split(checks, "instance", Q, gen, tors, DIM1_SPLIT_CHECKS)
+    assert checks == list(DIM1_SPLIT_CHECKS[:failing])
+
+
+@pytest.mark.parametrize("statement", ["3.1", "3.3"])
+def test_split_statements_intersect_nothing_and_never_revalidate_b(monkeypatch, statement):
+    # once the ring keeps Γ and its index, the identities are read off
+    # generators and b is accepted in closed form
+    R = power_family_ring(3)
+    y = R.parse_monomial("y")
+
+    def run():
+        return verify_thm_dim1(R, y, y) if statement == "3.1" else verify_thm_nonfree(R, y)
+
+    expected = run().as_dict()
+    intersect = MonomialIdeal.intersect
+    intersections, validations = [], []
+
+    def counted_intersect(self, other):
+        intersections.append(self)
+        return intersect(self, other)
+
+    def counted_validate(*args):
+        validations.append(args)
+        return validate_sop(*args)
+
+    monkeypatch.setattr(MonomialIdeal, "intersect", counted_intersect)
+    monkeypatch.setattr(hom, "validate_sop", counted_validate)
+    assert run().as_dict() == expected
+    assert intersections == []
+    assert validations == []
 
 
 # c reaches b only through mono_mul, which checks nothing: a negative
