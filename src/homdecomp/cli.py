@@ -40,7 +40,6 @@ from .theorems import (
     VerificationError,
     check_radical_transfer,
     classify_grid,
-    decomposition_dict,
     search_decomposable_powers,
     search_nonfree_powers,
     verify_colon_identity,
@@ -214,7 +213,7 @@ def analysis_report(spec: RingSpec, a_text: str | None, b_text: str | None,
             "base_length": Q.base_length(),
             "free_over_base": Q.is_free_over_base(),
             "non_free_witness": ring.fmt(witness) if witness is not None else None,
-            "decomposition": decomposition_dict(verdict),
+            "decomposition": verdict.as_dict(),
         },
     }
 

@@ -49,6 +49,20 @@ class DecompositionReport(NamedTuple):
     def decomposable(self) -> bool:
         return self.verdict == "decomposable"
 
+    def as_dict(self) -> dict:
+        """JSON-ready view of the report."""
+        out = {
+            "verdict": self.verdict,
+            "method": self.method,
+            "module_dim": self.module_dim,
+            "summand_count": self.summand_count,
+        }
+        if self.partition is not None:
+            out["partition"] = [list(block) for block in self.partition]
+        if self.certificate is not None:
+            out["certificate"] = self.certificate
+        return out
+
 
 def decide(Q: HomSubquotient) -> DecompositionReport:
     """Decomposability and summand count of a monomial Hom module.

@@ -166,6 +166,8 @@ class ParameterSystem(_Value):
         params = tuple(_checked(u, ring.ambient) for u in params)
         a_ideal = _ideal(ring.ambient, params)
         ideal = ring.defining + a_ideal
+        if ideal.is_unit():
+            raise ValueError("a is the unit ideal; the base ring R/(I + a) is zero")
         self.__dict__.update(ring=ring, params=params, a_ideal=a_ideal, ideal=ideal,
                              base=LocalRing(ring.variables, ideal))
 

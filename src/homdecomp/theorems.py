@@ -1,12 +1,19 @@
 """Executable statements about Hom_R(R/a, M/bM).
 
-Each verifier derives the quantities it needs (colon ideals, summand
-lengths) afresh and runs the decomposition engine on the assembled
-module, so a passing report certifies a concrete instance of the
-statement rather than replaying stored answers.  The ring facts Γ_m(R)
-and the stabilization index are read through homdecomp.rings, which
-finds each on the first read for a ring object and keeps it there.
-Verifiers raise ValueError when the hypotheses do not hold and
+Each verifier builds the instance the statement speaks of and checks its
+claims on it, so a passing report certifies a concrete instance of the
+statement rather than replaying stored answers.  3.1 and 3.3 test their
+colon and intersection identities on generators (_check_split); 2.6,
+3.1, 3.3, 4.1 and 4.2 run the decomposition engine on the assembled
+module, while rees, 2.5 and 2.7 run none.  The ring facts Γ_m(R) and the
+stabilization index are read through homdecomp.rings, which finds each
+on the first read for a ring object and keeps it there.
+
+Every verifier records its checks through one _Checks builder, which
+holds the instance text, records each check as it passes, raises
+VerificationError naming the first one that fails, and builds the
+TheoremReport, so a passing report lists only checks that ran and
+passed.  Verifiers raise ValueError when the hypotheses do not hold and
 VerificationError when a hypothesis-satisfying instance fails a check;
 the second kind of failure always means a defect in this library.
 """
@@ -62,7 +69,7 @@ class TheoremReport(NamedTuple):
     """Outcome of one verified instance.
 
     checks lists every predicate that was tested, in order; a report is
-    only ever constructed after all of them passed.
+    only ever built by _Checks.report, after all of them passed.
     """
 
     statement: str
@@ -79,29 +86,8 @@ class TheoremReport(NamedTuple):
             "checks": list(self.checks),
         }
         if self.decomposition is not None:
-            out["decomposition"] = decomposition_dict(self.decomposition)
+            out["decomposition"] = self.decomposition.as_dict()
         return out
-
-
-def decomposition_dict(rep: DecompositionReport) -> dict:
-    """JSON-ready view of a decomposition report."""
-    out = {
-        "verdict": rep.verdict,
-        "method": rep.method,
-        "module_dim": rep.module_dim,
-        "summand_count": rep.summand_count,
-    }
-    if rep.partition is not None:
-        out["partition"] = [list(block) for block in rep.partition]
-    if rep.certificate is not None:
-        out["certificate"] = rep.certificate
-    return out
-
-
-def _check(checks: list, instance: str, name: str, ok: bool) -> None:
-    if not ok:
-        raise VerificationError(f"{name}: failed for {instance}")
-    checks.append(name)
 
 
 # every check list a passing report has held, each kept as one tuple; every
@@ -109,19 +95,61 @@ def _check(checks: list, instance: str, name: str, ok: bool) -> None:
 _CHECK_LISTS: dict[tuple[str, ...], tuple[str, ...]] = {}
 
 
-def _shared(checks: list) -> tuple[str, ...]:
-    """checks as the one tuple that every report with this check list holds.
+class _Checks:
+    """The checks of one statement instance, recorded as they pass.
 
-    A passing report of a statement lists the same checks every time, so
-    a caller that keeps many reports stores each list once, as it stores
-    each instance text once through sys.intern.
+    Calling it with a check name and a result records the check, or
+    raises VerificationError naming the check and the instance when the
+    result is false.  report() builds the TheoremReport from what was
+    recorded.  A passing report of a statement lists the same checks
+    every time, so the report holds the one tuple that every report with
+    its check list holds, and the instance text interned; a caller that
+    keeps many reports stores each text once, and no report keeps the
+    builder.
     """
-    names = tuple(checks)
-    return _CHECK_LISTS.setdefault(names, names)
+
+    __slots__ = ("instance", "names")
+
+    def __init__(self, instance: str):
+        self.instance = sys.intern(instance)
+        self.names: list[str] = []
+
+    def __call__(self, name: str, ok: bool) -> None:
+        if not ok:
+            raise VerificationError(f"{name}: failed for {self.instance}")
+        self.names.append(name)
+
+    def decomposition(self, Q: HomSubquotient) -> DecompositionReport:
+        """decide(Q), checked to be a split."""
+        report = decide(Q)
+        self("engine confirms a decomposition", report.decomposable)
+        return report
+
+    def not_free(self, Q: HomSubquotient) -> Monomial:
+        """Q's annihilator witness, once Q is checked not to be free over the base."""
+        self("module is not free over the base", not Q.is_free_over_base())
+        w = Q.non_free_annihilator_witness()
+        self("annihilator witness found on the module", w is not None)
+        return w
+
+    def report(self, statement: str, parameters: dict,
+               decomposition: DecompositionReport | None = None) -> TheoremReport:
+        names = tuple(self.names)
+        return TheoremReport(statement, self.instance, parameters,
+                             _CHECK_LISTS.setdefault(names, names), decomposition)
 
 
-def _one(ring: LocalRing) -> Monomial:
-    return (0,) * ring.ambient
+def _split_hypotheses(ring: LocalRing, c: Monomial | None, why: str) -> Monomial:
+    """The c of 3.1 and 3.3, by default 1, once ring has dimension one and depth zero.
+
+    why ends the depth-zero refusal, which differs between the two.
+    """
+    c = (0,) * ring.ambient if c is None else _checked(c, ring.ambient)
+    if ring.dimension() != 1:
+        raise ValueError("needs a one-dimensional ring")
+    if not depth_is_zero(ring):
+        raise ValueError(f"needs depth zero; {why}")
+    return c
 
 
 def _split_check_names(gen: str, tors: str) -> tuple[str, str]:
@@ -134,8 +162,8 @@ DIM1_SPLIT_CHECKS = _split_check_names("c a^n", "(0 : a)")
 NONFREE_SPLIT_CHECKS = _split_check_names("c a", "Gamma")
 
 
-def _check_split(checks: list, instance: str, Q: HomSubquotient, gen: Monomial,
-                 tors: MonomialIdeal, names: tuple[str, str]) -> list[int]:
+def _check_split(checks: _Checks, Q: HomSubquotient, gen: Monomial, tors: MonomialIdeal,
+                 names: tuple[str, str]) -> list[int]:
     """Check the splitting C/B = ((gen) + I)/B ⊕ (tors + B)/B behind 3.1 and 3.3.
 
     Checks the colon identity C = (B : a) = (gen) + I + tors, the
@@ -148,11 +176,11 @@ def _check_split(checks: list, instance: str, Q: HomSubquotient, gen: Monomial,
     built.
     """
     B, I = Q.denominator, Q.ring.defining
-    _check(checks, instance, names[0], _colon_identity_holds(Q, gen, tors))
-    _check(checks, instance, names[1], _intersection_identity_holds(Q, gen, tors))
+    checks(names[0], _colon_identity_holds(Q, gen, tors))
+    checks(names[1], _intersection_identity_holds(Q, gen, tors))
     lengths = [len(_between((gen,) + I.gens, B)), len(_between(tors.gens + B.gens, B))]
-    _check(checks, instance, "both summands are nonzero", min(lengths) > 0)
-    _check(checks, instance, "summand lengths add up", sum(lengths) == Q.length())
+    checks("both summands are nonzero", min(lengths) > 0)
+    checks("summand lengths add up", sum(lengths) == Q.length())
     return lengths
 
 
@@ -226,18 +254,12 @@ def verify_rees(ps: ParameterSystem, b_spec) -> TheoremReport:
         raise ValueError("the parameter system is not a regular sequence; ring is not CM here")
     Q = build_hom(ps, b_spec)
     ring = ps.ring
-    instance = sys.intern(f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}, "
-                          f"b = {ring.fmt_ideal(Q.b_ideal)}")
-    checks: list = []
-    _check(checks, instance, "cyclic: one minimal generator", Q.minimal_generator_count() == 1)
-    _check(checks, instance, "free of rank one over the base", Q.is_free_over_base())
-    _check(checks, instance, "length equals length of R/(a + I)", Q.length() == Q.base_length())
-    return TheoremReport(
-        statement="rees",
-        instance=instance,
-        parameters={"length": Q.length()},
-        checks=_shared(checks),
-    )
+    checks = _Checks(f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}, "
+                     f"b = {ring.fmt_ideal(Q.b_ideal)}")
+    checks("cyclic: one minimal generator", Q.minimal_generator_count() == 1)
+    checks("free of rank one over the base", Q.is_free_over_base())
+    checks("length equals length of R/(a + I)", Q.length() == Q.base_length())
+    return checks.report("rees", {"length": Q.length()})
 
 
 def verify_thm_dim1(ring: LocalRing, a: Monomial, c: Monomial | None = None) -> TheoremReport:
@@ -252,35 +274,23 @@ def verify_thm_dim1(ring: LocalRing, a: Monomial, c: Monomial | None = None) -> 
     positive lengths adding up to the Hom length, and that the engine
     finds the module decomposable.
     """
-    c = _one(ring) if c is None else _checked(c, ring.ambient)
-    if ring.dimension() != 1:
-        raise ValueError("needs a one-dimensional ring")
-    if not depth_is_zero(ring):
-        raise ValueError("needs depth zero; the torsion part is trivial otherwise")
+    c = _split_hypotheses(ring, c, "the torsion part is trivial otherwise")
     ps = validate_sop(ring, [a])
     n = stabilization_index(ring)
     b = mono_mul(c, mono_pow(a, n + 1))
     Q = build_hom(ps, [b])  # validates b: c must keep c*a^{n+1} a parameter
-    instance = sys.intern(f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}")
-    checks: list = []
-    lengths = _check_split(checks, instance, Q, mono_mul(c, mono_pow(a, n)),
+    checks = _Checks(f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}")
+    lengths = _check_split(checks, Q, mono_mul(c, mono_pow(a, n)),
                            ring.defining.colon_monomial(a), DIM1_SPLIT_CHECKS)
-    report = decide(Q)
-    _check(checks, instance, "engine confirms a decomposition", report.decomposable)
-    return TheoremReport(
-        statement="3.1",
-        instance=instance,
-        parameters={
-            "n": n,
-            "a": ring.fmt(a),
-            "c": ring.fmt(c),
-            "b": ring.fmt(b),
-            "hom_length": Q.length(),
-            "summand_lengths": lengths,
-        },
-        checks=_shared(checks),
-        decomposition=report,
-    )
+    report = checks.decomposition(Q)
+    return checks.report("3.1", {
+        "n": n,
+        "a": ring.fmt(a),
+        "c": ring.fmt(c),
+        "b": ring.fmt(b),
+        "hom_length": Q.length(),
+        "summand_lengths": lengths,
+    }, report)
 
 
 def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremReport:
@@ -291,11 +301,7 @@ def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremRep
     ((c a) + I)/B  ⊕  (Γ + B)/B and the first summand is killed by any
     element of Γ outside (a) + I, so the module cannot be free.
     """
-    c = _one(ring) if c is None else _checked(c, ring.ambient)
-    if ring.dimension() != 1:
-        raise ValueError("needs a one-dimensional ring")
-    if not depth_is_zero(ring):
-        raise ValueError("needs depth zero; over a CM ring Hom stays free")
+    c = _split_hypotheses(ring, c, "over a CM ring Hom stays free")
     n = stabilization_index(ring)
     a0 = first_monomial_parameter(ring)
     a = mono_pow(a0, n)
@@ -303,36 +309,24 @@ def verify_thm_nonfree(ring: LocalRing, c: Monomial | None = None) -> TheoremRep
     ps = validate_sop(ring, [a])
     Q = build_hom(ps, [b])  # validates b
     ca = mono_mul(c, a)
-    instance = sys.intern(f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}")
-    checks: list = []
-    lengths = _check_split(checks, instance, Q, ca, gamma_m(ring), NONFREE_SPLIT_CHECKS)
+    checks = _Checks(f"{ring!r}, a = {ring.fmt(a)}, c = {ring.fmt(c)}")
+    lengths = _check_split(checks, Q, ca, gamma_m(ring), NONFREE_SPLIT_CHECKS)
     torsion = [g for g in gamma_m(ring).gens if not ps.ideal.contains(g)]
-    _check(checks, instance, "Gamma has a generator outside (a) + I", bool(torsion))
+    checks("Gamma has a generator outside (a) + I", bool(torsion))
     w = min(torsion, key=grlex_key)
-    _check(checks, instance, "witness kills the cyclic summand",
-           Q.denominator.contains(mono_mul(w, ca)))
-    _check(checks, instance, "module is not free over the base",
-           not Q.is_free_over_base())
-    _check(checks, instance, "annihilator witness found on the module",
-           Q.non_free_annihilator_witness() is not None)
-    report = decide(Q)
-    _check(checks, instance, "engine confirms a decomposition", report.decomposable)
-    return TheoremReport(
-        statement="3.3",
-        instance=instance,
-        parameters={
-            "n": n,
-            "base": ring.fmt(a0),
-            "a": ring.fmt(a),
-            "c": ring.fmt(c),
-            "b": ring.fmt(b),
-            "witness": ring.fmt(w),
-            "hom_length": Q.length(),
-            "summand_lengths": lengths,
-        },
-        checks=_shared(checks),
-        decomposition=report,
-    )
+    checks("witness kills the cyclic summand", Q.denominator.contains(mono_mul(w, ca)))
+    checks.not_free(Q)
+    report = checks.decomposition(Q)
+    return checks.report("3.3", {
+        "n": n,
+        "base": ring.fmt(a0),
+        "a": ring.fmt(a),
+        "c": ring.fmt(c),
+        "b": ring.fmt(b),
+        "witness": ring.fmt(w),
+        "hom_length": Q.length(),
+        "summand_lengths": lengths,
+    }, report)
 
 
 def _reduction_chain(ps: ParameterSystem) -> tuple[dict, int]:
@@ -370,17 +364,14 @@ def search_decomposable_powers(ps: ParameterSystem) -> TheoremReport:
     ring = ps.ring
     steps, n = _reduction_chain(ps)
     exps = [steps.get(k, n + 1) for k in range(len(ps.params))]
-    instance = sys.intern(f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}")
+    checks = _Checks(f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}")
     parameters: dict = {}
     if steps:
         first = next(iter(steps))
         parameters["index"] = first + 1
         parameters["power"] = steps[first]
     parameters["n"] = exps
-    Q = build_hom(ps, exps)
-    report = decide(Q)
-    checks: list = []
-    _check(checks, instance, "engine confirms a decomposition", report.decomposable)
+    report = checks.decomposition(build_hom(ps, exps))
     if steps:
         # the induction transfers the split from the smaller ideal
         # (a_i^{n_i}, rest) up to a itself; rerun that step explicitly
@@ -393,14 +384,8 @@ def search_decomposable_powers(ps: ParameterSystem) -> TheoremReport:
             MonomialIdeal(ring.ambient, n_gens),
         )
         for name in transfer.checks:
-            checks.append(f"transfer step: {name}")
-    return TheoremReport(
-        statement="4.1",
-        instance=instance,
-        parameters=parameters,
-        checks=_shared(checks),
-        decomposition=report,
-    )
+            checks(f"transfer step: {name}", True)
+    return checks.report("4.1", parameters, report)
 
 
 def search_nonfree_powers(ps: ParameterSystem) -> TheoremReport:
@@ -421,26 +406,15 @@ def search_nonfree_powers(ps: ParameterSystem) -> TheoremReport:
     t = [1 if k in steps else 2 for k in range(d)]
     ps2 = validate_sop(ring, [mono_pow(p, e) for p, e in zip(ps.params, n_vec)])
     Q = build_hom(ps2, t)
-    instance = sys.intern(f"{ring!r}, a = {ring.fmt_ideal(ps2.a_ideal)}")
-    checks: list = []
-    report = decide(Q)
-    _check(checks, instance, "engine confirms a decomposition", report.decomposable)
-    _check(checks, instance, "module is not free over the base",
-           not Q.is_free_over_base())
-    w = Q.non_free_annihilator_witness()
-    _check(checks, instance, "annihilator witness found on the module", w is not None)
-    return TheoremReport(
-        statement="4.2",
-        instance=instance,
-        parameters={
-            "n": n_vec,
-            "N": [e * k for e, k in zip(n_vec, t)],
-            "witness": ring.fmt(w),
-            "hom_length": Q.length(),
-        },
-        checks=_shared(checks),
-        decomposition=report,
-    )
+    checks = _Checks(f"{ring!r}, a = {ring.fmt_ideal(ps2.a_ideal)}")
+    report = checks.decomposition(Q)
+    w = checks.not_free(Q)
+    return checks.report("4.2", {
+        "n": n_vec,
+        "N": [e * k for e, k in zip(n_vec, t)],
+        "witness": ring.fmt(w),
+        "hom_length": Q.length(),
+    }, report)
 
 
 def check_radical_transfer(ring: LocalRing, small: MonomialIdeal, large: MonomialIdeal,
@@ -457,19 +431,16 @@ def check_radical_transfer(ring: LocalRing, small: MonomialIdeal, large: Monomia
         raise ValueError("J must be contained in I")
     if (small + ring.defining).radical() != (large + ring.defining).radical():
         raise ValueError("J and I must have the same radical modulo the defining ideal")
-    instance = sys.intern(f"{ring!r}, J = {ring.fmt_ideal(small)}, I = {ring.fmt_ideal(large)}, "
-                          f"N = R/{ring.fmt_ideal(module_ideal)}")
-    checks: list = []
+    checks = _Checks(f"{ring!r}, J = {ring.fmt_ideal(small)}, I = {ring.fmt_ideal(large)}, "
+                     f"N = R/{ring.fmt_ideal(module_ideal)}")
     source = decide(hom_from_ideals(ring, small, module_ideal))
     if not source.decomposable:
-        checks.append("source Hom indecomposable; transfer holds vacuously")
-        return TheoremReport("2.6", instance, {"vacuous": True},
-                             _shared(checks), decomposition=source)
-    checks.append("source Hom decomposable")
+        checks("source Hom indecomposable; transfer holds vacuously", True)
+        return checks.report("2.6", {"vacuous": True}, source)
+    checks("source Hom decomposable", True)
     target = decide(hom_from_ideals(ring, large, module_ideal))
-    _check(checks, instance, "enlarged ideal keeps the decomposition", target.decomposable)
-    return TheoremReport("2.6", instance, {"vacuous": False},
-                         _shared(checks), decomposition=target)
+    checks("enlarged ideal keeps the decomposition", target.decomposable)
+    return checks.report("2.6", {"vacuous": False}, target)
 
 
 def verify_colon_identity(ring: LocalRing, seed: int = 7) -> TheoremReport:
@@ -496,10 +467,9 @@ def verify_colon_identity(ring: LocalRing, seed: int = 7) -> TheoremReport:
         r = rng.randint(q, 4)
         if not colon_identity_check(ring, L, a, b, p, q, r):
             failures += 1
-    instance = sys.intern(f"{ring!r}, {count} random instances, seed {seed}")
-    checks: list = []
-    _check(checks, instance, f"colon identity held on all {count} instances", failures == 0)
-    return TheoremReport("2.5", instance, {"count": count, "seed": seed}, _shared(checks))
+    checks = _Checks(f"{ring!r}, {count} random instances, seed {seed}")
+    checks(f"colon identity held on all {count} instances", failures == 0)
+    return checks.report("2.5", {"count": count, "seed": seed})
 
 
 def _non_regular_witness_holds(ps: ParameterSystem) -> bool:
@@ -537,20 +507,12 @@ def verify_non_cm_power(ps: ParameterSystem) -> TheoremReport:
         raise ValueError("needs at least two parameters")
     ring = ps.ring
     i, s = find_non_cm_power(ps)
-    instance = sys.intern(f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}")
-    checks: list = []
+    checks = _Checks(f"{ring!r}, a = {ring.fmt_ideal(ps.a_ideal)}")
     reduced = reduced_system(ps, i, s)
-    _check(checks, instance, "quotient by the chosen power is not CM",
-           _non_regular_witness_holds(reduced))
-    _check(checks, instance, "quotient dimension drops by one",
-           reduced.ring.dimension() == ring.dimension() - 1)
-    return TheoremReport(
-        statement="2.7",
-        instance=instance,
-        parameters={"index": i, "power": s,
-                    "parameter": ring.fmt(ps.params[i - 1])},
-        checks=_shared(checks),
-    )
+    checks("quotient by the chosen power is not CM", _non_regular_witness_holds(reduced))
+    checks("quotient dimension drops by one", reduced.ring.dimension() == ring.dimension() - 1)
+    return checks.report("2.7", {"index": i, "power": s,
+                                 "parameter": ring.fmt(ps.params[i - 1])})
 
 
 # ---------------------------------------------------------------- lattice maps

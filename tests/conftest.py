@@ -575,6 +575,36 @@ def one_dimensional_rings(draw):
 
 
 @st.composite
+def split_statement_rings(draw):
+    """k[x]/I on 2-4 variables of dimension one and depth zero, with a monomial parameter.
+
+    One variable x_f is free and every other x_i has a pure power
+    x_i^{e_i} in I, e_j >= 2 for one drawn x_j; every other relation
+    involves x_f, so I holds no pure power of it.  So the ring has
+    dimension one and x_f is its monomial parameter.  One relation is
+    x_f^p u for u = x_j^q times x_i^{w_i}, i not f or j, with
+    1 <= q < e_j and w_i < e_i; up to two more are x_f x_k times a random
+    monomial.  No relation divides u, so u lies outside I, and x_f^p u
+    lies in I while every other variable has a pure power there: a power
+    of m kills u and the depth is zero.  3.1 and 3.3 accept every draw
+    whose stabilization index is within its cap.
+    """
+    n = draw(st.integers(2, 4))
+    pure = lambda i, e: tuple(e if k == i else 0 for k in range(n))  # noqa: E731
+    f = draw(st.integers(0, n - 1))
+    others = [i for i in range(n) if i != f]
+    j = draw(st.sampled_from(others))
+    e = {i: draw(st.integers(2 if i == j else 1, 3)) for i in others}
+    gens = [pure(i, e[i]) for i in others]
+    u = tuple(draw(st.integers(1 if i == j else 0, e[i] - 1)) if i in e else 0 for i in range(n))
+    gens.append(mono_mul(pure(f, draw(st.integers(1, 3))), u))
+    for _ in range(draw(st.integers(0, 2))):
+        xk = pure(draw(st.sampled_from(others)), 1)
+        gens.append(mono_mul(mono_mul(pure(f, 1), xk), draw(st.tuples(*[st.integers(0, 2)] * n))))
+    return LocalRing(tuple("xyzw"[:n]), MonomialIdeal(n, gens))
+
+
+@st.composite
 def drawn_systems(draw):
     """A ring on 1-4 variables and as many monomials as its dimension.
 

@@ -141,6 +141,10 @@ def test_ci_smoke_diffs_every_golden_dir_written_by_the_installed_package(tmp_pa
     for kind in kinds:
         write = runs.index(f"python3 tests/test_golden_{kind}.py out/{kind}")
         assert runs.index(guard) < write < runs.index(f"diff -r out/{kind} tests/golden/{kind}")
+    # the cli cases again under -O, which drops assert statements, so no
+    # refusal or check of the package lives in one
+    optimized = runs.index("python3 -O tests/test_golden_cli.py out/cli-optimized")
+    assert runs.index(guard) < optimized < runs.index("diff -r out/cli-optimized tests/golden/cli")
 
 
 def test_readme_and_verify_help_name_the_options_each_statement_reads(capsys, monkeypatch):

@@ -25,7 +25,7 @@ from conftest import (
     verify_deck_statements,
 )
 from homdecomp import monomials, rings, theorems
-from homdecomp.hom import HomSubquotient, build_hom
+from homdecomp.hom import HomSubquotient, build_hom, hom_from_ideals
 from homdecomp.monomials import CapExceeded, MonomialIdeal, grlex_key, parse_ideal
 from homdecomp.rings import (
     LocalRing,
@@ -247,6 +247,18 @@ def test_validate_sop_rejects_unit_parameter():
     F = ring("(x^2, xyz)", XYZ)
     with pytest.raises(ValueError, match="parameter 2 is the unit 1"):
         validate_sop(F, [F.parse_monomial("y"), F.parse_monomial("1")])
+
+
+def test_unvalidated_unit_parameter_blames_the_base_ring():
+    # k[x,y]/(x^2) is no zero ring; the unit parameter makes the base
+    # S = R/(I + a) zero, in the text hom_from_ideals gives for a unit a
+    R = ring("(x^2)")
+    with pytest.raises(ValueError) as system:
+        ParameterSystem(R, [(0, 0)])
+    with pytest.raises(ValueError) as hom:
+        hom_from_ideals(R, MonomialIdeal.unit(2), parse_ideal("(y^2)", XY))
+    assert str(system.value) == str(hom.value) == (
+        "a is the unit ideal; the base ring R/(I + a) is zero")
 
 
 def test_regular_element():

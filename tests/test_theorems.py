@@ -29,9 +29,10 @@ from conftest import (
     oracle_first_monomial_parameter,
     oracle_split_identities,
     power_specs,
+    split_statement_rings,
 )
 from homdecomp import hom, monomials, rings, theorems
-from homdecomp.decomp import decide
+from homdecomp.decomp import DecompositionReport, decide
 from homdecomp.hom import HomSubquotient, build_hom, parameter_box, row_intervals
 from homdecomp.monomials import (CapExceeded, MonomialIdeal, grlex_key, mono_mul, mono_pow,
                                  monomials_between, row_thresholds)
@@ -195,9 +196,9 @@ def check_split_against_oracle(Q, gen, tors):
     """
     colon, meet, lengths = oracle_split_identities(Q, gen, tors)
     assert colon and meet
-    checks = []
-    assert theorems._check_split(checks, "", Q, gen, tors, DIM1_SPLIT_CHECKS) == lengths
-    assert len(checks) == 4
+    checks = theorems._Checks("")
+    assert theorems._check_split(checks, Q, gen, tors, DIM1_SPLIT_CHECKS) == lengths
+    assert len(checks.names) == 4
     I = Q.ring.defining
     (a,) = Q.a_ideal.gens
     for layer in (I.colon_monomial(a), I, I.colon_monomial(mono_pow(a, 2)), Q.numerator,
@@ -207,10 +208,8 @@ def check_split_against_oracle(Q, gen, tors):
         assert theorems._intersection_identity_holds(Q, gen, layer) is meet
 
 
-# about one draw in thirteen has depth zero and a monomial parameter
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-@given(one_dimensional_rings(), st.sampled_from([0, 1, 2]))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(split_statement_rings(), st.sampled_from([0, 1, 2]))
 def test_split_checks_match_the_ideal_oracle_in_dimension_one(ring, c_power):
     assume_dim1_statement(ring)
     check_split_against_oracle(*dim1_split(ring, c_power))
@@ -250,11 +249,11 @@ def test_split_checks_refuse_a_wrong_layer(gen_power, layer, failing):
     gen = mono_pow(y, gen_power)
     verdicts = oracle_split_identities(Q, gen, tors)[:2]
     assert verdicts == (failing == 1, failing == 0)
-    checks = []
+    checks = theorems._Checks("instance")
     name = DIM1_SPLIT_CHECKS[failing]
     with pytest.raises(VerificationError, match=f"^{re.escape(name)}: failed for instance$"):
-        theorems._check_split(checks, "instance", Q, gen, tors, DIM1_SPLIT_CHECKS)
-    assert checks == list(DIM1_SPLIT_CHECKS[:failing])
+        theorems._check_split(checks, Q, gen, tors, DIM1_SPLIT_CHECKS)
+    assert checks.names == list(DIM1_SPLIT_CHECKS[:failing])
 
 
 @pytest.mark.parametrize("statement", ["3.1", "3.3"])
@@ -915,8 +914,56 @@ class TestCheckNames:
         assert search_nonfree_powers(ps).checks == (ENGINE, *NONFREE)
 
 
-# as_dict() of 3.1 and 3.3 on k[x,y]/(x^2, xy^3) with a = y and c = y
+def shared_text_report(statement):
+    """statement's report on inputs built afresh, so two calls run on equal, distinct rings.
+
+    3.1 and 3.3 run on k[x,y]/(x^2, xy^3) with a = y and c = y, 2.7 and the
+    power searches on k[x,y,z]/(x^2, xyz) with a = (y, z).
+    """
+    R, F = ring2("(x^2, xy^3)"), LocalRing.from_text(("x", "y", "z"), "(x^2, xyz)")
+    y = R.parse_monomial("y")
+    return {
+        "rees": lambda: verify_rees(sop(ring2("(x^2)"), "y"), [2]),
+        "2.5": lambda: verify_colon_identity(ring2("(x^2, xy^2)"), seed=0),
+        "2.6": lambda: check_radical_transfer(R, R.parse_ideal("(y^4)"), R.parse_ideal("(y^2)"),
+                                              R.parse_ideal("(y^8)")),
+        "2.7": lambda: verify_non_cm_power(sop(F, "y", "z")),
+        "3.1": lambda: verify_thm_dim1(R, y, y),
+        "3.3": lambda: verify_thm_nonfree(R, y),
+        "4.1": lambda: search_decomposable_powers(sop(F, "y", "z")),
+        "4.2": lambda: search_nonfree_powers(sop(F, "y", "z")),
+    }[statement]()
+
+
+# as_dict() of each statement's shared_text_report
 SHARED_TEXT_REPORTS = {
+    "rees": {
+        "statement": "rees",
+        "instance": "k[x, y]/(x^2), a = (y), b = (y^2)",
+        "parameters": {"length": 2},
+        "checks": ["cyclic: one minimal generator", "free of rank one over the base",
+                   "length equals length of R/(a + I)"],
+    },
+    "2.5": {
+        "statement": "2.5",
+        "instance": "k[x, y]/(x^2, xy^2), 100 random instances, seed 0",
+        "parameters": {"count": 100, "seed": 0},
+        "checks": ["colon identity held on all 100 instances"],
+    },
+    "2.6": {
+        "statement": "2.6",
+        "instance": "k[x, y]/(x^2, xy^3), J = (y^4), I = (y^2), N = R/(y^8)",
+        "parameters": {"vacuous": False},
+        "checks": ["source Hom decomposable", "enlarged ideal keeps the decomposition"],
+        "decomposition": {"verdict": "decomposable", "method": "components", "module_dim": 4,
+                          "summand_count": 2, "partition": [[0, 1], [2, 3]]},
+    },
+    "2.7": {
+        "statement": "2.7",
+        "instance": "k[x, y, z]/(x^2, xyz), a = (y, z)",
+        "parameters": {"index": 1, "power": 2, "parameter": "y"},
+        "checks": ["quotient by the chosen power is not CM", "quotient dimension drops by one"],
+    },
     "3.1": {
         "statement": "3.1",
         "instance": "k[x, y]/(x^2, xy^3), a = y, c = y",
@@ -942,6 +989,23 @@ SHARED_TEXT_REPORTS = {
         "decomposition": {"verdict": "decomposable", "method": "components", "module_dim": 7,
                           "summand_count": 2, "partition": [[0, 1, 2], [3, 4, 5, 6]]},
     },
+    "4.1": {
+        "statement": "4.1",
+        "instance": "k[x, y, z]/(x^2, xyz), a = (y, z)",
+        "parameters": {"index": 1, "power": 2, "n": [2, 4]},
+        "checks": [ENGINE, "transfer step: source Hom decomposable",
+                   "transfer step: enlarged ideal keeps the decomposition"],
+        "decomposition": {"verdict": "decomposable", "method": "components", "module_dim": 3,
+                          "summand_count": 3, "partition": [[0], [1], [2]]},
+    },
+    "4.2": {
+        "statement": "4.2",
+        "instance": "k[x, y, z]/(x^2, xyz), a = (y^2, z^3)",
+        "parameters": {"n": [2, 3], "N": [2, 6], "witness": "xy", "hom_length": 10},
+        "checks": [ENGINE, *NONFREE],
+        "decomposition": {"verdict": "decomposable", "method": "components", "module_dim": 10,
+                          "summand_count": 2, "partition": [[0], [1, 2, 3, 4, 5, 6, 7, 8, 9]]},
+    },
 }
 
 
@@ -949,14 +1013,30 @@ SHARED_TEXT_REPORTS = {
 def test_reports_on_equal_inputs_share_their_texts(statement):
     # two equal rings, not one object: a caller that keeps many reports
     # stores each check list and each instance text once
-    def report(R):
-        y = R.parse_monomial("y")
-        return verify_thm_dim1(R, y, y) if statement == "3.1" else verify_thm_nonfree(R, y)
-
-    first, second = report(ring2("(x^2, xy^3)")), report(ring2("(x^2, xy^3)"))
+    first, second = shared_text_report(statement), shared_text_report(statement)
     assert first.checks is second.checks
     assert first.instance is second.instance
     assert first.as_dict() == second.as_dict() == SHARED_TEXT_REPORTS[statement]
+
+
+def indecomposable(Q):
+    return DecompositionReport("indecomposable", "components", Q.length(), 1)
+
+
+# each failing check raises with its own name and the report's instance text
+@pytest.mark.parametrize("statement, name", [
+    ("3.1", ENGINE), ("3.3", ENGINE), ("4.1", ENGINE), ("4.2", ENGINE),
+    ("3.3", NONFREE[0]), ("4.2", NONFREE[0]),
+])
+def test_a_failing_check_names_itself_and_the_instance(monkeypatch, statement, name):
+    if name == ENGINE:
+        monkeypatch.setattr(theorems, "decide", indecomposable)
+    else:
+        monkeypatch.setattr(HomSubquotient, "is_free_over_base", lambda self: True)
+    instance = SHARED_TEXT_REPORTS[statement]["instance"]
+    with pytest.raises(VerificationError,
+                       match=f"^{re.escape(name)}: failed for {re.escape(instance)}$"):
+        shared_text_report(statement)
 
 
 @settings(max_examples=100, deadline=None)
