@@ -11,9 +11,9 @@ reads its generators and length off it when built; the length, generator
 count, cyclicity, freeness and summand count read those and the pass's
 component count, so they list no cell.  The graded-lex basis is built
 on first request, for the blocks and the F_p presentation, and so is C;
-the annihilator witness and the verifiers' identities read C's
-generators outside B instead, and the grid reads the pass's counts
-alone.
+the annihilator witness reads C's generators outside B instead, the
+verifiers' split identities and summand lengths read the pass's
+intervals, and the grid reads the pass's counts alone.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 Each verifier builds the instance the statement speaks of and checks its
 claims on it, so a passing report certifies a concrete instance of the
 statement rather than replaying stored answers.  3.1 and 3.3 test their
-colon and intersection identities on generators (_check_split); 2.6,
-3.1, 3.3, 4.1 and 4.2 run the decomposition engine on the assembled
-module, while rees, 2.5 and 2.7 run none.  The ring facts Γ_m(R) and the
-stabilization index are read through homdecomp.rings, which finds each
-on the first read for a ring object and keeps it there.
+colon and intersection identities and read their summand lengths in one
+pass over the Hom's row scan (_check_split); 2.6, 3.1, 3.3, 4.1 and 4.2
+run the decomposition engine on the assembled module, while rees, 2.5
+and 2.7 run none.  The ring facts Γ_m(R) and the stabilization index
+are read through homdecomp.rings, which finds each on the first read
+for a ring object and keeps it there.
 
 Every verifier records its checks through one _Checks builder, which
 holds the instance text, records each check as it passes, raises
@@ -26,6 +27,7 @@ import random
 import sys
 from collections.abc import Mapping
 from enum import Enum
+from operator import le
 from typing import NamedTuple
 
 from .decomp import DecompositionReport, decide
@@ -34,11 +36,9 @@ from .monomials import (
     CapExceeded,
     Monomial,
     MonomialIdeal,
-    _between,
     _checked,
     divides,
     grlex_key,
-    mono_lcm,
     mono_mul,
     mono_pow,
     monomials_between,
@@ -170,58 +170,83 @@ def _check_split(checks: _Checks, Q: HomSubquotient, gen: Monomial, tors: Monomi
     intersection identity B = ((gen) + I) ∩ (tors + B), and that the two
     layers are nonzero with lengths adding up to the Hom length.  names
     holds the first two check names, from _split_check_names.  Returns
-    the two lengths.  Each identity is checked on generators by
-    _colon_identity_holds and _intersection_identity_holds, and each
-    length is _between's walk from the layer's generators, so no ideal is
-    built.
+    the two lengths.  All of it is read off one pass over Q.rows.spans,
+    so no ideal is built and no monomial is listed.
+
+    Write L = (gen) + I, a cell u = (p, k) with p its first n - 1
+    exponents, and [lo, hi) for row p's interval of basis cells, the
+    cells of C outside B (hom.row_intervals).  (p, k) is a multiple of
+    gen exactly when gen' <= p and k >= gen_n, and lies in tors exactly
+    when k >= r(p), the least t_n over the generators t of tors with
+    t' <= p.  So in row p the gen layer, the basis cells in L, is
+    [g, hi) for g = max(lo, gen_n) when gen' <= p, and the tors layer
+    is [t, hi) for t = max(lo, r(p)); either start is hi when the layer
+    misses the row.  A cell outside B lies in L exactly when it is a
+    multiple of gen, as I ⊆ B.  A monomial u lies in C when its row
+    holds basis cells and u_n >= lo, or, in any other row, when it lies
+    in B: a cell below lo is outside B and C, and a cell at or past hi
+    is in B.  The rows hold no cell of B, so B is tested on generators:
+    B is I + 𝔟 for 𝔟 = Q.b_ideal, and I ⊆ L, so B ⊆ L exactly when 𝔟's
+    generators lie in L, and B ⊆ L + tors exactly when those outside L
+    lie in tors.
+
+    Colon identity.  A monomial lies in a sum of monomial ideals when it
+    lies in one of them (Miller-Sturmfels, ch. 1).  If C = L + tors,
+    then gen and tors' generators lie in C, and each row's first basis
+    cell (p, lo) lies in L or in tors, so g = lo or t = lo; and B ⊆ C =
+    L + tors.  Conversely, if gen and tors' generators lie in C, then
+    L + tors ⊆ C, as I ⊆ B ⊆ C; every basis cell (p, k) is a multiple of
+    (p, lo), which lies in L or tors when min(g, t) = lo; and with B ⊆
+    L + tors, C, which is B and the basis cells, lies in L + tors.  So
+    the identity holds exactly when those memberships hold, 𝔟's
+    generators outside L lie in tors, and min(g, t) = lo in every row.
+
+    Intersection identity.  B ⊆ tors + B always, so B ⊆ L ∩ (tors + B)
+    exactly when 𝔟's generators lie in L.  The other inclusion fails
+    exactly when some monomial outside B lies in L and in tors + B, that
+    is in (gen) and in tors.  This verdict is read only once the colon
+    identity holds, as checks raises at the first failing check; then
+    (gen) and tors lie in C, such a monomial is a basis cell, and it is
+    one exactly when the two layers of its row overlap, max(g, t) < hi.
+
+    Lengths.  Once both identities hold, L and tors lie in C, so the
+    cells of L and of tors + B outside B are the rows' two layers, and
+    each length is the sum of hi - g or of hi - t.
+
+    >>> from .rings import LocalRing, validate_sop
+    >>> R = LocalRing.from_text(("x", "y"), "(x^2, xy^3)")   # 3.3 with n = 4
+    >>> Q = build_hom(validate_sop(R, [(0, 4)]), [(0, 8)])
+    >>> _check_split(_Checks(""), Q, (0, 4), gamma_m(R), NONFREE_SPLIT_CHECKS)
+    [4, 3]
     """
-    B, I = Q.denominator, Q.ring.defining
-    checks(names[0], _colon_identity_holds(Q, gen, tors))
-    checks(names[1], _intersection_identity_holds(Q, gen, tors))
-    lengths = [len(_between((gen,) + I.gens, B)), len(_between(tors.gens + B.gens, B))]
+    spans, B, I = Q.rows.spans, Q.denominator, Q.ring.defining
+
+    def in_C(u: Monomial) -> bool:
+        span = spans.get(u[:-1])
+        return u[-1] >= span[0] if span else B.contains(u)
+
+    above, at = gen[:-1], gen[-1]
+    layer = [(h[:-1], h[-1]) for h in tors.gens]
+    outside_L = [v for v in Q.b_ideal.gens if not divides(gen, v) and not I.contains(v)]
+    colon = all(map(tors.contains, outside_L)) and all(map(in_C, (gen,) + tors.gens))
+    meet = not outside_L
+    lengths = [0, 0]
+    for p, (lo, hi, _) in spans.items():
+        g = min(hi, max(lo, at)) if all(map(le, above, p)) else hi
+        t = hi
+        for q, k in layer:
+            if k < t and all(map(le, q, p)):
+                t = k
+        t = max(lo, t)
+        colon = colon and min(g, t) == lo
+        meet = meet and max(g, t) == hi
+        lengths[0] += hi - g
+        lengths[1] += hi - t
+    checks(names[0], colon)
+    checks(names[1], meet)
     checks("both summands are nonzero", min(lengths) > 0)
     checks("summand lengths add up", sum(lengths) == Q.length())
     return lengths
-
-
-def _colon_identity_holds(Q: HomSubquotient, gen: Monomial, tors: MonomialIdeal) -> bool:
-    """Whether C = (gen) + I + tors, for C = Q.numerator, tested on generators.
-
-    Monomial ideals are equal when each contains the other, and an ideal
-    contains another when it holds the other's generators.  C is
-    generated by B's generators and Q's generators outside B, and a
-    monomial lies in a sum of monomial ideals when it lies in one of them
-    (Miller-Sturmfels, ch. 1).  So the identity holds when each generator
-    of C lies in (gen) + I or in tors, and gen, I's generators and tors'
-    generators each lie in C, that is in B or above a generator of C
-    outside B.
-    """
-    B, I, outside = Q.denominator, Q.ring.defining, Q._generators
-
-    def in_C(u: Monomial) -> bool:
-        return B.contains(u) or any(divides(g, u) for g in outside)
-
-    return (all(divides(gen, u) or I.contains(u) or tors.contains(u)
-                for u in B.gens + outside)
-            and all(map(in_C, (gen,) + I.gens + tors.gens)))
-
-
-def _intersection_identity_holds(Q: HomSubquotient, gen: Monomial,
-                                 tors: MonomialIdeal) -> bool:
-    """Whether B = ((gen) + I) ∩ (tors + B), for B = Q.denominator, tested on generators.
-
-    B lies inside when each generator of B lies in (gen) + I and in
-    tors + B; the second always holds and is tested all the same.  The
-    intersection of two monomial ideals is generated by the lcms of their
-    generators, one from each (Miller-Sturmfels, ch. 1), so it lies in B
-    when each lcm(p, q) does, for p in gen and I's generators and q in
-    tors' and B's generators.  An lcm with a generator of B is a multiple
-    of it and in B by definition, so those pairs are skipped.
-    """
-    B, I = Q.denominator, Q.ring.defining
-    return (all((divides(gen, u) or I.contains(u)) and (tors.contains(u) or B.contains(u))
-                for u in B.gens)
-            and all(B.contains(mono_lcm(p, q)) for p in (gen,) + I.gens for q in tors.gens))
 
 
 def first_monomial_parameter(ring: LocalRing) -> Monomial:
@@ -266,7 +291,7 @@ def verify_thm_dim1(ring: LocalRing, a: Monomial, c: Monomial | None = None) -> 
     """Splitting of Hom(R/(a), R/(c a^{n+1})) in dimension one, depth zero.
 
     n is the stabilization index.  The verifier checks both identities
-    behind the splitting on generators (_check_split),
+    behind the splitting on the Hom's row scan (_check_split),
 
         (B : a) = (c a^n) + (0 : a)   and   B = ((c a^n) + I) ∩ ((0 : a) + B)
 

@@ -33,7 +33,7 @@ from conftest import (
 )
 from homdecomp import hom, monomials, rings, theorems
 from homdecomp.decomp import DecompositionReport, decide
-from homdecomp.hom import HomSubquotient, build_hom, parameter_box, row_intervals
+from homdecomp.hom import HomSubquotient, build_hom, hom_from_ideals, parameter_box, row_intervals
 from homdecomp.monomials import (CapExceeded, MonomialIdeal, grlex_key, mono_mul, mono_pow,
                                  monomials_between, row_thresholds)
 from homdecomp.rings import (LocalRing, ParameterSystem, depth_is_zero, gamma_m,
@@ -188,24 +188,49 @@ def nonfree_split(Q):
     return Q, tuple(e - f for e, f in zip(b, a)), gamma_m(Q.ring)
 
 
-def check_split_against_oracle(Q, gen, tors):
-    """_check_split passes with the oracle's lengths, and every layer gets the oracle's verdicts.
+SPLIT_CHECKS = DIM1_SPLIT_CHECKS + ("both summands are nonzero", "summand lengths add up")
 
-    Beside the right tors, (0 : a), I, (0 : a^2), C and Γ are tried as the
-    torsion layer; most of them break an identity on some draws.
-    """
+
+def split_outcome(Q, gen, tors):
+    """_check_split's lengths, or the name of the first check it fails."""
+    try:
+        return theorems._check_split(theorems._Checks(""), Q, gen, tors, DIM1_SPLIT_CHECKS)
+    except VerificationError as err:
+        return str(err).removesuffix(": failed for ")
+
+
+def oracle_split_outcome(Q, gen, tors):
+    """split_outcome read off oracle_split_identities' ideals, built in full."""
     colon, meet, lengths = oracle_split_identities(Q, gen, tors)
-    assert colon and meet
-    checks = theorems._Checks("")
-    assert theorems._check_split(checks, Q, gen, tors, DIM1_SPLIT_CHECKS) == lengths
-    assert len(checks.names) == 4
+    verdicts = (colon, meet, min(lengths) > 0, sum(lengths) == Q.length())
+    return next((name for name, ok in zip(SPLIT_CHECKS, verdicts) if not ok), lengths)
+
+
+def split_layers(Q, tors):
+    """tors, then the five torsion layers tried beside it: (0 : a), I, (0 : a^2), C and Γ.
+
+    (0 : a) is the right layer of 3.1 and Γ that of 3.3; the others break
+    a check on some draws.
+    """
     I = Q.ring.defining
     (a,) = Q.a_ideal.gens
-    for layer in (I.colon_monomial(a), I, I.colon_monomial(mono_pow(a, 2)), Q.numerator,
-                  gamma_m(Q.ring)):
-        colon, meet, _ = oracle_split_identities(Q, gen, layer)
-        assert theorems._colon_identity_holds(Q, gen, layer) is colon
-        assert theorems._intersection_identity_holds(Q, gen, layer) is meet
+    return (tors, I.colon_monomial(a), I, I.colon_monomial(mono_pow(a, 2)), Q.numerator,
+            gamma_m(Q.ring))
+
+
+def check_split_against_oracle(Q, gen, tors):
+    """_check_split passes on tors with the oracle's lengths, and matches it on every layer.
+
+    On each layer the outcome is the lengths, or the name of the first
+    check that fails, and it must be the oracle's.
+    """
+    lengths = oracle_split_outcome(Q, gen, tors)
+    assert isinstance(lengths, list)
+    checks = theorems._Checks("")
+    assert theorems._check_split(checks, Q, gen, tors, DIM1_SPLIT_CHECKS) == lengths
+    assert checks.names == list(SPLIT_CHECKS)
+    for layer in split_layers(Q, tors)[1:]:
+        assert split_outcome(Q, gen, layer) == oracle_split_outcome(Q, gen, layer)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -221,6 +246,22 @@ def test_split_checks_match_the_ideal_oracle_on_nonfree_homs(Q):
     check_split_against_oracle(*nonfree_split(Q))
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(split_statement_rings(), st.sampled_from([0, 1, 2]), st.data())
+def test_split_checks_match_the_ideal_oracle_on_a_moved_gen(ring, c_power, data):
+    # gen moved up or down one step in one variable: the colon identity
+    # fails on every layer but C, and with tors = C each of the colon
+    # identity, the intersection identity and the nonzero summands fails
+    # on some draws
+    assume_dim1_statement(ring)
+    Q, gen, tors = dim1_split(ring, c_power)
+    v = data.draw(st.integers(0, ring.ambient - 1))
+    moved = gen[:v] + (gen[v] + data.draw(st.sampled_from([1, -1])),) + gen[v + 1:]
+    assume(moved[v] >= 0)
+    for layer in split_layers(Q, tors):
+        assert split_outcome(Q, moved, layer) == oracle_split_outcome(Q, moved, layer)
+
+
 def assume_dim1_statement(ring):
     """Reject draws that 3.1 refuses: positive depth, no monomial parameter, index past the cap."""
     assume(depth_is_zero(ring))
@@ -232,12 +273,15 @@ def assume_dim1_statement(ring):
 
 
 # 3.1 on k[x,y]/(x^2, xy^3) with a = y and c = 1 has n = 4, B = (y^5) + I,
-# C = (y^4, x^2, xy^2), gen = y^4 and tors = (0 : y) = (x^2, xy^2); each case
-# swaps in a wrong gen or tors that breaks one containment the checks test
+# C = (y^4, x^2, xy^2), gen = y^4 and tors = (0 : y) = (x^2, xy^2).  The
+# basis rows are x^0, cells y^4, and x^1, cells xy^2.  Each case swaps in a
+# wrong gen or tors that breaks one condition of _check_split's row pass
 @pytest.mark.parametrize("gen_power, layer, failing", [
-    (4, "I", 0),           # xy^2, a generator of C, is in neither (y^4) + I nor I
-    (4, "(0 : a^2)", 0),   # xy, a generator of (0 : y^2), is not in C
-    (4, "C", 1),           # lcm(y^4, y^4) = y^4, in (y^4) + I and in C, is not in B
+    (4, "I", 0),           # row x^1 starts at xy^2, which is in neither (y^4) + I nor I
+    (4, "(0 : a^2)", 0),   # only tors' generators in C: xy, a generator of (0 : y^2), is not
+    (4, "Gamma", 0),       # only tors' generators in C: x, which generates Γ, is not
+    (3, "(0 : a)", 0),     # only gen in C: y^3 is not
+    (4, "C", 1),           # the layers overlap in y^4, in (y^4) + I and in C but not in B
     (6, "C", 1),           # y^5, a generator of B, is not in (y^6) + I
 ])
 def test_split_checks_refuse_a_wrong_layer(gen_power, layer, failing):
@@ -245,7 +289,8 @@ def test_split_checks_refuse_a_wrong_layer(gen_power, layer, failing):
     y = R.parse_monomial("y")
     Q = build_hom(sop(R, "y"), [5])
     I = R.defining
-    tors = {"I": I, "(0 : a^2)": I.colon_monomial(mono_pow(y, 2)), "C": Q.numerator}[layer]
+    tors = {"I": I, "(0 : a)": I.colon_monomial(y), "(0 : a^2)": I.colon_monomial(mono_pow(y, 2)),
+            "Gamma": gamma_m(R), "C": Q.numerator}[layer]
     gen = mono_pow(y, gen_power)
     verdicts = oracle_split_identities(Q, gen, tors)[:2]
     assert verdicts == (failing == 1, failing == 0)
@@ -256,10 +301,30 @@ def test_split_checks_refuse_a_wrong_layer(gen_power, layer, failing):
     assert checks.names == list(DIM1_SPLIT_CHECKS[:failing])
 
 
+def test_split_checks_test_b_on_its_generators():
+    # hom_from_ideals keeps b as given.  Over I = (x^2, xy^3), b = (x^2, y^5)
+    # gives 3.1's module with a = y, and its generator x^2 lies in I, so in
+    # (y^4) + I.  Over I = (x^3, y^3), Hom(k[x,y]/(x, y), k[x,y]/(x^2, y^2))
+    # has C = (xy) + B, and its one basis cell xy starts the gen layer of
+    # gen = xy, but b's generators x^2 and y^2 lie in neither (xy) + I nor
+    # the zero tors: the rows alone would pass both identities
+    R = ring2("(x^2, xy^3)")
+    Q = hom_from_ideals(R, R.parse_ideal("(y)"), R.parse_ideal("(x^2, y^5)"))
+    tors = R.defining.colon_monomial((0, 1))
+    assert split_outcome(Q, (0, 4), tors) == oracle_split_outcome(Q, (0, 4), tors) == [1, 1]
+    R = ring2("(x^3, y^3)")
+    Q = hom_from_ideals(R, R.parse_ideal("(x, y)"), R.parse_ideal("(x^2, y^2)"))
+    assert Q.basis() == ((1, 1),)
+    zero = MonomialIdeal.zero(2)
+    assert oracle_split_identities(Q, (1, 1), zero)[:2] == (False, False)
+    assert split_outcome(Q, (1, 1), zero) == DIM1_SPLIT_CHECKS[0]
+    assert split_outcome(Q, (1, 1), Q.numerator) == DIM1_SPLIT_CHECKS[1]
+
+
 @pytest.mark.parametrize("statement", ["3.1", "3.3"])
 def test_split_statements_intersect_nothing_and_never_revalidate_b(monkeypatch, statement):
-    # once the ring keeps Γ and its index, the identities are read off
-    # generators and b is accepted in closed form
+    # once the ring keeps Γ and its index, the identities are read off the
+    # Hom's row scan and b is accepted in closed form
     R = power_family_ring(3)
     y = R.parse_monomial("y")
 
@@ -268,7 +333,8 @@ def test_split_statements_intersect_nothing_and_never_revalidate_b(monkeypatch, 
 
     expected = run().as_dict()
     intersect = MonomialIdeal.intersect
-    intersections, validations = [], []
+    between = monomials._between
+    intersections, validations, walks = [], [], []
 
     def counted_intersect(self, other):
         intersections.append(self)
@@ -278,11 +344,18 @@ def test_split_statements_intersect_nothing_and_never_revalidate_b(monkeypatch, 
         validations.append(args)
         return validate_sop(*args)
 
+    def counted_between(*args):
+        walks.append(args)
+        return between(*args)
+
     monkeypatch.setattr(MonomialIdeal, "intersect", counted_intersect)
     monkeypatch.setattr(hom, "validate_sop", counted_validate)
+    monkeypatch.setattr(monomials, "_between", counted_between)
+    assert not hasattr(theorems, "_between")
     assert run().as_dict() == expected
     assert intersections == []
     assert validations == []
+    assert walks == []
 
 
 # c reaches b only through mono_mul, which checks nothing: a negative
