@@ -18,14 +18,8 @@ import sys
 from typing import NamedTuple
 
 from .decomp import decide
-from .hom import build_hom
-from .monomials import (
-    CapExceeded,
-    MonomialIdeal,
-    format_monomial,
-    mono_pow,
-    parse_monomial,
-)
+from .hom import _b_ideal, b_exponents, build_hom
+from .monomials import CapExceeded, format_monomial, parse_monomial
 from .rings import (
     LocalRing,
     depth_is_zero,
@@ -404,10 +398,7 @@ def _radical_transfer(spec: RingSpec, ring: LocalRing, args):
     if args.powers is None or args.b is None:
         raise ValueError("--theorem 2.6 needs --powers (for J) and --b (for N)")
     ps = spec.parameter_system()
-    vals = _parse_powers(args.powers)
-    if len(vals) != len(ps.params):
-        raise ValueError("need one exponent per parameter")
-    small = MonomialIdeal(ring.ambient, [mono_pow(p, t) for p, t in zip(ps.params, vals)])
+    small = _b_ideal(ps, b_exponents(ps, _parse_powers(args.powers)))
     return check_radical_transfer(ring, small, ps.a_ideal, ring.parse_ideal(args.b))
 
 

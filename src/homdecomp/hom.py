@@ -285,14 +285,9 @@ def row_intervals(f: dict[Monomial, int], a_gens) -> RowScan:
 
     hom_from_ideals passes the table of L = B over B's pure powers.
     build_hom and classify_point pass L = I over parameter_box's bounds,
-    since B is then I plus pure powers: every system that validate_sop
-    accepts is made of pure powers a_i = x_{v_i}^{e_i} of distinct
-    variables free in I (ParameterSystem.variables proves it).  A
-    validated 𝔟 is such a system too, and none of its generators lies in
-    I, as d - 1 elements cannot cut R down to finite length; so 𝔟 ⊆ 𝔞 + I
-    makes it one pure power x_{v_i}^{f_i}, f_i >= e_i, of each
-    parameter's variable (f_i = e_i t_i for powers).  theorems.classify_grid
-    passes a slice of one table built for the whole grid.
+    since B is then I plus the pure powers x_{v_i}^{f_i}: b_exponents
+    proves that every accepted 𝔟 is one.  theorems.classify_grid passes
+    a slice of one table built for the whole grid.
 
     >>> f = row_thresholds(MonomialIdeal(2, [(2, 0), (1, 2)]), [2, 4])   # (x^2, xy^2)
     >>> f
@@ -333,23 +328,42 @@ def row_intervals(f: dict[Monomial, int], a_gens) -> RowScan:
     return RowScan(spans, heads, blocks, count)
 
 
-def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:
-    """The box bounds of B = I + 𝔟, for 𝔟 given as powers or monomials.
+def b_exponents(ps: ParameterSystem, b_spec) -> list[int]:
+    """𝔟's exponent vector f, in parameter order: 𝔟 = (x_{v_i}^{f_i}) with f >= e.
 
-    b_spec is a list of integers t_i >= 1, meaning 𝔟 = (a_i^{t_i}), or of
-    d monomials forming a parameter ideal inside 𝔞.  Powers need no
+    Here a_i = x_{v_i}^{e_i} (ParameterSystem.variables, which raises
+    ValueError naming a parameter that is not a pure power of a variable
+    free in I and in the other parameters).  b_spec is a list of integers
+    t_i >= 1, meaning 𝔟 = (a_i^{t_i}), or of d monomials forming a
+    parameter ideal inside 𝔞.  Powers give f = e∘t and need no
     validation: 𝔟 ⊆ 𝔞 has d non-unit generators and each a_i lies in its
-    radical, so 𝔟 is a system of parameters as 𝔞 is.  Monomials are
-    accepted in closed form by _explicit_bounds, which is exact, so the
-    full check, membership in 𝔞 + I and validate_sop, runs only to word
-    the error for a 𝔟 it refuses.  The bounds are I's pure powers and
-    𝔟's exponent on each parameter's variable, read off
-    ParameterSystem.variables, which raises ValueError naming a parameter
-    that is not a pure power of a variable free in I and in the other
-    parameters.  A variable left without a bound (B of infinite
-    colength) raises ValueError.
+    radical, so 𝔟 is a system of parameters as 𝔞 is.
+
+    Monomials are read in closed form by _monomial_exponents, which
+    accepts 𝔟 when it has d = dim R generators, each x_{v_i}^{f_i} with
+    f_i >= e_i an integer for a distinct parameter a_i, and I has a pure
+    power of every other variable.  This is exactly what the full check,
+    membership in 𝔞 + I and validate_sop, accepts, so that check runs
+    only to word the error for a 𝔟 the closed form refuses.  Such a 𝔟
+    passes it: each x_{v_i}^{f_i} is a multiple of a_i, so it lies in 𝔞;
+    and it has d generators of ambient length, integer exponents, none
+    the unit, and I + 𝔟 holds a pure power of every variable, so
+    validate_sop accepts it.  Conversely, validate_sop makes each
+    generator of an accepted 𝔟 a pure power x_w^f of a distinct variable
+    free in I, that is with no pure power in I (ParameterSystem.variables,
+    read on 𝔟's system).  So x_w^f is not in I, and as it lies in 𝔞 + I,
+    some a_i = x_{v_i}^{e_i} divides it: w = v_i and f >= e_i.  A
+    parameter whose variable no generator of 𝔟 uses would leave that
+    variable, free in I, without a pure power in I + 𝔟, which
+    validate_sop refuses; so 𝔟 has one generator per parameter, d of
+    them.  A ps whose parameters are not such pure powers is refused by
+    the closed form, and the full check then raises
+    ParameterSystem.variables' error.
+
+    So every 𝔟 accepted over a validated system, as powers or as
+    monomials, is (x_{v_i}^{f_i}) with f >= e, and B = I + 𝔟 is I plus
+    pure powers, whose box parameter_box(ps, f) gives.
     """
-    ring = ps.ring
     spec = list(b_spec)
     if not spec:
         raise ValueError("b must not be empty")
@@ -358,48 +372,22 @@ def parameter_box(ps: ParameterSystem, b_spec) -> list[int | None]:
             raise ValueError("need one exponent per parameter")
         if any(t < 1 for t in spec):
             raise ValueError("exponents must be >= 1")
-        bounds = ring.defining._pure_powers()
-        for v, a, t in zip(ps.variables, ps.params, spec):
-            bounds[v] = a[v] * t  # 𝔟's generator on x_v is a_i^{t_i}
-        if None in bounds:
-            raise ValueError("quotient by b is not Artinian")
-        return bounds
+        return [a[v] * t for v, a, t in zip(ps.variables, ps.params, spec)]
     if not all(isinstance(t, tuple) for t in spec):
         raise ValueError("b must be all exponents or all monomials")
-    bounds = _explicit_bounds(ps, spec)
-    if bounds is None:
+    f = _monomial_exponents(ps, spec)
+    if f is None:
         for g in spec:
             if not ps.ideal.contains(g):
-                raise ValueError(f"b generator {ring.fmt(g)} is not inside a")
-        validate_sop(ring, spec)
-        ps.variables  # raises the error the bounds would have raised
+                raise ValueError(f"b generator {ps.ring.fmt(g)} is not inside a")
+        validate_sop(ps.ring, spec)
+        ps.variables  # raises the error the closed form refused on
         raise AssertionError("the closed form refused a b that validate_sop accepts")
-    return bounds
+    return f
 
 
-def _explicit_bounds(ps: ParameterSystem, spec: list) -> list[int] | None:
-    """parameter_box's bounds for monomials 𝔟, or None when the full check refuses 𝔟.
-
-    𝔟 is accepted when it has d = dim R generators, each x_{v_i}^{f_i}
-    with f_i >= e_i an integer for a distinct parameter a_i =
-    x_{v_i}^{e_i}, and I has a pure power of every other variable.  Then
-    the bounds are I's pure powers and f_i on x_{v_i}.
-
-    This is exactly what the full check accepts.  Such a 𝔟 passes it:
-    each x_{v_i}^{f_i} is a multiple of a_i, so it lies in 𝔞; and it has
-    d generators of ambient length, integer exponents, none the unit, and
-    I + 𝔟 holds a pure power of every variable, so validate_sop accepts
-    it.  Conversely, validate_sop makes each generator of an accepted 𝔟
-    a pure power x_w^f of a distinct variable free in I, that is with no
-    pure power in I (ParameterSystem.variables, read on 𝔟's system).  So
-    x_w^f is not in I, and as it lies in 𝔞 + I, some a_i = x_{v_i}^{e_i}
-    divides it: w = v_i and f >= e_i.  A parameter whose variable no
-    generator of 𝔟 uses would leave that variable, free in I, without a
-    pure power in I + 𝔟, which validate_sop refuses; so 𝔟 has one
-    generator per parameter, d of them.  A ps whose parameters are not
-    such pure powers is refused here, and the full check then raises
-    ParameterSystem.variables' error, as the bounds would.
-    """
+def _monomial_exponents(ps: ParameterSystem, spec: list) -> list[int] | None:
+    """b_exponents' closed form for monomials 𝔟: f, or None when the full check refuses 𝔟."""
     ring = ps.ring
     if len(spec) != ring.dimension():
         return None
@@ -407,8 +395,7 @@ def _explicit_bounds(ps: ParameterSystem, spec: list) -> list[int] | None:
         slot = {v: i for i, v in enumerate(ps.variables)}
     except ValueError:
         return None
-    bounds = ring.defining._pure_powers()
-    taken = [False] * len(slot)
+    f = [0] * len(slot)  # 0 until a generator takes the slot, as f_i >= e_i >= 1
     for g in spec:
         if len(g) != ring.ambient or not all(type(e) is int for e in g):
             return None
@@ -417,13 +404,34 @@ def _explicit_bounds(ps: ParameterSystem, spec: list) -> list[int] | None:
             return None
         v = support[0]
         i = slot[v]
-        if taken[i] or g[v] < ps.params[i][v]:
+        if f[i] or g[v] < ps.params[i][v]:
             return None
-        taken[i] = True
-        bounds[v] = g[v]
-    if not all(taken) or None in bounds:
+        f[i] = g[v]
+    if not all(f) or any(e is None and v not in slot for v, e in enumerate(ring._pure_powers)):
         return None
+    return f
+
+
+def parameter_box(ps: ParameterSystem, f) -> list[int]:
+    """The box of B = I + (x_{v_i}^{f_i}), for f as b_exponents gives it.
+
+    Its bounds are I's pure powers, kept on the ring, and f_i on each
+    parameter's variable x_{v_i}; this is the one place a parameter
+    system's box is formed.  A variable left without a bound (B of
+    infinite colength) raises ValueError.
+    """
+    bounds = list(ps.ring._pure_powers)
+    for v, e in zip(ps.variables, f):
+        bounds[v] = e
+    if None in bounds:
+        raise ValueError("quotient by b is not Artinian")
     return bounds
+
+
+def _b_ideal(ps: ParameterSystem, f) -> MonomialIdeal:
+    """𝔟 = (x_{v_i}^{f_i}) for the exponent vector f."""
+    n = ps.ring.ambient
+    return _ideal(n, [tuple(e if w == v else 0 for w in range(n)) for v, e in zip(ps.variables, f)])
 
 
 def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialIdeal) -> HomSubquotient:
@@ -453,8 +461,9 @@ def hom_from_ideals(ring: LocalRing, a_ideal: MonomialIdeal, b_ideal: MonomialId
 def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
     """Hom_R(R/𝔞, R/𝔟R) for 𝔞 = ps and 𝔟 given as powers or monomials.
 
-    row_intervals reads the module off the row table of L = I over
-    parameter_box's box.  𝔞 and the base ring S come from ps, and S
+    b_exponents reads 𝔟 as its exponent vector f, 𝔟 = (x_{v_i}^{f_i}),
+    and row_intervals reads the module off the row table of L = I over
+    parameter_box's box at f.  𝔞 and the base ring S come from ps, and S
     stores its length, so neither is rebuilt and S is not recounted for
     each module.
 
@@ -468,9 +477,7 @@ def build_hom(ps: ParameterSystem, b_spec) -> HomSubquotient:
     (2, 1, True)
     """
     ring = ps.ring
-    bounds = parameter_box(ps, b_spec)
-    # 𝔟 holds the pure power x_v^{bounds_v} of each parameter's variable
-    b_ideal = _ideal(ring.ambient, [tuple(bounds[v] if e else 0 for v, e in enumerate(a))
-                                    for a in ps.params])
-    return HomSubquotient(ring, ps.a_ideal, b_ideal, ring.defining + b_ideal, ps.base,
-                          row_intervals(row_thresholds(ring.defining, bounds), ps.params))
+    f = b_exponents(ps, b_spec)
+    b_ideal = _b_ideal(ps, f)
+    rows = row_intervals(row_thresholds(ring.defining, parameter_box(ps, f)), ps.params)
+    return HomSubquotient(ring, ps.a_ideal, b_ideal, ring.defining + b_ideal, ps.base, rows)

@@ -57,10 +57,10 @@ class LocalRing(_Value):
     The defining ideal must be proper; the zero ideal (a polynomial ring)
     is allowed.  variables is stored as a tuple.  A ring is immutable:
     ==, hash and repr read variables and defining alone.  𝔪, the
-    dimension, the repr text, the length of an Artinian ring, the torsion
-    Γ_m(R) and the stabilization index are each computed on their first
-    read and kept in the instance dictionary, which == and hash do not
-    read.
+    dimension, I's pure powers, the repr text, the length of an Artinian
+    ring, the torsion Γ_m(R) and the stabilization index are each
+    computed on their first read and kept in the instance dictionary,
+    which == and hash do not read.
     """
 
     def __init__(self, variables: tuple[str, ...], defining: MonomialIdeal):
@@ -118,6 +118,15 @@ class LocalRing(_Value):
 
     def dimension(self) -> int:
         return self._dimension
+
+    @cached_property
+    def _pure_powers(self) -> tuple[int | None, ...]:
+        """Least e with x_v^e in I, for each variable x_v; None where I has none.
+
+        hom.parameter_box, ParameterSystem.variables and
+        theorems.first_monomial_parameter read it, so I is scanned once.
+        """
+        return tuple(self.defining._pure_powers())
 
     def quotient(self, extra: MonomialIdeal) -> "LocalRing":
         """The ring modulo an additional ideal; errors out if that kills everything."""
@@ -196,7 +205,7 @@ class ParameterSystem(_Value):
         >>> validate_sop(R, [R.parse_monomial("z^2"), R.parse_monomial("y")]).variables
         (2, 1)
         """
-        free = [e is None for e in self.ring.defining._pure_powers()]
+        free = [e is None for e in self.ring._pure_powers]
         out = []
         for a in self.params:
             support = [v for v, e in enumerate(a) if e]

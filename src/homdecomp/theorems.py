@@ -27,11 +27,12 @@ import random
 import sys
 from collections.abc import Mapping
 from enum import Enum
-from operator import le
+from operator import le, mul
 from typing import NamedTuple
 
 from .decomp import DecompositionReport, decide
-from .hom import HomSubquotient, build_hom, hom_from_ideals, parameter_box, row_intervals
+from .hom import (HomSubquotient, b_exponents, build_hom, hom_from_ideals, parameter_box,
+                  row_intervals)
 from .monomials import (
     CapExceeded,
     Monomial,
@@ -261,7 +262,7 @@ def first_monomial_parameter(ring: LocalRing) -> Monomial:
     """
     if ring.dimension() != 1:
         raise ValueError("parameter search needs a one-dimensional ring")
-    free = [i for i, e in enumerate(ring.defining._pure_powers()) if e is None]
+    free = [i for i, e in enumerate(ring._pure_powers) if e is None]
     if len(free) > 1:
         names = ", ".join(ring.variables[i] for i in free)
         raise ValueError(f"no monomial parameter: the variables {names} "
@@ -561,7 +562,8 @@ def classify_point(ps: ParameterSystem, powers) -> PointClass:
     """Class of Hom(R/a, R/bR) at one lattice point t, for b = (a_i^{t_i}).
 
     hom.row_intervals reads C/B off the row table of the box that
-    hom.parameter_box gives, as build_hom does: each row's interval of
+    hom.parameter_box gives at b's exponent vector f = e∘t
+    (hom.b_exponents), as build_hom does: each row's interval of
     basis cells, the rows that hold a generator of C, and the number of
     components of the one-step action graph.  No cell, ideal, colon or
     Hom object is built.  A cyclic module is free, by the theorem below,
@@ -571,7 +573,7 @@ def classify_point(ps: ParameterSystem, powers) -> PointClass:
 
     Theorem.  Let a_i = x_{v_i}^{e_i} be a system that validate_sop
     accepts and b = (x_{v_i}^{f_i}) with f >= e, as every b that
-    parameter_box accepts is (see hom.row_intervals).  Then H = Hom(R/a, R/b)
+    hom.b_exponents accepts is (its docstring proves it).  Then H = Hom(R/a, R/b)
     = C/B has length at least length(S), S = R/(I + a), and H is free
     over S exactly when it is cyclic.
 
@@ -619,7 +621,8 @@ def classify_point(ps: ParameterSystem, powers) -> PointClass:
     t = list(powers)
     if not all(type(e) is int for e in t):  # bool is an int subclass and is refused
         raise ValueError("a lattice point is a list of integer exponents")
-    return _row_class(row_thresholds(ps.ring.defining, parameter_box(ps, t)), ps.params)
+    box = parameter_box(ps, b_exponents(ps, t))
+    return _row_class(row_thresholds(ps.ring.defining, box), ps.params)
 
 
 def _row_class(f, a_gens) -> PointClass:
@@ -693,23 +696,19 @@ class GridClassification(NamedTuple):
 def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
     """classify_point at every point of [1, tmax]^d, off one box and one row table for the grid.
 
-    hom.parameter_box runs once, at the far corner T = (tmax, ...,
-    tmax), and so does monomials.row_thresholds, which holds T's box to
-    LENGTH_CAP: a grid whose far corner is over the cap raises that
-    corner's CapExceeded before any point is classified.  Each point t
-    then sets the bound of each parameter's variable x_{v_i} to e_i t_i,
-    for a_i = x_{v_i}^{e_i}, and reads the slice f_t(p) = min(top_t,
-    f_T(p)) of T's table for p in its own box of rows, top_t being its
-    bound on the last variable.
-
-    Proof that these are t's own bounds, checked.  parameter_box gives
-    every variable but the x_{v_i} I's pure power, at every point, and
-    x_{v_i} the exponent e_i t_i of a_i^{t_i}; so t's bounds are T's with
-    those d entries reset.  Its checks pass at t once they pass at T: t
-    is d integers >= 1, the parameters and their variables are T's, and
-    the variables left without a bound are T's.  Each bound at t is at
-    most T's, as e_i t_i <= e_i tmax, so t's box lies inside T's and
-    holds no more cells; T's box is within LENGTH_CAP, so t's is too.
+    hom.b_exponents reads the far corner T = (tmax, ..., tmax) once, as
+    the exponent vector e∘T of b = (a_i^{tmax}), a_i = x_{v_i}^{e_i}, and
+    hom.parameter_box and monomials.row_thresholds build T's box and
+    table, which row_thresholds holds to LENGTH_CAP: a grid whose far
+    corner is over the cap raises that corner's CapExceeded before any
+    point is classified.  Each point t then takes parameter_box(ps, e∘t),
+    classify_point's box at t, as b_exponents(ps, t) = e∘t (its
+    docstring proves that every accepted b is such an f), and reads the
+    slice f_t(p) = min(top_t, f_T(p)) of T's table for p in its own box
+    of rows, top_t being its bound on the last variable.  Every check
+    passes at t once it passes at T: t is d integers >= 1, and the
+    variables parameter_box leaves without a bound are T's.  t's box
+    lies inside T's, as e_i t_i <= e_i tmax, so it is within LENGTH_CAP.
 
     Proof that the slice is t's own table.  row_thresholds gives
     f_t(p) = min(top_t, r(p)), with r(p) the least last exponent of a
@@ -725,14 +724,11 @@ def classify_grid(ps: ParameterSystem, tmax: int) -> GridClassification:
     if tmax < 1:
         raise ValueError("tmax must be at least 1")
     d = len(ps.params)
-    bounds = parameter_box(ps, [tmax] * d)
-    far = row_thresholds(ps.ring.defining, bounds)
-    steps = [(v, a[v]) for v, a in zip(ps.variables, ps.params)]
+    far = row_thresholds(ps.ring.defining, parameter_box(ps, b_exponents(ps, [tmax] * d)))
+    e = [a[v] for v, a in zip(ps.variables, ps.params)]
     codes = bytearray()
     for t in itertools.product(range(1, tmax + 1), repeat=d):
-        for (v, e), k in zip(steps, t):
-            bounds[v] = e * k
-        *head, top = bounds
+        *head, top = parameter_box(ps, map(mul, e, t))
         f = {p: min(top, far[p]) for p in itertools.product(*map(range, head))}
         codes.append(_CLASS_INDEX[_row_class(f, ps.params)])
     return GridClassification(ps, tmax, bytes(codes))

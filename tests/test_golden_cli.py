@@ -94,6 +94,10 @@ def _cases() -> dict:
     cases["x2-xy3-analyze-b-not-parameter"] = "x2-xy3", ["analyze", "--b", "(xy^2)"]
     cases["x2-xy3-analyze-powers-zero"] = "x2-xy3", ["analyze", "--powers", "0"]
     cases["x2-xy3-analyze-powers-count"] = "x2-xy3", ["analyze", "--powers", "1,2"]
+    # 2.6 reads --powers for J as analyze does, so it refuses them with the same texts
+    for name, powers in (("zero", "0"), ("count", "1,2")):
+        cases[f"x2-xy3-verify-2.6-powers-{name}"] = "x2-xy3", ["verify", "--theorem", "2.6",
+                                                               "--powers", powers, "--b", "(y^4)"]
     # a connected Hom that is not cyclic: analyze's stratum, indecomposable and not free
     cases["x2-xy3-analyze-powers-connected"] = "x2-xy3", ["analyze", "--powers", "2"]
     cases["x2-xyz-analyze-b-short"] = "x2-xyz", ["analyze", "--b", "(y^2)"]

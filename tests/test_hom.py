@@ -27,8 +27,8 @@ from conftest import (
 from homdecomp import hom, theorems
 from homdecomp.decomp import decide
 from homdecomp.gfp import PrimeFieldMatrix
-from homdecomp.hom import (HomSubquotient, RowScan, UnionFind, build_hom, hom_from_ideals,
-                           parameter_box)
+from homdecomp.hom import (HomSubquotient, RowScan, UnionFind, b_exponents, build_hom,
+                           hom_from_ideals, parameter_box)
 from homdecomp.monomials import (MonomialIdeal, _ideal, grlex_key, mono_mul, monomials_between,
                                  row_thresholds)
 from homdecomp.oracle import connected_components
@@ -460,6 +460,11 @@ def full_check_box(ps, spec):
     return bounds
 
 
+def spec_box(ps, spec):
+    """parameter_box at b_exponents' f: the box build_hom reads for b given as spec."""
+    return parameter_box(ps, b_exponents(ps, spec))
+
+
 def outcome(box, ps, spec):
     """The bounds box(ps, spec) returns, or the type and text of what it raises."""
     try:
@@ -541,7 +546,7 @@ def explicit_b_specs(draw):
 @given(explicit_b_specs())
 def test_explicit_b_closed_form_matches_the_full_check(case):
     ps, spec = case
-    assert outcome(parameter_box, ps, spec) == outcome(full_check_box, ps, spec)
+    assert outcome(spec_box, ps, spec) == outcome(full_check_box, ps, spec)
 
 
 # systems built around validate_sop: the full check accepts b and then
@@ -556,9 +561,27 @@ def test_explicit_b_over_an_unvalidated_system(relations, params, b, error):
     R = make_ring(("x", "y"), relations)
     ps = ParameterSystem(R, [R.parse_monomial(t) for t in params.split()])
     spec = [R.parse_monomial(t) for t in b.split()]
-    result = outcome(parameter_box, ps, spec)
+    result = outcome(spec_box, ps, spec)
     assert result == outcome(full_check_box, ps, spec)
     assert result[0] is ValueError and result[1].startswith(error)
+
+
+def test_pure_powers_are_scanned_once_per_ring(monkeypatch):
+    # the box, ParameterSystem.variables and the closed form all read the ring's one scan
+    R = make_ring("xyz", "(x^2, xyz)")
+    ps = validate_sop(R, [R.parse_monomial("y"), R.parse_monomial("z")])
+    scanned = []
+    original = MonomialIdeal._pure_powers
+
+    def counting(self):
+        scanned.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MonomialIdeal, "_pure_powers", counting)
+    build_hom(ps, [2, 3])
+    build_hom(ps, [R.parse_monomial("y^2"), R.parse_monomial("z^4")])
+    theorems.classify_grid(ps, 3)
+    assert scanned == [R.defining]
 
 
 @pytest.mark.parametrize("answer", [

@@ -33,7 +33,8 @@ from conftest import (
 )
 from homdecomp import hom, monomials, rings, theorems
 from homdecomp.decomp import DecompositionReport, decide
-from homdecomp.hom import HomSubquotient, build_hom, hom_from_ideals, parameter_box, row_intervals
+from homdecomp.hom import (HomSubquotient, b_exponents, build_hom, hom_from_ideals, parameter_box,
+                          row_intervals)
 from homdecomp.monomials import (CapExceeded, MonomialIdeal, grlex_key, mono_mul, mono_pow,
                                  monomials_between, row_thresholds)
 from homdecomp.rings import (LocalRing, ParameterSystem, depth_is_zero, gamma_m,
@@ -633,7 +634,7 @@ def check_point_against_homs(ps, t):
     assert classify_point(ps, t) is cls
     assert free is (cls is PointClass.FREE_CYCLIC)  # classify_point's theorem
     basis, generators = box_basis(row_intervals(
-        row_thresholds(ps.ring.defining, parameter_box(ps, t)), ps.params))
+        row_thresholds(ps.ring.defining, parameter_box(ps, b_exponents(ps, t))), ps.params))
     b_gens = [mono_pow(a, k) for a, k in zip(ps.params, t)]
     B = ps.ring.defining + MonomialIdeal(ps.ring.ambient, b_gens)
     _, oracle_basis, count = colon_route(ps.a_ideal, B)
@@ -752,8 +753,8 @@ def test_grid_over_the_cap_raises_the_far_corners_error(monkeypatch):
 
 
 def test_grid_builds_no_hom(monkeypatch):
-    # one box and one row table per grid, at the far corner, sliced per point
-    homs, tables, points, boxes = [], [], [], []
+    # b read and one row table built once per grid, at the far corner, sliced per point
+    homs, tables, points, specs = [], [], [], []
     original_init = HomSubquotient.__init__
 
     def counting_build(*args):
@@ -772,9 +773,9 @@ def test_grid_builds_no_hom(monkeypatch):
         points.append(tuple(args[1]))
         return classify_point(*args)
 
-    def counting_box(ps, t):
-        boxes.append(list(t))
-        return parameter_box(ps, t)
+    def counting_exponents(ps, b_spec):
+        specs.append(list(b_spec))
+        return b_exponents(ps, b_spec)
 
     monkeypatch.setattr(theorems, "build_hom", counting_build)
     monkeypatch.setattr(hom, "build_hom", counting_build)
@@ -782,15 +783,15 @@ def test_grid_builds_no_hom(monkeypatch):
     monkeypatch.setattr(theorems, "row_thresholds", counting_table)
     monkeypatch.setattr(hom, "row_thresholds", counting_table)
     monkeypatch.setattr(theorems, "classify_point", counting_point)
-    monkeypatch.setattr(theorems, "parameter_box", counting_box)
+    monkeypatch.setattr(theorems, "b_exponents", counting_exponents)
     for ring, texts, tmax in [(THREE_VARS, ("y", "z"), 4), (FOUR_VARS, ("y", "z", "w"), 3)]:
         ps = sop(ring, *texts)
         tables.clear()
-        boxes.clear()
+        specs.clear()
         grid = classify_grid(ps, tmax)
         assert len(grid.classes) == tmax ** len(texts)
-        assert boxes == [[tmax] * len(texts)]
-        assert tables == [parameter_box(ps, [tmax] * len(texts))]
+        assert specs == [[tmax] * len(texts)]
+        assert tables == [parameter_box(ps, b_exponents(ps, [tmax] * len(texts)))]
     assert homs == []
     assert points == []
 
